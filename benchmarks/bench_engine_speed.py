@@ -267,11 +267,6 @@ def _replay_sweep(repeats=3, trace_length=20_000):
     }
 
 
-#: Candidate scalar-mirror thresholds timed by the real-cache
-#: calibration pass (see :func:`_vector_sweep`).
-SCALAR_THRESHOLD_CANDIDATES = (16, 64, 256, 1024)
-
-
 def _vector_sweep(repeats=3, trace_length=100_000):
     """Event loop vs vectorized backend on replay-eligible cells.
 
@@ -280,23 +275,11 @@ def _vector_sweep(repeats=3, trace_length=100_000):
     itself.  ``perfect_cache`` cells vectorize fully (no cache-timing
     feedback) and carry the speedup floor guarded by
     ``tools/check_engine_speed.py --vector-floor``; ``real_cache``
-    cells (8K direct-mapped) mix the batch kernels with the exact
-    scalar mirrors and are guarded by ``--real-floor``.  Every cell is
-    asserted bit-identical across backends before any number is
-    reported.
-
-    The real-cache group is timed at a *measured* scalar threshold: the
-    candidate cut-offs in :data:`SCALAR_THRESHOLD_CANDIDATES` are each
-    timed once (the mirror/kernel crossover is machine- and
-    workload-dependent; a fixed gate mis-tuned redirect-dense traces by
-    ~40%), the fastest is used for the recorded numbers, and the chosen
-    threshold plus the fraction of probes the scalar mirrors actually
-    served (``scalar_fraction``) are emitted so a future speedup
-    regression is attributable to mirror-vs-kernel drift.
+    cells (8K direct-mapped) run through the exact scalar mirrors and
+    are guarded by ``--real-floor``.  Every cell is asserted
+    bit-identical across backends before any number is reported.
     """
     from repro.branch.stream import build_stream
-    from repro.core.engine import build_engine
-    from repro.core.vector import scalar_threshold, set_scalar_threshold
 
     program = build_workload("gcc")
     trace = generate_trace(program, trace_length, seed=3)
@@ -332,54 +315,19 @@ def _vector_sweep(repeats=3, trace_length=100_000):
             for config in configs
         ]
 
-    def calibrate(configs):
-        chosen, best_s = scalar_threshold(), None
-        for candidate in SCALAR_THRESHOLD_CANDIDATES:
-            set_scalar_threshold(candidate)
-            elapsed, _ = _best_of(2, lambda: sweep("vector", configs))
-            if best_s is None or elapsed < best_s:
-                best_s, chosen = elapsed, candidate
-        return chosen
-
-    def mirror_fraction(configs):
-        """Share of cache probes (right-path + wrong-path) served by the
-        exact scalar mirrors rather than the batch kernels."""
-        scalar = bulk = 0
-        for config in configs:
-            engine = build_engine(
-                program, replace(config, engine_backend="vector"), stream=stream
+    for name, configs in groups.items():
+        event_s, event = _best_of(repeats, lambda: sweep("event", configs))
+        vector_s, vector = _best_of(repeats, lambda: sweep("vector", configs))
+        for ev, vec in zip(event, vector):
+            assert ev == replace(vec, config=ev.config), (
+                f"vector backend diverged from event loop ({name})"
             )
-            engine.run(trace)
-            scalar += engine.probes_scalar + engine.walk_probes_scalar
-            bulk += engine.probes_bulk + engine.walk_probes_bulk
-        return scalar / (scalar + bulk) if scalar + bulk else 0.0
-
-    default_threshold = scalar_threshold()
-    try:
-        for name, configs in groups.items():
-            extra = {}
-            if name == "real_cache":
-                extra["scalar_threshold"] = calibrate(configs)
-                set_scalar_threshold(extra["scalar_threshold"])
-                extra["scalar_fraction"] = round(mirror_fraction(configs), 4)
-            event_s, event = _best_of(repeats, lambda: sweep("event", configs))
-            vector_s, vector = _best_of(
-                repeats, lambda: sweep("vector", configs)
-            )
-            set_scalar_threshold(default_threshold)
-            for ev, vec in zip(event, vector):
-                assert ev == replace(vec, config=ev.config), (
-                    f"vector backend diverged from event loop ({name})"
-                )
-            out[name] = {
-                "cells": len(configs),
-                "event_s": round(event_s, 4),
-                "vector_s": round(vector_s, 4),
-                "speedup": round(event_s / vector_s, 2),
-                **extra,
-            }
-    finally:
-        set_scalar_threshold(default_threshold)
+        out[name] = {
+            "cells": len(configs),
+            "event_s": round(event_s, 4),
+            "vector_s": round(vector_s, 4),
+            "speedup": round(event_s / vector_s, 2),
+        }
     return out
 
 

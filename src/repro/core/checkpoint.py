@@ -14,8 +14,9 @@ Design mirrors :class:`~repro.core.artifacts.ArtifactCache`:
   ``<dir>/v<CHECKPOINT_FORMAT_VERSION>/``; bumping the version orphans
   old journals instead of misreading them.
 * **Invalidation by construction** — every input that affects a result
-  (benchmark, trace length, warmup, seed, the full ``SimConfig``) is part
-  of the entry path, so a changed parameter simply misses.
+  (benchmark, trace length, warmup, seed, ``GENERATOR_VERSION``, the
+  full ``SimConfig``) is part of the entry path, so a changed parameter
+  or a bumped trace generator simply misses.
 * **Atomic writes** — temp file + ``os.replace``; a sweep killed
   mid-write leaves no torn entry.
 * **Corruption = miss** — an unreadable or mismatched entry is
@@ -38,6 +39,7 @@ from pathlib import Path
 from repro.config import SimConfig
 from repro.core.results import SimulationResult
 from repro.errors import CheckpointError
+from repro.trace.generator import GENERATOR_VERSION
 
 #: On-disk layout version.  Bump when the entry format or key scheme
 #: changes; old journals are simply never read again.
@@ -96,7 +98,10 @@ class CheckpointJournal:
             raise CheckpointError("checkpoint journal is disabled (no directory)")
         if not benchmark or "/" in benchmark or benchmark.startswith("."):
             raise CheckpointError(f"unsafe benchmark name {benchmark!r}")
-        key = f"t{trace_length}-w{warmup}-s{seed}-c{config_key(config)}"
+        key = (
+            f"t{trace_length}-w{warmup}-s{seed}-g{GENERATOR_VERSION}"
+            f"-c{config_key(config)}"
+        )
         return (
             self.root
             / f"v{CHECKPOINT_FORMAT_VERSION}"

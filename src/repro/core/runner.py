@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import contextlib
 import time
+import warnings
 from collections.abc import Iterable, Iterator, Sequence
 from dataclasses import dataclass, replace
 
@@ -47,6 +48,7 @@ from repro.trace.generator import generate_trace
 _INCIDENT_COUNTERS = {
     "retry": "sweep.retries",
     "timeout": "sweep.timeouts",
+    "watchdog_inactive": "sweep.watchdog_inactive",
     "skip": "sweep.skipped_cells",
     "checkpoint_hit": "checkpoint.hits",
     "cache_store_failure": "artifacts.store_failures",
@@ -132,8 +134,10 @@ class SimulationRunner:
         self.backoff_base = backoff_base
         self.backoff_cap = backoff_cap
         #: Per-cell watchdog (seconds); enforced via ``SIGALRM`` where
-        #: available (POSIX main thread), otherwise ignored.
+        #: available (POSIX main thread), otherwise warned about once
+        #: and counted per unguarded cell (``sweep.watchdog_inactive``).
         self.job_timeout = job_timeout
+        self._watchdog_warned = False
         #: ``"raise"`` aborts on a failed cell; ``"skip"`` records it in
         #: :attr:`failures` and returns a :class:`MissingResult`.
         self.on_error = on_error
@@ -208,9 +212,11 @@ class SimulationRunner:
         """Raise :class:`JobTimeoutError` if the body outlives ``job_timeout``.
 
         Signal-based (``SIGALRM``), so it works even while the pure-Python
-        engine is busy; silently inactive off the POSIX main thread.  Any
-        outer alarm (e.g. a test-harness deadline) is restored with its
-        remaining time on exit.
+        engine is busy.  Off the POSIX main thread it cannot arm: the
+        runner warns once and counts each unguarded cell as a
+        ``watchdog_inactive`` incident.  Any outer alarm (e.g. a
+        test-harness deadline) is restored with its remaining time on
+        exit.
         """
         if self.job_timeout is None:
             yield
@@ -222,6 +228,15 @@ class SimulationRunner:
             not hasattr(signal, "SIGALRM")
             or threading.current_thread() is not threading.main_thread()
         ):
+            if not self._watchdog_warned:
+                self._watchdog_warned = True
+                warnings.warn(
+                    f"job_timeout={self.job_timeout}s is not enforced: the "
+                    "SIGALRM watchdog only runs on the POSIX main thread",
+                    RuntimeWarning,
+                    stacklevel=4,
+                )
+            self._incident("watchdog_inactive", name)
             yield
             return
 

@@ -6,36 +6,26 @@ the branch outcomes are already materialized as NumPy arrays, so for
 replay-eligible cells the remaining interpreter overhead is pure
 bookkeeping.  This module removes it: the trace is lowered once into a
 flat *probe stream* (one entry per cache-line access the event loop
-would make), segmented at the replayed redirect boundaries, and the
-i-cache state between redirects is advanced with the NumPy kernels of
-:mod:`repro.core.vector_kernels` — set-index/tag arithmetic, bulk tag
-matching with find-first-miss, LRU-stack span updates, latency
-accumulation over whole runs, and the wrong-path window cutoff.
+would make), segmented at the replayed redirect boundaries.
 
-What cannot be batched falls back to exact scalar mirrors of the
-event-loop code, kept cheap three ways (the real-cache speed work of
-PR 10):
+Perfect-cache cells have no cache-timing feedback, so their whole
+timeline is computed with the array kernels of
+:mod:`repro.core.vector_kernels` (latency accumulation over whole runs
+plus the speculation-depth gate).  Real-cache cells run through exact
+scalar mirrors of the event-loop code over the lowered streams:
 
+* each redirect-free segment is one tight pass over prezipped
+  ``(set, tag, chunk, gate)`` tuples (``_scalar_span``) — the paper's
+  workloads redirect every dozen or so probes, far too often for a
+  batch hit path to pay for its per-call array overhead;
 * every recorded wrong-path walk is lowered to flat per-redirect line
-  arrays once per (stream, line size) — the **batched walker** — and a
-  walk's leading all-hit stretch is retired with one tag-match plus the
-  ``walk_cutoff`` kernel;
-* while Resume's single-slot fill station is in flight, its install
-  time is resolved up front — the **station timeline**: every probe
-  before the first miss or the first probe of the station line's set is
-  provably unaffected by the pending install, so those spans run
-  through the bulk hit path instead of the per-probe station mirror;
-* consecutive right-path misses and segments below the scalar
-  threshold run through one tight list-backed loop — the **miss-run
-  batcher** — instead of re-entering the window machinery per miss.
+  arrays once per (stream, line size), so a walk is a list slice;
+* while Resume's single-slot fill station is in flight, probes take
+  the full per-probe station mirror (``_probe_scalar``).
 
 Every counter and every stall slot is reproduced **bit-identically**
 (enforced by tests/core/test_engine_backends.py and the hypothesis
-kernel suite) for *any* scalar threshold; the threshold only moves the
-batch/scalar split.  The default is a measured crossover, recalibrated
-by ``benchmarks/bench_engine_speed.py`` (the engine itself is
-clock-free — simlint SIM001 — so the measurement lives there) and
-installed via :func:`set_scalar_threshold`.
+kernel suite).
 
 Eligibility is stricter than replay eligibility: timing-coupled
 front-end extensions (prefetchers, stream buffers, L2, multi-entry fill
@@ -74,17 +64,14 @@ from repro.core.vector_kernels import (  # noqa: F401  (kernel re-exports)
     accumulate_positions,
     depth_gate_positions,
     expand_runs,
-    lru_update_spans,
-    match_tags,
     probe_arrays,
     probe_split,
     split_sets,
     trace_arrays,
     walk_arrays,
-    walk_cutoff,
     walk_split,
 )
-from repro.errors import ConfigError, SimulationError
+from repro.errors import SimulationError
 from repro.isa import InstrKind
 from repro.trace.event import Trace
 
@@ -96,34 +83,6 @@ _COND = int(InstrKind.COND_BRANCH)
 _ORG_RIGHT = 0
 _ORG_WRONG = 1
 
-#: Default batch/scalar crossover, in probes: segments (and walks)
-#: shorter than this are walked through the scalar mirror, since fixed
-#: per-window NumPy call overhead (~2us per array op) exceeds the
-#: vectorization win below roughly this size.  Measured on the gcc 100k
-#: protocol (benchmarks/bench_engine_speed.py recalibrates and installs
-#: the host's crossover before timing); results are bit-identical for
-#: any value — the threshold only moves work between the two paths.
-_DEFAULT_SCALAR_THRESHOLD = 256
-
-_scalar_threshold = _DEFAULT_SCALAR_THRESHOLD
-
-
-def scalar_threshold() -> int:
-    """The current batch/scalar crossover (probes)."""
-    return _scalar_threshold
-
-
-def set_scalar_threshold(n: int) -> None:
-    """Install a measured batch/scalar crossover (see module docstring).
-
-    Engines pick the value up at construction; results never depend on
-    it (only the batch/scalar split does).
-    """
-    global _scalar_threshold
-    if n < 1:
-        raise ConfigError(f"scalar threshold must be >= 1: {n}")
-    _scalar_threshold = int(n)
-
 
 def vector_eligible(config: SimConfig) -> bool:
     """Can *config* run on the vectorized backend (given a stream)?
@@ -132,8 +91,8 @@ def vector_eligible(config: SimConfig) -> bool:
     outcome arrays); on top of that, every timing-coupled front-end
     extension disqualifies the cell — those paths interleave with the
     fetch clock per probe and only exist in the event loop.  So does the
-    per-interval policy machinery: the batch kernels assume one policy
-    for the whole run and record no interval stats.
+    per-interval policy machinery: the backend assumes one policy for
+    the whole run and records no interval stats.
     """
     return (
         replay_eligible(config)
@@ -205,6 +164,8 @@ class VectorEngine:
     """
 
     backend = "vector"
+    # Kept at 0 for the benchmark's probe-path counters (no bulk path).
+    probes_bulk = walk_probes_bulk = 0
 
     def __init__(self, inner) -> None:
         self.inner = inner
@@ -241,19 +202,14 @@ class VectorEngine:
             self._set_shift = self.cache._set_shift
             n_sets = self._set_mask + 1
             if self._assoc == 1:
-                # Twin tag mirrors: NumPy arrays feed the batch kernels,
-                # plain lists feed the scalar mirrors (list indexing is
-                # ~3x faster per probe); _fill keeps them in lockstep.
-                self._tag_state = np.full(n_sets, -1, dtype=np.int64)
-                self._origin_state = np.zeros(n_sets, dtype=np.int8)
+                # Plain lists: list indexing is ~3x faster per probe
+                # than ndarray scalar indexing.
                 self._tags_l = [-1] * n_sets
                 self._orgs_l = [0] * n_sets
                 self._tag_table = None
                 self._origin_table = None
                 self._counts = None
             else:
-                self._tag_state = None
-                self._origin_state = None
                 self._tags_l = None
                 self._orgs_l = None
                 self._tag_table = np.full((n_sets, self._assoc), -1, dtype=np.int64)
@@ -271,8 +227,6 @@ class VectorEngine:
         self._warm = _Window()
         self._meas = _Window()
         self._win = self._meas
-        self._window = 256
-        self._scalar_threshold = _scalar_threshold
         # Per-policy wrong-path walk behavior (None = outcome-dependent:
         # Decode fills only on a confirmed mispredict, outcome code 2).
         policy = self._policy
@@ -287,12 +241,10 @@ class VectorEngine:
         self._walk_decode_slots = (
             self._decode_slots if policy is FetchPolicy.DECODE else 0
         )
-        # Batch/scalar split diagnostics (plain attributes, never
-        # published: metric parity with the event loop is asserted).
+        # Probe-path diagnostics (plain attributes, never published:
+        # metric parity with the event loop is asserted).
         self.probes_scalar = 0
-        self.probes_bulk = 0
         self.walk_probes_scalar = 0
-        self.walk_probes_bulk = 0
 
     # -- entry point ---------------------------------------------------------
 
@@ -366,24 +318,15 @@ class VectorEngine:
 
     def _run_cached(self, ta: TraceArrays, pa: ProbeArrays, boundary_rec: int) -> None:
         self._pa = pa
-        ps = probe_split(
+        self._ptuples = probe_split(
             self._trace, self._line_size, self._set_mask, self._set_shift
-        )
-        self._probe_set = ps.set
-        self._probe_tag = ps.tag
-        self._ptuples = ps.tuples
-        wa = walk_arrays(self._stream, self._line_size)
-        ws = walk_split(
+        ).tuples
+        self._wa = walk_arrays(self._stream, self._line_size)
+        self._wtuples = walk_split(
             self._stream, self._line_size, self._set_mask, self._set_shift
-        )
-        self._wa = wa
-        self._wa_set = ws.set
-        self._wa_tag = ws.tag
-        self._wtuples = ws.tuples
-        redirect = self._ev_outcome != 0
-        red_ev = np.flatnonzero(redirect)
+        ).tuples
+        red_ev = np.flatnonzero(self._ev_outcome != 0)
         red_probe = pa.last_probe[ta.ev_rec[red_ev]]
-        self._red_ev = red_ev
         # Scalar-access copies of the per-event stream fields (list
         # indexing is ~3x faster than ndarray scalar indexing here).
         ev_penalty_l = self._ev_penalty_l = self.unit._penalty
@@ -399,7 +342,6 @@ class VectorEngine:
         red_ev_l = red_ev.tolist()
         n_red = len(red_probe_l)
         n_probes = pa.n_probes
-        threshold = self._scalar_threshold
         i = 0
         r = 0
         while i < n_probes:
@@ -412,10 +354,14 @@ class VectorEngine:
                 redirect_here = False
             else:
                 redirect_here = r < n_red
-            if seg_end - i < threshold and not self._has_station:
+            # A wrong-path fill in flight (Resume only) takes the
+            # per-probe station mirror until it installs; right-path
+            # misses never create a station, so the rest of the segment
+            # is one station-free span.
+            while self._has_station and i < seg_end:
+                i = self._probe_scalar(i)
+            if i < seg_end:
                 self._scalar_span(i, seg_end)
-            else:
-                self._run_probes(i, seg_end)
             i = seg_end
             if redirect_here:
                 # Inlined _handle_redirect: the redirect block runs once
@@ -435,108 +381,9 @@ class VectorEngine:
                     self._t = window_end
                 r += 1
 
-    def _run_probes(self, i: int, end: int) -> None:
-        """Advance the probe cursor from *i* to *end* (all within one
-        redirect-free segment): bulk hit spans, scalar miss runs.
-        Segments shorter than the calibrated scalar threshold skip the
-        window machinery entirely — redirect-dense traces produce
-        thousands of tiny segments, where fixed per-window array
-        overhead costs more than it saves."""
-        probe_set = self._probe_set
-        probe_tag = self._probe_tag
-        direct = self._assoc == 1
-        threshold = self._scalar_threshold
-        while i < end:
-            if self._has_station:
-                i = self._station_span(i, end)
-                continue
-            if end - i < threshold:
-                self._scalar_span(i, end)
-                return
-            w = min(end - i, self._window)
-            sets = probe_set[i : i + w]
-            tags = probe_tag[i : i + w]
-            if direct:
-                hits = self._tag_state[sets] == tags
-            else:
-                hits = (self._tag_table[sets] == tags[:, None]).any(axis=1)
-            miss_at = np.flatnonzero(~hits)
-            span = int(miss_at[0]) if miss_at.size else w
-            if span:
-                self._account_hits(i, i + span, sets[:span], tags[:span])
-                self._advance_hits(i, i + span)
-                i += span
-            if span < w:
-                # Miss-run batcher: the window mask already bounds the
-                # consecutive-miss run; retire it in one scalar span (a
-                # fill can flip a later "miss" to a hit, so every probe
-                # is re-checked there) instead of re-windowing per miss.
-                # Hits the stale mask claims *beyond* the run are
-                # discarded — an eviction could have invalidated them.
-                hit_at = np.flatnonzero(hits[span:])
-                run = int(hit_at[0]) if hit_at.size else w - span
-                self._scalar_span(i, i + run)
-                i += run
-                self._window = max(64, self._window >> 1)
-            elif w == self._window:
-                self._window = min(16384, self._window << 1)
-
-    def _account_hits(self, i: int, j: int, sets, tags) -> None:
-        """Bulk statistics for an all-hit probe span [i, j)."""
-        win = self._win
-        n = j - i
-        win.probes += n
-        win.hits += n
-        win.right_probes += n
-        self.probes_bulk += n
-        if self._assoc == 1:
-            if self._wrong_lines:
-                win.wrongpath_hits += int((self._origin_state[sets] == _ORG_WRONG).sum())
-        else:
-            if self._wrong_lines:
-                eq = self._tag_table[sets] == np.asarray(tags)[:, None]
-                ways = eq.argmax(axis=1)
-                win.wrongpath_hits += int(
-                    (self._origin_table[sets, ways] == _ORG_WRONG).sum()
-                )
-            lru_update_spans(
-                self._tag_table, self._origin_table, self._counts, sets, tags
-            )
-
-    def _advance_hits(self, i: int, j: int) -> None:
-        """Clock advance over an all-hit span, applying depth gates."""
-        pa = self._pa
-        cum_l = pa.cum_l
-        dt = cum_l[j] - cum_l[i]
-        next_gate = pa.next_gate
-        k = next_gate[i]
-        if k >= j:
-            self._t += dt
-            return
-        t0 = self._t
-        base0 = t0 - cum_l[i]
-        shift = 0
-        recent = self._recent
-        depth = self._depth
-        resolve_slots = self._resolve_slots
-        win = self._win
-        while k < j:
-            pre = base0 + cum_l[k] + shift
-            if len(recent) == depth and recent[0] > pre:
-                stall = recent[0] - pre
-                win.branch_full += stall
-                shift += stall
-                pre = recent[0]
-            recent.append(pre + resolve_slots)
-            if len(recent) > depth:
-                del recent[0]
-            k = next_gate[k + 1]
-        self._t = t0 + dt + shift
-
     def _scalar_span(self, i: int, end: int) -> None:
         """Exact scalar mirror of the station-free right-path probe loop
-        over [i, end) — one tight list-backed pass shared by
-        below-threshold segments and batched miss runs (the event-loop
+        over [i, end) — one tight list-backed pass (the event-loop
         semantics of ``_fetch_right_line`` with an idle station: probes,
         depth gates, the conservative force-resolve guard, blocking
         fills).  Right-path misses never create a station, so the
@@ -548,8 +395,6 @@ class VectorEngine:
             return
         tags_l = self._tags_l
         orgs_l = self._orgs_l
-        tag_state = self._tag_state
-        origin_state = self._origin_state
         t = self._t
         busy = self._busy_until
         recent = self._recent
@@ -605,8 +450,6 @@ class VectorEngine:
                     n_evict += 1
                 tags_l[set_idx] = tag
                 orgs_l[set_idx] = 0
-                tag_state[set_idx] = tag
-                origin_state[set_idx] = 0
                 t = done
             t += chunk
             if gated:
@@ -637,49 +480,12 @@ class VectorEngine:
         win.force_resolve += force_pen
         win.branch_full += full_pen
 
-    def _station_span(self, i: int, end: int) -> int:
-        """Probes while a wrong-path fill is in flight (Resume only).
-
-        The station timeline is resolved up front: the fill's install
-        time is already known (``_station_done``), and until the clock
-        reaches it the pending fill is unobservable to any probe that
-        (a) hits and (b) does not touch the station line's set — the
-        install only mutates that one set, and the install moment
-        itself is untimed (the installed counter lands in the same
-        window either way, since segments never span a window switch).
-        So the leading such stretch runs through the bulk hit path; the
-        first miss, set conflict, or drained station falls back to the
-        per-probe station mirror (``_probe_scalar``).  The span never
-        covers the segment's last probe: ending each station-era segment
-        with a per-probe drain check pins the install to the same
-        counter window the event loop charges it to, and guarantees a
-        fill still pending at the end of the trace is left pending
-        exactly when the event loop leaves it pending."""
-        if self._station_done <= self._t:
-            self._install_station()
-            return i
-        if self._assoc != 1 or end - i - 1 < self._scalar_threshold:
-            return self._probe_scalar(i)
-        w = min(end - i - 1, self._window)
-        sets = self._probe_set[i : i + w]
-        tags = self._probe_tag[i : i + w]
-        ok = (self._tag_state[sets] == tags) & (
-            sets != (self._station_line & self._set_mask)
-        )
-        bad = np.flatnonzero(~ok)
-        span = int(bad[0]) if bad.size else w
-        if span == 0:
-            return self._probe_scalar(i)
-        self._account_hits(i, i + span, sets[:span], tags[:span])
-        self._advance_hits(i, i + span)
-        return i + span
-
     def _probe_scalar_simple(self, i: int) -> None:
         """One right-path probe with no fill station in flight — the
         per-probe scalar mirror for associative cells (direct-mapped
         spans take ``_scalar_span``; gated terminator probes have chunk
         1, so appending ``t - 1 + resolve_slots`` after the chunk equals
-        the pre-chunk resolve time the bulk path records)."""
+        the pre-chunk resolve time the event loop records)."""
         win = self._win
         t = self._t
         recent = self._recent
@@ -791,14 +597,12 @@ class VectorEngine:
         """Mirror of ``_walk_wrong_path`` over the pre-lowered line
         probes of stream event *e*; returns the right-path resume slot.
 
-        The batched walker: the walk's probes were split at line
-        boundaries once per (stream, line size) lowering, so a walk is a
-        slice of flat arrays.  With no fill in flight, the leading
-        all-hit stretch is pure accounting — one bulk tag match plus the
-        ``walk_cutoff`` kernel retire it in O(array ops) when the walk
-        is long enough to pay for them; shorter all-hit stretches run
-        through a tight list loop.  The first miss (fills, station
-        traffic) drops to the full scalar mirror.
+        The walk's probes were split at line boundaries once per
+        (stream, line size) lowering, so a walk is a slice of flat
+        lists.  On a direct-mapped cache with no fill in flight, the
+        leading all-hit stretch is pure accounting and runs through a
+        tight list loop; the first miss (fills, station traffic) drops
+        to the full scalar mirror.
         """
         # Decode walks always happen; fills only once the redirect is
         # known to be a mispredict (outcome code 2).
@@ -812,20 +616,6 @@ class VectorEngine:
         idx = wa.ev_off_l[e]
         hi = wa.ev_off_l[e + 1]
         direct = self._assoc == 1
-        if hi - idx >= self._scalar_threshold and not self._has_station:
-            state = self._tag_state if direct else self._tag_table
-            hmask = match_tags(state, self._wa_set[idx:hi], self._wa_tag[idx:hi])
-            miss_at = np.flatnonzero(~hmask)
-            p = int(miss_at[0]) if miss_at.size else hi - idx
-            if p:
-                k, consumed = walk_cutoff(
-                    wa.chunk[idx : idx + p], window_end - cur
-                )
-                win.wrong_probes += k
-                win.wrong_instructions += consumed
-                self.walk_probes_bulk += k
-                cur += consumed
-                idx += k
         n_l = wa.chunk_l
         duration = self._penalty_slots
         n_scalar = 0
@@ -977,8 +767,6 @@ class VectorEngine:
                 win.evictions += 1
             self._tags_l[set_idx] = tag
             self._orgs_l[set_idx] = origin
-            self._tag_state[set_idx] = tag
-            self._origin_state[set_idx] = origin
             return
         row = self._tag_table[set_idx]
         orow = self._origin_table[set_idx]

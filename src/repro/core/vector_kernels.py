@@ -1,18 +1,15 @@
 """NumPy kernels and lowered array state for the vectorized backend.
 
 :mod:`repro.core.vector` is two things: an engine (``VectorEngine``,
-the bit-identical batch mirror of the event loop) and the pure batch
+the bit-identical mirror of the event loop) and the pure array
 machinery it runs on.  This module is the machinery:
 
-* **kernels** — pure array transforms (or in-place updates of their
-  designated state arrays), each with a straight-Python reference in
-  ``tests/properties/test_vector_kernels.py``: set/tag arithmetic
-  (:func:`split_sets`), run-to-probe expansion (:func:`expand_runs`),
-  bulk tag matching (:func:`match_tags`), LRU span updates
-  (:func:`lru_update_spans`), speculation-depth gating
-  (:func:`depth_gate_positions`), segment positioning
-  (:func:`accumulate_positions`), and the wrong-path window cutoff
-  (:func:`walk_cutoff`);
+* **kernels** — pure array transforms, each with a straight-Python
+  reference in ``tests/properties/test_vector_kernels.py``: set/tag
+  arithmetic (:func:`split_sets`), run-to-probe expansion
+  (:func:`expand_runs`), and the perfect-cache timeline's
+  speculation-depth gating (:func:`depth_gate_positions`) and segment
+  positioning (:func:`accumulate_positions`);
 
 * **lowered state** — the per-trace / per-line-size / per-geometry
   array forms the engine consumes (:class:`TraceArrays`,
@@ -25,9 +22,9 @@ machinery it runs on.  This module is the machinery:
   trace — simlint SIM011 flags direct constructions, exactly as it
   does for the engines themselves.
 
-Each lowered class carries both NumPy arrays (for the batch kernels)
-and plain-list mirrors (for the exact scalar mirrors: list indexing is
-~3x faster than ndarray scalar indexing in per-probe Python code).
+The lowering itself is NumPy; what the engine's per-probe scalar
+mirrors read are plain-list forms (list indexing is ~3x faster than
+ndarray scalar indexing in per-probe Python code).
 """
 
 from __future__ import annotations
@@ -64,64 +61,6 @@ def expand_runs(run_pc, run_n, line_size: int):
     counts = run_off[1:] - run_off[:-1]
     probe_run = np.repeat(np.arange(counts.size, dtype=np.int64), counts)
     return probe_run, line, chunk
-
-
-def match_tags(tag_state, sets, tags):
-    """Bulk tag match: hit mask for probes against the tag mirror.
-
-    ``tag_state`` is either the direct-mapped per-set tag array (1-D,
-    ``-1`` = empty) or the set-associative ``(n_sets, assoc)`` table
-    (invalid ways hold ``-1``; real tags are non-negative).
-    """
-    state = np.asarray(tag_state)
-    sets = np.asarray(sets, dtype=np.int64)
-    tags = np.asarray(tags, dtype=np.int64)
-    if state.ndim == 1:
-        return state[sets] == tags
-    return (state[sets] == tags[:, None]).any(axis=1)
-
-
-def lru_update_spans(tag_table, origin_table, counts, sets, tags) -> None:
-    """Apply a hit-only access span to the LRU tag table, in place.
-
-    Every ``(set, tag)`` access must be a hit.  Sequentially moving each
-    accessed way to the MRU slot leaves: untouched ways first in their
-    original relative order, then the touched tags ordered by *last*
-    access.  The kernel computes that final arrangement directly —
-    last-access order per set via a lexsort — instead of replaying the
-    accesses one by one.
-    """
-    sets = np.asarray(sets, dtype=np.int64)
-    tags = np.asarray(tags, dtype=np.int64)
-    if sets.size == 0:
-        return
-    pos = np.arange(sets.size)
-    order = np.lexsort((pos, tags, sets))
-    s = sets[order]
-    g = tags[order]
-    p = pos[order]
-    last = np.ones(s.size, dtype=bool)
-    last[:-1] = (s[1:] != s[:-1]) | (g[1:] != g[:-1])
-    u_set = s[last]
-    u_tag = g[last]
-    u_pos = p[last]
-    by_access = np.lexsort((u_pos, u_set))
-    u_set = u_set[by_access]
-    u_tag = u_tag[by_access]
-    starts = np.flatnonzero(np.r_[True, u_set[1:] != u_set[:-1]])
-    ends = np.r_[starts[1:], [u_set.size]]
-    for a, b in zip(starts.tolist(), ends.tolist()):
-        set_idx = int(u_set[a])
-        touched = u_tag[a:b].tolist()
-        cnt = int(counts[set_idx])
-        row = tag_table[set_idx]
-        orow = origin_table[set_idx]
-        resident = row[:cnt].tolist()
-        origin_of = dict(zip(resident, orow[:cnt].tolist()))
-        touched_set = set(touched)
-        new_tags = [tg for tg in resident if tg not in touched_set] + touched
-        row[:cnt] = new_tags
-        orow[:cnt] = [origin_of[tg] for tg in new_tags]
 
 
 def depth_gate_positions(base, recent, resolve_slots: int, depth: int):
@@ -179,26 +118,6 @@ def accumulate_positions(lengths, extra):
     return np.cumsum(total) - total
 
 
-def walk_cutoff(chunks, budget: int):
-    """Depth/penalty cutoff over an all-hit wrong-path prefix.
-
-    ``chunks`` holds the instruction counts of consecutive hitting line
-    probes of one walk; *budget* is the redirect window's remaining
-    instruction slots.  A probe issues iff the instructions consumed
-    before it still lie below the budget — exactly the event loop's
-    ``cur >= window_end`` break, hoisted out of the per-probe loop.
-    Returns ``(k, consumed)``: how many probes issue and how many
-    instruction slots they consume.
-    """
-    chunks = np.asarray(chunks, dtype=np.int64)
-    if budget <= 0 or chunks.size == 0:
-        return 0, 0
-    cum = np.cumsum(chunks)
-    k = int(np.searchsorted(cum - chunks, budget, side="left"))
-    consumed = int(cum[k - 1]) if k else 0
-    return k, consumed
-
-
 # -- lowered state (memoized) ------------------------------------------------
 #
 # The record arrays depend only on the trace; the probe stream
@@ -244,26 +163,13 @@ class TraceArrays:
 class ProbeArrays:
     """The right-path probe stream of one trace at one line size.
 
-    One entry per cache-line access the event loop would make, with
-    scalar-mirror list forms (``*_l``) alongside the kernel arrays.
-    ``next_gate[i]`` is the first gated probe at or after ``i`` (with a
-    trailing ``n_probes`` sentinel), so hit spans can skip the gate
-    bookkeeping entirely when no terminator falls inside them.
+    One entry per cache-line access the event loop would make: the
+    ``line`` array (split per geometry by :class:`ProbeSplit`), the
+    scalar-mirror list forms (``*_l``), and ``last_probe``, each
+    record's last probe index.
     """
 
-    __slots__ = (
-        "line",
-        "chunk",
-        "gate",
-        "chunk_cumsum",
-        "last_probe",
-        "n_probes",
-        "line_l",
-        "chunk_l",
-        "gate_l",
-        "cum_l",
-        "next_gate",
-    )
+    __slots__ = ("line", "last_probe", "n_probes", "line_l", "chunk_l", "gate_l")
 
     def __init__(self, ta: TraceArrays, line_size: int) -> None:
         is_cond = ta.kinds == _COND
@@ -284,24 +190,14 @@ class ProbeArrays:
         run_n[term_at] = 1
         run_gate[term_at] = True
         run_rec = np.repeat(np.arange(ta.n_records, dtype=np.int64), runs_per_rec)
-        probe_run, self.line, self.chunk = expand_runs(run_pc, run_n, line_size)
-        self.gate = run_gate[probe_run]
+        probe_run, self.line, chunk = expand_runs(run_pc, run_n, line_size)
         probe_rec = run_rec[probe_run]
         probes_per_rec = np.bincount(probe_rec, minlength=ta.n_records)
         self.last_probe = np.cumsum(probes_per_rec) - 1
-        self.chunk_cumsum = np.concatenate(
-            [np.zeros(1, dtype=np.int64), np.cumsum(self.chunk)]
-        )
-        n = int(self.line.size)
-        self.n_probes = n
+        self.n_probes = int(self.line.size)
         self.line_l = self.line.tolist()
-        self.chunk_l = self.chunk.tolist()
-        self.gate_l = self.gate.tolist()
-        self.cum_l = self.chunk_cumsum.tolist()
-        gate_pos = np.where(self.gate, np.arange(n, dtype=np.int64), n)
-        if n:
-            gate_pos = np.minimum.accumulate(gate_pos[::-1])[::-1]
-        self.next_gate = np.append(gate_pos, n).tolist()
+        self.chunk_l = chunk.tolist()
+        self.gate_l = run_gate[probe_run].tolist()
 
 
 class WalkArrays:
@@ -309,21 +205,21 @@ class WalkArrays:
     line size.
 
     ``ev_off_l[e] : ev_off_l[e + 1]`` indexes stream event *e*'s line
-    probes in the flat ``line``/``chunk`` arrays — the lowering the
+    probes in the flat ``line_l``/``chunk_l`` lists — the lowering the
     scalar walker previously re-derived per redirect through
     ``iter_lines_from_runs``.
     """
 
-    __slots__ = ("line", "chunk", "ev_off_l", "line_l", "chunk_l", "n_events")
+    __slots__ = ("line", "ev_off_l", "line_l", "chunk_l", "n_events")
 
     def __init__(self, wp_pc, wp_n, wp_off, line_size: int) -> None:
-        self.line, self.chunk, run_off = lines_from_runs_arrays(
+        self.line, chunk, run_off = lines_from_runs_arrays(
             wp_pc, wp_n, line_size
         )
         ev_off = run_off[np.asarray(wp_off, dtype=np.int64)]
         self.ev_off_l = ev_off.tolist()
         self.line_l = self.line.tolist()
-        self.chunk_l = self.chunk.tolist()
+        self.chunk_l = chunk.tolist()
         self.n_events = len(self.ev_off_l) - 1
 
 
@@ -338,13 +234,11 @@ class ProbeSplit:
     instead of subscripting four lists per probe.
     """
 
-    __slots__ = ("set", "tag", "tuples")
+    __slots__ = ("tuples",)
 
     def __init__(self, pa: ProbeArrays, set_mask: int, set_shift: int) -> None:
-        self.set, self.tag = split_sets(pa.line, set_mask, set_shift)
-        self.tuples = list(
-            zip(self.set.tolist(), self.tag.tolist(), pa.chunk_l, pa.gate_l)
-        )
+        sets, tags = split_sets(pa.line, set_mask, set_shift)
+        self.tuples = list(zip(sets.tolist(), tags.tolist(), pa.chunk_l, pa.gate_l))
 
 
 class WalkSplit:
@@ -354,13 +248,11 @@ class WalkSplit:
     scalar walker's all-hit fast loop.
     """
 
-    __slots__ = ("set", "tag", "tuples")
+    __slots__ = ("tuples",)
 
     def __init__(self, wa: WalkArrays, set_mask: int, set_shift: int) -> None:
-        self.set, self.tag = split_sets(wa.line, set_mask, set_shift)
-        self.tuples = list(
-            zip(self.set.tolist(), self.tag.tolist(), wa.chunk_l)
-        )
+        sets, tags = split_sets(wa.line, set_mask, set_shift)
+        self.tuples = list(zip(sets.tolist(), tags.tolist(), wa.chunk_l))
 
 
 _trace_memo: dict[int, tuple[Trace, TraceArrays]] = {}

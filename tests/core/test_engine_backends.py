@@ -176,19 +176,32 @@ def test_timing_schedule_falls_back(workload):
     assert engine.backend == "event"
 
 
-# -- stress cells: each miss-path kernel where it dominates ------------------
+# -- stress cells: the scalar mirrors where they carry the time -------------
 #
-# The li matrix above is hit-dominated, so the batched wrong-path
-# walker, the fill-station timeline, and the miss-run batcher barely
-# run.  These cells pin them where they carry the time: a crippled
-# predictor (constant redirects -> walks and short segments) and a tiny
-# cache (constant misses -> station traffic and miss runs).  Each cell
-# runs at three scalar thresholds — all-kernel (1), the tuned default,
-# and all-mirror (huge) — so the kernels and the mirrors are both
-# differentially pinned against the event loop, not just whichever side
-# the default picks.
+# The li matrix above is hit-dominated, so wrong-path walks, the
+# fill-station mirror, and miss handling barely run.  These cells pin
+# them where they dominate: a crippled predictor (constant redirects ->
+# walks and short segments) and a tiny cache (constant misses -> station
+# traffic and fills).  Each cell runs at three speculation depths —
+# gate-dense (1), the default (None), and effectively unbounded (the
+# gate never fires) — so the mirrors' depth-gate bookkeeping is
+# differentially pinned against the event loop at both extremes, not
+# just at the matrix's default depth.
 
-STRESS_THRESHOLDS = (1, None, 1 << 20)
+STRESS_DEPTHS = (1, None, 1 << 20)
+
+
+def _assert_stress_cell(program, trace, config, depth):
+    # Depth shapes the architectural schedule, so each depth replays
+    # its own stream.
+    if depth is not None:
+        config = replace(config, max_unresolved=depth)
+    stream = build_stream(program, trace, config)
+    event, vector, metrics_event, metrics_vector = _run_both(
+        program, trace, config, stream, warmup=0
+    )
+    assert event == replace(vector, config=event.config)
+    assert metrics_event == metrics_vector
 
 
 @pytest.fixture(scope="module")
@@ -201,52 +214,23 @@ def redirect_dense():
     branch = BranchConfig(
         btb_entries=2, btb_assoc=1, pht_kind="bimodal", pht_entries=2
     )
-    config = arch(branch=branch)
-    return program, trace, config, build_stream(program, trace, config)
+    return program, trace, arch(branch=branch)
 
 
-@pytest.fixture
-def scalar_threshold_knob():
-    from repro.core.vector import scalar_threshold, set_scalar_threshold
-
-    default = scalar_threshold()
-
-    def set_knob(value):
-        set_scalar_threshold(default if value is None else value)
-
-    yield set_knob
-    set_scalar_threshold(default)
-
-
-@pytest.mark.parametrize("threshold", STRESS_THRESHOLDS)
+@pytest.mark.parametrize("depth", STRESS_DEPTHS)
 @pytest.mark.parametrize("policy", ALL_POLICIES)
-def test_redirect_dense_cell(redirect_dense, scalar_threshold_knob,
-                             policy, threshold):
-    program, trace, base, stream = redirect_dense
-    config = replace(base, policy=policy)
-    scalar_threshold_knob(threshold)
-    event, vector, metrics_event, metrics_vector = _run_both(
-        program, trace, config, stream, warmup=0
-    )
-    assert event == replace(vector, config=event.config)
-    assert metrics_event == metrics_vector
+def test_redirect_dense_cell(redirect_dense, policy, depth):
+    program, trace, base = redirect_dense
+    _assert_stress_cell(program, trace, replace(base, policy=policy), depth)
 
 
-@pytest.mark.parametrize("threshold", STRESS_THRESHOLDS)
+@pytest.mark.parametrize("depth", STRESS_DEPTHS)
 @pytest.mark.parametrize("assoc", (1, 2))
 @pytest.mark.parametrize("policy", ALL_POLICIES)
-def test_miss_dense_cell(workload, stream, scalar_threshold_knob,
-                         policy, assoc, threshold):
+def test_miss_dense_cell(workload, policy, assoc, depth):
     program, trace = workload
-    config = arch(
-        policy=policy, cache=CacheConfig(size_bytes=1_024, assoc=assoc)
-    )
-    scalar_threshold_knob(threshold)
-    event, vector, metrics_event, metrics_vector = _run_both(
-        program, trace, config, stream, warmup=0
-    )
-    assert event == replace(vector, config=event.config)
-    assert metrics_event == metrics_vector
+    config = arch(policy=policy, cache=CacheConfig(size_bytes=1_024, assoc=assoc))
+    _assert_stress_cell(program, trace, config, depth)
 
 
 # -- rendered experiment tables ---------------------------------------------

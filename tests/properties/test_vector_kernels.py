@@ -1,6 +1,6 @@
 """Property-based tests for the vector backend's NumPy kernels.
 
-Each kernel in :mod:`repro.core.vector` is checked against a
+Each kernel in :mod:`repro.core.vector_kernels` is checked against a
 straight-Python reference that does the same work one element (or one
 access) at a time.  The references are deliberately naive — the point is
 that the vectorized formulation agrees with the obvious sequential
@@ -18,10 +18,7 @@ from repro.core.vector import (
     accumulate_positions,
     depth_gate_positions,
     expand_runs,
-    lru_update_spans,
-    match_tags,
     split_sets,
-    walk_cutoff,
 )
 from repro.core.wrongpath import iter_lines_from_runs, lines_from_runs_arrays
 from repro.isa import INSTRUCTION_SIZE
@@ -71,90 +68,6 @@ def test_expand_runs_matches_issue_run_walk(runs, line_size):
         zip(probe_run.tolist(), probe_line.tolist(), probe_chunk.tolist())
     )
     assert got == expected
-
-
-@st.composite
-def tag_probes(draw):
-    n_sets = draw(st.sampled_from([4, 8]))
-    assoc = draw(st.sampled_from([1, 2, 4]))
-    if assoc == 1:
-        state = np.array(
-            [draw(st.integers(-1, 6)) for _ in range(n_sets)], dtype=np.int64
-        )
-    else:
-        state = np.array(
-            [
-                [draw(st.integers(-1, 6)) for _ in range(assoc)]
-                for _ in range(n_sets)
-            ],
-            dtype=np.int64,
-        )
-    n = draw(st.integers(0, 16))
-    sets = [draw(st.integers(0, n_sets - 1)) for _ in range(n)]
-    tags = [draw(st.integers(0, 6)) for _ in range(n)]
-    return state, sets, tags
-
-
-@given(probes=tag_probes())
-def test_match_tags_matches_membership(probes):
-    state, sets, tags = probes
-    hits = match_tags(state, sets, tags)
-    for s, t, hit in zip(sets, tags, hits.tolist()):
-        row = state[s]
-        expected = (t == row) if state.ndim == 1 else (t in row.tolist())
-        assert hit == bool(expected)
-
-
-@st.composite
-def lru_spans(draw):
-    n_sets = draw(st.sampled_from([2, 4]))
-    assoc = draw(st.sampled_from([2, 4]))
-    tag_table = np.full((n_sets, assoc), -1, dtype=np.int64)
-    origin_table = np.zeros((n_sets, assoc), dtype=np.int64)
-    counts = np.zeros(n_sets, dtype=np.int64)
-    for s in range(n_sets):
-        cnt = draw(st.integers(0, assoc))
-        resident = draw(
-            st.lists(
-                st.integers(0, 9), min_size=cnt, max_size=cnt, unique=True
-            )
-        )
-        counts[s] = cnt
-        for w, tag in enumerate(resident):
-            tag_table[s, w] = tag
-            origin_table[s, w] = draw(st.integers(0, 1))
-    # Hit-only accesses: each probe targets a resident tag.
-    n = draw(st.integers(0, 20))
-    sets, tags = [], []
-    populated = [s for s in range(n_sets) if counts[s] > 0]
-    if populated:
-        for _ in range(n):
-            s = draw(st.sampled_from(populated))
-            way = draw(st.integers(0, int(counts[s]) - 1))
-            sets.append(s)
-            tags.append(int(tag_table[s, way]))
-    return tag_table, origin_table, counts, sets, tags
-
-
-@given(span=lru_spans())
-def test_lru_update_spans_matches_sequential_mru(span):
-    tag_table, origin_table, counts, sets, tags = span
-    # Reference: replay accesses one at a time, moving each hit way to
-    # the MRU (rightmost occupied) slot and carrying its origin along.
-    ref_tags = tag_table.copy()
-    ref_origins = origin_table.copy()
-    for s, t in zip(sets, tags):
-        cnt = int(counts[s])
-        row = ref_tags[s, :cnt].tolist()
-        orow = ref_origins[s, :cnt].tolist()
-        w = row.index(t)
-        row.append(row.pop(w))
-        orow.append(orow.pop(w))
-        ref_tags[s, :cnt] = row
-        ref_origins[s, :cnt] = orow
-    lru_update_spans(tag_table, origin_table, counts, sets, tags)
-    assert np.array_equal(tag_table, ref_tags)
-    assert np.array_equal(origin_table, ref_origins)
 
 
 def _gate_reference(base, recent, resolve_slots, depth):
@@ -214,25 +127,6 @@ def test_accumulate_positions_matches_running_sum(lengths, extras):
         expected.append(pos)
         pos += length + e
     assert starts.tolist() == expected
-
-
-@given(
-    chunks=st.lists(st.integers(1, 16), min_size=0, max_size=32),
-    budget=st.integers(-4, 200),
-)
-def test_walk_cutoff_matches_window_break(chunks, budget):
-    # Reference: the event loop's wrong-path loop over an all-hit
-    # prefix — a probe issues iff the walk clock is still inside the
-    # redirect window when it is reached.
-    cur, issued, consumed = 0, 0, 0
-    for chunk in chunks:
-        if cur >= budget:
-            break
-        issued += 1
-        consumed += chunk
-        cur += chunk
-    k, instr = walk_cutoff(chunks, budget)
-    assert (k, instr) == (issued, consumed)
 
 
 @given(runs=run_lists(), line_size=st.sampled_from([16, 32, 64]))

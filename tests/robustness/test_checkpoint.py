@@ -10,6 +10,7 @@ import time
 import pytest
 
 from repro.config import FetchPolicy, SimConfig
+from repro.core import checkpoint
 from repro.core.checkpoint import (
     CHECKPOINT_FORMAT_VERSION,
     CheckpointJournal,
@@ -19,6 +20,7 @@ from repro.core.faults import FaultPlan, FaultSpec
 from repro.core.parallel import ParallelRunner
 from repro.core.runner import SimulationRunner
 from repro.errors import CheckpointError
+from repro.trace import generator
 
 TRACE = 3_000
 WARMUP = 600
@@ -66,6 +68,22 @@ class TestJournal:
         assert journal.load("li", ORACLE, TRACE + 1, WARMUP, 7) is None
         assert journal.load("li", ORACLE, TRACE, WARMUP + 1, 7) is None
         assert journal.load("li", ORACLE, TRACE, WARMUP, 8) is None
+
+    def test_generator_bump_is_a_miss(self, tmp_path, monkeypatch):
+        # A new trace generator produces different traces for the same
+        # (trace length, seed): a resume across the bump must re-simulate.
+        runner = SimulationRunner(trace_length=TRACE, warmup=WARMUP, seed=7)
+        result = runner.run("li", ORACLE)
+        journal = CheckpointJournal(tmp_path)
+        journal.store("li", ORACLE, TRACE, WARMUP, 7, result)
+        assert journal.load("li", ORACLE, TRACE, WARMUP, 7) is not None
+        monkeypatch.setattr(
+            checkpoint,
+            "GENERATOR_VERSION",
+            generator.GENERATOR_VERSION + 1,
+            raising=False,
+        )
+        assert journal.load("li", ORACLE, TRACE, WARMUP, 7) is None
 
     def test_corruption_is_a_miss(self, tmp_path):
         runner = SimulationRunner(trace_length=TRACE, warmup=WARMUP, seed=7)

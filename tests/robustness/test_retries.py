@@ -1,5 +1,8 @@
 """Retry, backoff, watchdog, and pool-rebuild behaviour of both runners."""
 
+import threading
+import warnings
+
 import pytest
 
 from repro.config import FetchPolicy, SimConfig
@@ -8,6 +11,7 @@ from repro.core.faults import FaultPlan, FaultSpec
 from repro.core.parallel import ParallelRunner
 from repro.core.runner import SimulationRunner
 from repro.errors import ExperimentError, InjectedFault
+from repro.obs.observer import Observer
 
 TRACE = 3_000
 WARMUP = 600
@@ -131,6 +135,33 @@ class TestSerialRetries:
         )
         with pytest.raises(JobTimeoutError):
             runner.run("li", ORACLE)
+
+    def test_watchdog_off_main_thread_warns_and_counts(self):
+        # SIGALRM cannot be armed off the main thread: the runner must
+        # say so once and count every cell that ran unguarded.
+        observer = Observer()
+        runner = SimulationRunner(
+            trace_length=TRACE, warmup=WARMUP, seed=7,
+            job_timeout=30.0, observer=observer,
+        )
+        caught = []
+
+        def sweep():
+            with warnings.catch_warnings(record=True) as records:
+                warnings.simplefilter("always")
+                runner.run("li", ORACLE)
+                runner.run("li", RESUME)
+            caught.extend(records)
+
+        thread = threading.Thread(target=sweep)
+        thread.start()
+        thread.join()
+        inactive = [
+            w for w in caught
+            if w.category is RuntimeWarning and "job_timeout" in str(w.message)
+        ]
+        assert len(inactive) == 1
+        assert observer.registry.value("sweep.watchdog_inactive") == 2
 
 
 class TestParallelRetries:

@@ -16,9 +16,9 @@ When the trajectory records a ``vector_backend`` section, the
 vector-vs-event sweep is also re-measured: the vectorized backend must
 stay at least ``--vector-floor`` (default 5.0) times faster than the
 event loop on perfect-cache cells and at least ``--real-floor``
-(default 3.5) times faster on real-cache cells — the miss-path kernels
-(batched wrong-path walker, fill-station timeline, miss-run batcher)
-carry that floor; ``auto`` routes eligible sweep cells through them.
+(default 3.5) times faster on real-cache cells, where the exact scalar
+mirrors over the lowered probe and walk streams carry that floor;
+``auto`` routes eligible sweep cells through them.
 
 When the trajectory records a ``static_schedule`` section, the
 PolicySchedule seam's bookkeeping is also re-measured: running a static
@@ -94,7 +94,7 @@ def main(argv=None) -> int:
         default=3.5,
         help="minimum vector-backend speedup over the event loop on "
         "real-cache replay-eligible cells (default 3.5; carried by the "
-        "miss-path kernels — walker, station timeline, miss-run batcher)",
+        "scalar mirrors over the lowered probe and walk streams)",
     )
     parser.add_argument(
         "--replay-tolerance",
@@ -179,17 +179,10 @@ def main(argv=None) -> int:
         for group in ("perfect_cache", "real_cache"):
             measured = vector[group]
             stored = stored_vector[group]
-            detail = ""
-            if "scalar_fraction" in measured:
-                detail = (
-                    f", threshold {measured['scalar_threshold']}, "
-                    f"scalar fraction {measured['scalar_fraction']:.1%}"
-                )
             print(
                 f"{'vector_' + group:>16}: event {measured['event_s']:.3f}s, "
                 f"vector {measured['vector_s']:.3f}s "
-                f"({measured['speedup']:.2f}x; stored {stored['speedup']:.2f}x"
-                f"{detail})"
+                f"({measured['speedup']:.2f}x; stored {stored['speedup']:.2f}x)"
             )
         if vector["perfect_cache"]["speedup"] < args.vector_floor:
             failures.append(
@@ -203,10 +196,9 @@ def main(argv=None) -> int:
             failures.append(
                 f"vector backend speedup "
                 f"{vector['real_cache']['speedup']:.2f}x on real-cache cells "
-                f"is below the {args.real_floor:.2f}x floor; the miss-path "
-                "kernels have regressed (check scalar_fraction in "
-                "BENCH_engine.json) — profile VectorEngine._run_probes and "
-                "VectorEngine._walk"
+                f"is below the {args.real_floor:.2f}x floor; the scalar "
+                "mirrors have regressed — profile VectorEngine._scalar_span "
+                "and VectorEngine._walk"
             )
 
     stored_schedule = trajectory.get("static_schedule")
