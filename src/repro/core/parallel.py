@@ -30,8 +30,14 @@ fault tolerance over the pool:
   become :class:`MissingResult` placeholders instead of aborting the
   sweep.
 * **Checkpoint/resume** — with ``checkpoint_dir`` set, every completed
-  ``(benchmark, config)`` cell is journalled; a restarted sweep reuses
-  journalled cells bit-identically (see :mod:`repro.core.checkpoint`).
+  ``(benchmark, config)`` cell is stored; a restarted sweep reuses
+  stored cells bit-identically (see :mod:`repro.core.store`).
+
+Like the serial runner, each runner memoises finished results in
+process: a cell already served (by an earlier ``run_jobs`` call, or
+earlier in the same job list) is answered from the memo before any
+batch is formed (``sweep.result_hits``), so every distinct cell is
+simulated once.
 
 Retries, timeouts, skips, pool rebuilds, and checkpoint activity are
 published as ``sweep.*`` / ``checkpoint.*`` counters in :attr:`metrics`.
@@ -57,11 +63,11 @@ from concurrent.futures import BrokenExecutor
 from dataclasses import dataclass, field, replace
 
 from repro.config import ALL_POLICIES, FetchPolicy, SimConfig
-from repro.core.checkpoint import CheckpointJournal
 from repro.core.engine import simulate
 from repro.core.faults import is_transient
 from repro.core.results import MissingResult, SimulationResult, SweepFailure
 from repro.core.runner import DEFAULT_TRACE_LENGTH, DEFAULT_WARMUP
+from repro.core.store import ResultStore, cell_digest, cell_key
 from repro.errors import ExperimentError, JobTimeoutError
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.observer import Observer
@@ -229,7 +235,7 @@ class ParallelRunner:
     ``job_timeout`` seconds of watchdog per pooled round,
     ``on_error="skip"`` to degrade failed cells to
     :class:`MissingResult` (recorded in :attr:`failures`), and
-    ``checkpoint_dir`` for crash-resumable journalling.  ``fault_plan``
+    ``checkpoint_dir`` for a crash-resumable result store.  ``fault_plan``
     injects deterministic failures for chaos testing (see
     :mod:`repro.core.faults`).
     """
@@ -293,7 +299,8 @@ class ParallelRunner:
         self.backoff_cap = backoff_cap
         self.job_timeout = job_timeout
         self.on_error = on_error
-        self.checkpoint_dir = checkpoint_dir
+        #: On-disk store of completed cells (no-op without a directory).
+        self.checkpoint = ResultStore(checkpoint_dir)
         self.fault_plan = fault_plan
         #: Prediction-stream replay mode handed to every worker
         #: (``"auto"`` replays eligible cells, ``"off"`` never does).
@@ -313,6 +320,21 @@ class ParallelRunner:
         #: Structured failure report from the most recent ``run_jobs``
         #: (non-empty only under ``on_error="skip"``).
         self.failures: list[SweepFailure] = []
+        #: Cell traffic across every ``run_jobs`` call (see
+        #: ``SimulationRunner``): requested = simulated + memo hits +
+        #: checkpoint hits (``checkpoint.hits``) + failed cells.
+        self.cells_requested = 0
+        self.cells_simulated = 0
+        self.memo_hits = 0
+        self._results: dict[tuple, SimulationResult] = {}
+
+    def _cell_key(self, name: str, config: SimConfig) -> tuple:
+        return cell_key(name, config, self.trace_length, self.warmup, self.seed)
+
+    def _cell_digest(self, name: str, config: SimConfig) -> str:
+        return cell_digest(
+            name, config, self.trace_length, self.warmup, self.seed
+        )
 
     def _effective_config(self, config: SimConfig) -> SimConfig:
         """*config* with the runner's engine-backend override applied."""
@@ -340,6 +362,12 @@ class ParallelRunner:
         benchmark whose jobs crashed (the original exception is chained)
         — or, under ``on_error="skip"``, recorded in :attr:`failures`
         with the affected cells returned as :class:`MissingResult`.
+
+        Lookup order per job mirrors ``SimulationRunner.run``: the memo,
+        then the checkpoint store, then a worker batch.  A cell repeated
+        within *jobs* is simulated once and its result scattered to
+        every position (a failed cell's duplicates share its
+        :class:`MissingResult`).
         """
         jobs = list(jobs)
         self.metrics = MetricsRegistry()
@@ -347,19 +375,32 @@ class ParallelRunner:
         self.failures = []
         if not jobs:
             return []
-        journal = CheckpointJournal(self.checkpoint_dir)
         results: list[SimulationResult | None] = [None] * len(jobs)
-        # Satisfy journalled cells first (checkpoint/resume), then group
-        # the remainder by benchmark, remembering original positions.
+        # Serve memoised and stored cells first, then group the remaining
+        # distinct cells by benchmark, remembering original positions.
         grouped: dict[str, _Batch] = {}
+        first_position: dict[tuple, int] = {}
+        repeats: list[tuple[int, int]] = []
         for position, (name, config) in enumerate(jobs):
             config = self._effective_config(config)
-            if journal.enabled:
-                hit = journal.load(
-                    name, config, self.trace_length, self.warmup, self.seed
+            self.cells_requested += 1
+            key = self._cell_key(name, config)
+            hit = self._results.get(key)
+            if hit is not None:
+                results[position] = hit
+                self._memo_hit()
+                continue
+            if key in first_position:
+                repeats.append((position, first_position[key]))
+                continue
+            first_position[key] = position
+            if self.checkpoint.enabled:
+                hit = self.checkpoint.load(
+                    self._cell_digest(name, config),
+                    name, config, self.trace_length, self.warmup, self.seed,
                 )
                 if hit is not None:
-                    results[position] = hit
+                    results[position] = self._results[key] = hit
                     self.metrics.inc("checkpoint.hits")
                     continue
             batch = grouped.get(name)
@@ -369,9 +410,13 @@ class ParallelRunner:
         batches = list(grouped.values())
         if batches:
             if self.max_workers == 1 or len(batches) == 1:
-                self._run_in_process(batches, results, journal)
+                self._run_in_process(batches, results)
             else:
-                self._run_pooled(batches, results, journal)
+                self._run_pooled(batches, results)
+        for position, first in repeats:
+            results[position] = results[first]
+            if not isinstance(results[first], MissingResult):
+                self._memo_hit()
         missing = [
             i for i, r in enumerate(results) if r is None
         ]
@@ -379,11 +424,15 @@ class ParallelRunner:
             raise ExperimentError(f"jobs {missing} produced no result")
         return results  # type: ignore[return-value]
 
+    def _memo_hit(self) -> None:
+        self.memo_hits += 1
+        if self.collect_metrics:
+            self.metrics.inc("sweep.result_hits")
+
     def _run_in_process(
         self,
         batches: Sequence[_Batch],
         results: list,
-        journal: CheckpointJournal,
     ) -> None:
         """Single-process path (``max_workers=1`` or one batch).
 
@@ -400,13 +449,12 @@ class ParallelRunner:
             except Exception as exc:
                 self._register_failure(batch, exc, queue, results)
                 continue
-            self._complete_batch(batch, ret, results, journal)
+            self._complete_batch(batch, ret, results)
 
     def _run_pooled(
         self,
         batches: Sequence[_Batch],
         results: list,
-        journal: CheckpointJournal,
     ) -> None:
         """Pool path: submit rounds, watchdog each round, rebuild on damage."""
         queue: deque[_Batch] = deque(batches)
@@ -444,7 +492,7 @@ class ParallelRunner:
                         rebuild = rebuild or isinstance(exc, BrokenExecutor)
                         self._register_failure(batch, exc, queue, results)
                         continue
-                    self._complete_batch(batch, ret, results, journal)
+                    self._complete_batch(batch, ret, results)
                 hung: list[_Batch] = []
                 for batch, future in futures:
                     if future in done:
@@ -532,9 +580,9 @@ class ParallelRunner:
         batch: _Batch,
         ret: _WorkerReturn,
         results: list,
-        journal: CheckpointJournal,
     ) -> None:
-        """Scatter one finished batch into the result list (+ journal)."""
+        """Scatter one finished batch into the result list, the memo and
+        the checkpoint store."""
         batch_results, registry_dict, profile_summary = ret
         # strict=: a lost or duplicated worker result must fail loudly
         # here, not surface later as a None result or dropped configs.
@@ -548,12 +596,16 @@ class ParallelRunner:
             batch.entries, batch_results, strict=True
         ):
             results[position] = result
-            if journal.enabled:
-                journal.store(
+            self._results[self._cell_key(batch.name, config)] = result
+            if self.checkpoint.enabled:
+                self.checkpoint.store(
+                    self._cell_digest(batch.name, config),
                     batch.name, config, self.trace_length, self.warmup,
                     self.seed, result,
                 )
-                self.metrics.inc("checkpoint.stores")
+                if self.checkpoint.enabled:  # a failed write disables it
+                    self.metrics.inc("checkpoint.stores")
+        self.cells_simulated += len(batch.entries)
         if registry_dict is not None:
             self.metrics.merge(MetricsRegistry.from_dict(registry_dict))
         if profile_summary is not None:

@@ -11,10 +11,15 @@ retry with bounded deterministic exponential backoff, a signal-based
 watchdog (``job_timeout``), graceful degradation (``on_error="skip"``
 turns failed cells into :class:`MissingResult` placeholders recorded in
 :attr:`failures`), checkpoint/resume through a
-:class:`~repro.core.checkpoint.CheckpointJournal`, and deterministic
-fault injection for chaos testing (see :mod:`repro.core.faults`).
+:class:`~repro.core.store.ResultStore`, and deterministic fault
+injection for chaos testing (see :mod:`repro.core.faults`).
 Incidents publish ``sweep.*`` / ``checkpoint.*`` counters and
 :class:`~repro.obs.events.SweepIncident` events through the observer.
+
+Every finished result is memoised in process, keyed by every input that
+changes it (:func:`~repro.core.store.cell_key`), so a sweep simulates
+each distinct cell once: repeat requests are served the very same
+result object (``sweep.result_hits``).
 """
 
 from __future__ import annotations
@@ -33,10 +38,10 @@ from repro.branch.stream import (
 )
 from repro.config import ALL_POLICIES, FetchPolicy, SimConfig
 from repro.core.artifacts import ArtifactCache
-from repro.core.checkpoint import CheckpointJournal
 from repro.core.engine import simulate
 from repro.core.faults import FaultPlan, corrupt_entry, is_transient
 from repro.core.results import MissingResult, SimulationResult, SweepFailure
+from repro.core.store import ResultStore, cell_digest, cell_key
 from repro.errors import ExperimentError, JobTimeoutError
 from repro.obs.events import StreamBuild, SweepIncident
 from repro.obs.observer import Observer
@@ -141,9 +146,9 @@ class SimulationRunner:
         #: ``"raise"`` aborts on a failed cell; ``"skip"`` records it in
         #: :attr:`failures` and returns a :class:`MissingResult`.
         self.on_error = on_error
-        #: Crash-resumable journal of completed cells (no-op when
-        #: ``checkpoint_dir`` is ``None``; see ``repro.core.checkpoint``).
-        self.checkpoint = CheckpointJournal(checkpoint_dir)
+        #: Crash-resumable on-disk store of completed cells (no-op when
+        #: ``checkpoint_dir`` is ``None``; see ``repro.core.store``).
+        self.checkpoint = ResultStore(checkpoint_dir)
         #: Deterministic fault-injection plan (chaos testing only).
         self.fault_plan = fault_plan
         #: Prediction-stream replay: ``"auto"`` replays a recorded stream
@@ -159,6 +164,12 @@ class SimulationRunner:
         self.engine = engine
         #: Structured failure report (``on_error="skip"`` cells).
         self.failures: list[SweepFailure] = []
+        #: Cell traffic: every :meth:`run` call is requested; a served
+        #: cell came from the engine, the memo, or the checkpoint store
+        #: (``checkpoint.hits``); failed cells count as requested only.
+        self.cells_requested = 0
+        self.cells_simulated = 0
+        self.memo_hits = 0
         # In-memory memos.  The keys repeat the runner attributes each
         # artifact actually depends on, so mutating ``runner.seed`` or
         # ``runner.trace_length`` between runs can never replay a stale
@@ -166,6 +177,7 @@ class SimulationRunner:
         self._programs: dict[tuple[str, int], Program] = {}
         self._traces: dict[tuple[str, int, int], Trace] = {}
         self._streams: dict[tuple[str, int, int, str], PredictionStream] = {}
+        self._results: dict[tuple, SimulationResult] = {}
 
     def _phase(self, name: str):
         """Profiling scope for *name* (no-op without an observer/profiler)."""
@@ -381,24 +393,40 @@ class SimulationRunner:
     def run(self, name: str, config: SimConfig) -> SimulationResult:
         """Simulate benchmark *name* under *config* (with warmup).
 
-        The fault-tolerant cell executor: a journalled result satisfies
-        the cell outright (checkpoint/resume); otherwise the cell runs
-        under the watchdog with up to ``retries`` transient re-attempts,
-        and a final failure either raises (``on_error="raise"``) or
-        degrades to a :class:`MissingResult` recorded in
-        :attr:`failures` (``on_error="skip"``).
+        The fault-tolerant cell executor.  Lookup order: the in-process
+        result memo (``sweep.result_hits``; no fault fires, no phase
+        opens, no engine metric publishes), then the checkpoint store
+        (checkpoint/resume), then simulation: the cell runs under the
+        watchdog with up to ``retries`` transient re-attempts, and a
+        final failure either raises (``on_error="raise"``) or degrades
+        to a :class:`MissingResult` recorded in :attr:`failures`
+        (``on_error="skip"``).  Only successful results are memoised.
 
         Faults fire at phase boundaries only (never mid-simulation), so
         a retried attempt re-publishes nothing twice and recovered runs
         stay bit-identical to undisturbed ones.
         """
         config = self._effective_config(config)
+        self.cells_requested += 1
+        key = cell_key(name, config, self.trace_length, self.warmup, self.seed)
+        hit = self._results.get(key)
+        if hit is not None:
+            self.memo_hits += 1
+            if self.observer is not None:
+                self.observer.registry.inc("sweep.result_hits")
+            return hit
+        digest = None
         if self.checkpoint.enabled:
-            hit = self.checkpoint.load(
+            digest = cell_digest(
                 name, config, self.trace_length, self.warmup, self.seed
+            )
+            hit = self.checkpoint.load(
+                digest, name, config, self.trace_length, self.warmup,
+                self.seed,
             )
             if hit is not None:
                 self._incident("checkpoint_hit", name)
+                self._results[key] = hit
                 return hit
         attempts = 0
         while True:
@@ -456,11 +484,15 @@ class SimulationRunner:
                     )
                     return MissingResult(program=name, config=config)
                 raise
-        if self.checkpoint.enabled:
+        self.cells_simulated += 1
+        self._results[key] = result
+        if digest is not None:
             self.checkpoint.store(
-                name, config, self.trace_length, self.warmup, self.seed, result
+                digest, name, config, self.trace_length, self.warmup,
+                self.seed, result,
             )
-            if self.observer is not None:
+            # A failed write disables the store: count only real stores.
+            if self.checkpoint.enabled and self.observer is not None:
                 self.observer.registry.inc("checkpoint.stores")
         return result
 

@@ -42,7 +42,7 @@ class ObservabilityError(ReproError):
 
 
 class CheckpointError(ReproError):
-    """A sweep checkpoint journal was misconfigured or misused."""
+    """A result store (``--checkpoint`` / ``--data-dir``) was misused."""
 
 
 class ServiceError(ReproError):

@@ -170,9 +170,9 @@ def build_parser() -> argparse.ArgumentParser:
         "--checkpoint",
         default=None,
         metavar="DIR",
-        help="journal each completed (benchmark, config) result under DIR; "
-        "re-running with the same DIR resumes, replaying finished cells "
-        "from the journal instead of simulating them again",
+        help="store each completed (benchmark, config) result under DIR; "
+        "re-running with the same DIR resumes, loading finished cells "
+        "from the store instead of simulating them again",
     )
     fault.add_argument(
         "--inject-faults",
@@ -371,9 +371,14 @@ def main(argv: Sequence[str] | None = None) -> int:
     except KeyboardInterrupt:
         print("interrupted", file=sys.stderr)
         return 130
+    local = not args.server
     if observer is not None:
         if args.metrics_out:
             from repro.report import save_metrics_json
+
+            if local and runner.cells_requested:
+                # Present whenever cells were requested, even at zero.
+                observer.registry.counter("sweep.result_hits")
 
             save_metrics_json(
                 observer.registry, args.metrics_out, profile=observer.profiler
@@ -384,6 +389,13 @@ def main(argv: Sequence[str] | None = None) -> int:
                 f"[{observer.events_emitted} events written to "
                 f"{args.trace_events}]"
             )
+    if local:
+        print(
+            f"[cells: {runner.cells_requested} requested, "
+            f"{runner.cells_simulated} simulated, {runner.memo_hits} from "
+            f"memo, {runner.checkpoint.hits} from --checkpoint]",
+            file=sys.stderr,
+        )
     return 0
 
 

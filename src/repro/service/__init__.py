@@ -9,6 +9,7 @@ crashes, hung cells, its own death (journal-backed request replay), and
 on-disk corruption.  See ``docs/service.md``.
 """
 
+from repro.core.store import RESULT_STORE_VERSION, ResultStore, cell_digest
 from repro.service.client import RemoteRunner, ServiceClient
 from repro.service.protocol import (
     DEFAULT_CLIENT,
@@ -22,7 +23,6 @@ from repro.service.protocol import (
 )
 from repro.service.recovery import JOURNAL_VERSION, RequestJournal
 from repro.service.server import ServiceServer, SweepService, render_metrics
-from repro.service.store import RESULT_STORE_VERSION, ResultStore, cell_digest
 
 __all__ = [
     "DEFAULT_CLIENT",

@@ -2,7 +2,7 @@
 
 The server can die mid-request — an injected ``exit`` fault, an OOM
 kill, an operator's SIGKILL — with clients' work half done.  Finished
-*cells* already survive in the :class:`~repro.service.store.ResultStore`
+*cells* already survive in the :class:`~repro.core.store.ResultStore`
 (every completed simulation is persisted before its response is sent),
 so the only state worth journalling is *which requests were in flight*.
 

@@ -2,7 +2,7 @@
 
 One :class:`SweepService` owns four pieces of shared state:
 
-* a content-addressed :class:`~repro.service.store.ResultStore` — every
+* a content-addressed :class:`~repro.core.store.ResultStore` — every
   finished cell is persisted *before* its response is sent, so a result,
   once computed, is never computed again (across clients, across
   requests, across server restarts);
@@ -54,6 +54,7 @@ from pathlib import Path
 from repro.core.faults import FaultPlan, is_transient
 from repro.core.parallel import ParallelRunner, _run_benchmark_jobs
 from repro.core.results import MissingResult, SweepFailure
+from repro.core.store import ResultStore, cell_digest
 from repro.errors import InjectedFault, JobTimeoutError, ServiceError
 from repro.obs.events import EventSink, NullSink, ServiceIncident
 from repro.obs.metrics import Counter, Histogram, MetricsRegistry
@@ -65,7 +66,6 @@ from repro.service.protocol import (
     error_body,
 )
 from repro.service.recovery import RequestJournal
-from repro.service.store import ResultStore, cell_digest
 
 #: Client identity stamped on journal-replayed work in incident events.
 RECOVERY_CLIENT = "__recovery__"

@@ -74,6 +74,20 @@ def test_parallel_reruns_reset_metrics():
     )
     jobs = [("gcc", SimConfig()), ("li", SimConfig())]
     parallel.run_jobs(jobs)
-    first = parallel.metrics.as_dict()
+    # A rerun is served from the result memo: its registry holds its own
+    # hits and nothing of the first sweep's simulations.
     parallel.run_jobs(jobs)
-    assert parallel.metrics.as_dict() == first
+    assert parallel.metrics.as_dict() == {"sweep.result_hits": len(jobs)}
+    # New cells on the same runner publish exactly what a fresh runner's
+    # sweep of them does.
+    more = [("gcc", SimConfig(prefetch=True)), ("li", SimConfig(prefetch=True))]
+    parallel.run_jobs(more)
+    fresh = ParallelRunner(
+        trace_length=TRACE,
+        warmup=WARMUP,
+        seed=SEED,
+        max_workers=2,
+        collect_metrics=True,
+    )
+    fresh.run_jobs(more)
+    assert parallel.metrics.as_dict() == fresh.metrics.as_dict()

@@ -19,6 +19,7 @@ import os
 import pytest
 
 from repro.config import ALL_POLICIES
+from repro.core.store import ENGINE_SEMANTICS
 
 _TOOL_PATH = os.path.join(
     os.path.dirname(os.path.abspath(__file__)),
@@ -74,3 +75,14 @@ def test_backend_parity_on_golden_spec(tool):
     # variant of the golden spec; run that same gate here so drift is
     # caught without regenerating.
     tool.verify_backend_parity()
+
+
+def test_engine_semantics_tracks_the_goldens(tool):
+    # Every cell digest folds in ENGINE_SEMANTICS, so a behaviour change
+    # that regenerates the goldens must also change the constant, or
+    # result stores would keep serving the old engine's numbers.
+    assert tool.goldens_digest() == ENGINE_SEMANTICS, (
+        "tests/goldens changed: set ENGINE_SEMANTICS in "
+        "src/repro/core/store.py to the value "
+        "`PYTHONPATH=src python tools/regen_metrics_goldens.py` prints"
+    )

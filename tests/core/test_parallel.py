@@ -6,6 +6,7 @@ from repro.config import ALL_POLICIES, FetchPolicy, SimConfig
 from repro.core.parallel import ParallelRunner
 from repro.core.runner import SimulationRunner
 from repro.errors import ExperimentError
+from repro.obs import Observer, PhaseProfiler
 
 TRACE = 15_000
 WARMUP = 3_000
@@ -171,3 +172,51 @@ class TestCollectMetrics:
         total = sum(r.counters.instructions for r in results)
         assert runner.metrics.value("engine.instructions") == total
         assert runner.profile.summary()["simulate"]["calls"] == 2
+
+
+class TestResultMemo:
+    """Both runners simulate each distinct cell once and count repeats
+    as ``sweep.result_hits``."""
+
+    JOBS = [
+        ("li", SimConfig(policy=FetchPolicy.ORACLE)),
+        ("doduc", SimConfig(policy=FetchPolicy.ORACLE)),
+        ("li", SimConfig(policy=FetchPolicy.ORACLE)),
+        ("li", SimConfig(policy=FetchPolicy.RESUME)),
+        ("doduc", SimConfig(policy=FetchPolicy.ORACLE)),
+    ]
+    DISTINCT = 3
+
+    def test_duplicate_cells_simulate_once_on_both_runners(self):
+        observer = Observer(profiler=PhaseProfiler())
+        serial = SimulationRunner(
+            trace_length=3_000, warmup=600, seed=7, observer=observer
+        )
+        serial_results = [serial.run(name, config) for name, config in self.JOBS]
+        parallel = ParallelRunner(
+            trace_length=3_000, warmup=600, seed=7, max_workers=2,
+            collect_metrics=True,
+        )
+        assert parallel.run_jobs(self.JOBS) == serial_results
+        repeats = len(self.JOBS) - self.DISTINCT
+        for profile in (observer.profiler, parallel.profile):
+            assert profile.summary()["simulate"]["calls"] == self.DISTINCT
+        assert observer.registry.value("sweep.result_hits") == repeats
+        assert observer.registry.as_dict() == parallel.metrics.as_dict()
+        for runner in (serial, parallel):
+            assert runner.cells_requested == len(self.JOBS)
+            assert runner.cells_simulated == self.DISTINCT
+            assert runner.memo_hits == repeats
+
+    def test_later_calls_are_served_from_the_memo(self):
+        parallel = ParallelRunner(
+            trace_length=3_000, warmup=600, seed=7, max_workers=2,
+            collect_metrics=True,
+        )
+        first = parallel.run_jobs(self.JOBS)
+        again = parallel.run_jobs(self.JOBS)
+        assert all(a is b for a, b in zip(first, again, strict=True))
+        assert parallel.metrics.as_dict() == {
+            "sweep.result_hits": len(self.JOBS)
+        }
+        assert parallel.cells_simulated == self.DISTINCT

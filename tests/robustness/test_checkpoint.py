@@ -1,4 +1,9 @@
-"""Checkpoint journal: round-trip, invalidation, and resume semantics."""
+"""Checkpoint store: round-trip, invalidation, and resume semantics.
+
+``--checkpoint DIR`` / ``checkpoint_dir=`` open a
+:class:`~repro.core.store.ResultStore` keyed by ``cell_digest``, the same
+store the sweep service keeps under ``--data-dir``.
+"""
 
 import os
 import signal
@@ -10,15 +15,11 @@ import time
 import pytest
 
 from repro.config import FetchPolicy, SimConfig
-from repro.core import checkpoint
-from repro.core.checkpoint import (
-    CHECKPOINT_FORMAT_VERSION,
-    CheckpointJournal,
-    config_key,
-)
+from repro.core import store as store_module
 from repro.core.faults import FaultPlan, FaultSpec
 from repro.core.parallel import ParallelRunner
 from repro.core.runner import SimulationRunner
+from repro.core.store import RESULT_STORE_VERSION, ResultStore, cell_digest
 from repro.errors import CheckpointError
 from repro.trace import generator
 
@@ -29,129 +30,82 @@ ORACLE = SimConfig(policy=FetchPolicy.ORACLE)
 RESUME = SimConfig(policy=FetchPolicy.RESUME)
 
 
-class TestConfigKey:
-    def test_stable_and_discriminating(self):
-        assert config_key(ORACLE) == config_key(SimConfig(policy=FetchPolicy.ORACLE))
-        assert config_key(ORACLE) != config_key(RESUME)
-        assert config_key(ORACLE) != config_key(
-            SimConfig(policy=FetchPolicy.ORACLE, prefetch=True)
-        )
+def _cell(benchmark="li", config=ORACLE, trace=TRACE, warmup=WARMUP, seed=7):
+    """The full lookup key for one cell: digest plus identity."""
+    return (
+        cell_digest(benchmark, config, trace, warmup, seed),
+        benchmark, config, trace, warmup, seed,
+    )
 
 
 class TestJournal:
     def test_disabled_is_noop(self):
-        journal = CheckpointJournal(None)
-        assert not journal.enabled
-        assert journal.load("li", ORACLE, TRACE, WARMUP, 7) is None
-        assert journal.completed() == 0
+        store = ResultStore(None)
+        assert not store.enabled
+        assert store.load(*_cell()) is None
+        assert store.entries() == 0
         with pytest.raises(CheckpointError):
-            journal.entry_path("li", ORACLE, TRACE, WARMUP, 7)
-
-    def test_unsafe_benchmark_names_rejected(self, tmp_path):
-        journal = CheckpointJournal(tmp_path)
-        for name in ("", "../escape", ".hidden"):
-            with pytest.raises(CheckpointError):
-                journal.entry_path(name, ORACLE, TRACE, WARMUP, 7)
+            store.entry_path(_cell()[0])
 
     def test_round_trip(self, tmp_path):
         runner = SimulationRunner(trace_length=TRACE, warmup=WARMUP, seed=7)
         result = runner.run("li", ORACLE)
-        journal = CheckpointJournal(tmp_path)
-        journal.store("li", ORACLE, TRACE, WARMUP, 7, result)
-        assert journal.completed() == 1
-        loaded = journal.load("li", ORACLE, TRACE, WARMUP, 7)
+        store = ResultStore(tmp_path)
+        store.store(*_cell(), result)
+        assert store.entries() == 1
+        loaded = store.load(*_cell())
         assert loaded is not None
         assert loaded.penalties.as_dict() == result.penalties.as_dict()
         assert loaded.counters.instructions == result.counters.instructions
         # Every keyed parameter invalidates: change one, miss.
-        assert journal.load("li", RESUME, TRACE, WARMUP, 7) is None
-        assert journal.load("li", ORACLE, TRACE + 1, WARMUP, 7) is None
-        assert journal.load("li", ORACLE, TRACE, WARMUP + 1, 7) is None
-        assert journal.load("li", ORACLE, TRACE, WARMUP, 8) is None
+        assert store.load(*_cell(config=RESUME)) is None
+        assert store.load(*_cell(trace=TRACE + 1)) is None
+        assert store.load(*_cell(warmup=WARMUP + 1)) is None
+        assert store.load(*_cell(seed=8)) is None
 
     def test_generator_bump_is_a_miss(self, tmp_path, monkeypatch):
         # A new trace generator produces different traces for the same
         # (trace length, seed): a resume across the bump must re-simulate.
         runner = SimulationRunner(trace_length=TRACE, warmup=WARMUP, seed=7)
         result = runner.run("li", ORACLE)
-        journal = CheckpointJournal(tmp_path)
-        journal.store("li", ORACLE, TRACE, WARMUP, 7, result)
-        assert journal.load("li", ORACLE, TRACE, WARMUP, 7) is not None
+        store = ResultStore(tmp_path)
+        store.store(*_cell(), result)
+        assert store.load(*_cell()) is not None
         monkeypatch.setattr(
-            checkpoint,
-            "GENERATOR_VERSION",
-            generator.GENERATOR_VERSION + 1,
-            raising=False,
+            store_module, "GENERATOR_VERSION", generator.GENERATOR_VERSION + 1
         )
-        assert journal.load("li", ORACLE, TRACE, WARMUP, 7) is None
+        assert store.load(*_cell()) is None
 
     def test_corruption_is_a_miss(self, tmp_path):
         runner = SimulationRunner(trace_length=TRACE, warmup=WARMUP, seed=7)
         result = runner.run("li", ORACLE)
-        journal = CheckpointJournal(tmp_path)
-        journal.store("li", ORACLE, TRACE, WARMUP, 7, result)
-        path = journal.entry_path("li", ORACLE, TRACE, WARMUP, 7)
-        path.write_bytes(b"\x00torn write\x00")
-        assert journal.load("li", ORACLE, TRACE, WARMUP, 7) is None
+        store = ResultStore(tmp_path)
+        store.store(*_cell(), result)
+        store.entry_path(_cell()[0]).write_bytes(b"\x00torn write\x00")
+        assert store.load(*_cell()) is None
 
     def test_store_failure_is_nonfatal(self, tmp_path):
         runner = SimulationRunner(trace_length=TRACE, warmup=WARMUP, seed=7)
         result = runner.run("li", ORACLE)
         target = tmp_path / "blocked"
-        target.write_text("a file where the journal dir should go")
-        journal = CheckpointJournal(target)
-        journal.store("li", ORACLE, TRACE, WARMUP, 7, result)  # no raise
-        assert journal.load("li", ORACLE, TRACE, WARMUP, 7) is None
+        target.write_text("a file where the store dir should go")
+        store = ResultStore(target)
+        with pytest.warns(RuntimeWarning, match="result store disabled"):
+            store.store(*_cell(), result)  # warns, never raises
+        assert not store.enabled
+        assert store.load(*_cell()) is None
 
 
 class TestConcurrentWriters:
-    """The journal under contention: claims elect one owner, stores
-    never tear.  Threads stand in for processes — ``O_EXCL`` and
-    ``os.replace`` make no distinction."""
-
-    def test_claim_elects_exactly_one_winner(self, tmp_path):
-        contenders = 8
-        start = threading.Barrier(contenders)
-        outcomes: list[bool] = []
-        lock = threading.Lock()
-
-        def contend():
-            journal = CheckpointJournal(tmp_path)  # one instance per writer
-            start.wait()
-            won = journal.claim("li", ORACLE, TRACE, WARMUP, 7)
-            with lock:
-                outcomes.append(won)
-
-        threads = [
-            threading.Thread(target=contend) for _ in range(contenders)
-        ]
-        for thread in threads:
-            thread.start()
-        for thread in threads:
-            thread.join()
-        assert outcomes.count(True) == 1
-        assert outcomes.count(False) == contenders - 1
-        # A different cell is an independent election.
-        assert CheckpointJournal(tmp_path).claim(
-            "li", RESUME, TRACE, WARMUP, 7
-        )
-
-    def test_claim_fails_open(self, tmp_path):
-        # Disabled journal: everyone proceeds.
-        assert CheckpointJournal(None).claim("li", ORACLE, TRACE, WARMUP, 7)
-        # Unwritable journal (root is a file): proceed rather than wedge.
-        blocked = tmp_path / "blocked"
-        blocked.write_text("a file where the journal dir should go")
-        assert CheckpointJournal(blocked).claim(
-            "li", ORACLE, TRACE, WARMUP, 7
-        )
+    """The store under contention: stores never tear.  Threads stand in
+    for processes — ``os.replace`` makes no distinction."""
 
     def test_concurrent_stores_never_torn(self, tmp_path):
         runner = SimulationRunner(trace_length=TRACE, warmup=WARMUP, seed=7)
         result_a = runner.run("li", ORACLE)
         result_b = runner.run("li", RESUME)
         assert result_a.penalties.as_dict() != result_b.penalties.as_dict()
-        journal = CheckpointJournal(tmp_path)
+        store = ResultStore(tmp_path)
         writers = 8
         start = threading.Barrier(writers + 1)
         stop = threading.Event()
@@ -160,13 +114,13 @@ class TestConcurrentWriters:
         def write(result):
             start.wait()
             for _ in range(25):
-                journal.store("li", ORACLE, TRACE, WARMUP, 7, result)
+                store.store(*_cell(), result)
 
         def read():
             start.wait()
-            reader = CheckpointJournal(tmp_path)
+            reader = ResultStore(tmp_path)
             while not stop.is_set():
-                loaded = reader.load("li", ORACLE, TRACE, WARMUP, 7)
+                loaded = reader.load(*_cell())
                 if loaded is None:
                     continue  # not yet published: a miss, never an error
                 penalties = loaded.penalties.as_dict()
@@ -192,7 +146,7 @@ class TestConcurrentWriters:
         reader_thread.join()
         assert torn == []
         # The settled entry is exactly one writer's payload, in full.
-        final = journal.load("li", ORACLE, TRACE, WARMUP, 7)
+        final = store.load(*_cell())
         assert final is not None
         assert final.penalties.as_dict() in (
             result_a.penalties.as_dict(),
@@ -201,8 +155,8 @@ class TestConcurrentWriters:
         # No temp files left behind by the racing writers.
         leftovers = [
             path
-            for path in (tmp_path / f"v{CHECKPOINT_FORMAT_VERSION}").rglob("*")
-            if path.is_file() and path.suffix not in (".pkl", ".claim")
+            for path in (tmp_path / f"v{RESULT_STORE_VERSION}").rglob("*")
+            if path.is_file() and path.suffix != ".pkl"
         ]
         assert leftovers == []
 
@@ -215,7 +169,7 @@ class TestResume:
             checkpoint_dir=checkpoint,
         )
         reference = first.run("li", ORACLE)
-        # Second runner, same journal, with a bug fault armed on the
+        # Second runner, same store, with a bug fault armed on the
         # simulate phase: the checkpoint hit must return before the fault
         # could ever fire, proving nothing was re-simulated.
         plan = FaultPlan(
@@ -300,20 +254,20 @@ class TestKillAndResumeCli:
         reference, _ = proc.communicate(timeout=180)
         assert proc.returncode == 0
 
-        # Victim: same sweep with a journal, killed mid-run.
+        # Victim: same sweep with a checkpoint store, killed mid-run.
         victim = self._run(["--checkpoint", checkpoint], tmp_path)
         deadline = time.monotonic() + 60
-        journal = CheckpointJournal(checkpoint)
-        while journal.completed() < 5 and time.monotonic() < deadline:
+        store = ResultStore(checkpoint)
+        while store.entries() < 5 and time.monotonic() < deadline:
             time.sleep(0.02)
         victim.send_signal(signal.SIGKILL)
         victim.communicate()
-        completed = journal.completed()
-        assert 0 < completed, "victim was killed before journalling anything"
+        completed = store.entries()
+        assert 0 < completed, "victim was killed before storing anything"
 
-        # Resume: must replay the journalled cells and finish the rest.
+        # Resume: must load the stored cells and finish the rest.
         resumed = self._run(["--checkpoint", checkpoint], tmp_path)
         output, _ = resumed.communicate(timeout=180)
         assert resumed.returncode == 0
-        assert journal.completed() > completed
+        assert store.entries() > completed
         assert self._tables(output) == self._tables(reference)

@@ -1,7 +1,7 @@
 """ResultStore: content addressing, corruption tolerance, pruning.
 
-The corruption-tolerance contract (same family as ``ArtifactCache`` and
-``CheckpointJournal``): *any* damaged entry — truncated, garbled, wrong
+The corruption-tolerance contract (same family as ``ArtifactCache``):
+*any* damaged entry — truncated, garbled, wrong
 version, wrong identity — is a miss that re-simulates, never an error,
 and the re-store atomically overwrites the damage.
 """
@@ -14,8 +14,8 @@ import pytest
 
 from repro.config import FetchPolicy, SimConfig
 from repro.core.runner import SimulationRunner
-from repro.errors import ServiceError
-from repro.service.store import RESULT_STORE_VERSION, ResultStore, cell_digest
+from repro.errors import CheckpointError
+from repro.service import RESULT_STORE_VERSION, ResultStore, cell_digest
 
 from tests.service.conftest import SEED, TRACE, WARMUP
 
@@ -83,13 +83,13 @@ class TestRoundTrip:
         store.store(_digest(), "li", ORACLE, TRACE, WARMUP, SEED, result)
         assert store.entries() == 0
         assert store.prune().entries == 0
-        with pytest.raises(ServiceError):
+        with pytest.raises(CheckpointError):
             store.entry_path(_digest())
 
     def test_malformed_digest_rejected(self, tmp_path):
         store = ResultStore(tmp_path)
         for bad in ("", "zz", "A" * 64, "0" * 63):
-            with pytest.raises(ServiceError):
+            with pytest.raises(CheckpointError):
                 store.entry_path(bad)
 
 

@@ -8,6 +8,11 @@ that
 * every result is bit-identical to a fault-free serial run, and
 * the recovery machinery actually engaged (faults fired, retries spent).
 
+A resume leg then reruns the sweep with ``checkpoint_dir`` set, on the
+serial and the parallel runner: a second, fresh runner on the same
+directory must load every cell (``checkpoint.hits == len(jobs)``),
+simulate nothing, and return the fault-free results bit-identically.
+
 Usage::
 
     PYTHONPATH=src python tools/check_robustness.py
@@ -33,6 +38,7 @@ from repro.config import FetchPolicy, SimConfig  # noqa: E402
 from repro.core.faults import FaultPlan, FaultSpec  # noqa: E402
 from repro.core.parallel import ParallelRunner  # noqa: E402
 from repro.core.runner import SimulationRunner  # noqa: E402
+from repro.obs import Observer, PhaseProfiler  # noqa: E402
 
 SEED = 7
 
@@ -56,6 +62,39 @@ def _plan(state_dir: str) -> FaultPlan:
         ],
         state_dir=state_dir,
     )
+
+
+def _diverged(results, reference) -> list[int]:
+    """Indices of cells whose numbers differ from the reference run."""
+    return [
+        index
+        for index, (mine, theirs) in enumerate(zip(results, reference))
+        if mine.penalties.as_dict() != theirs.penalties.as_dict()
+        or mine.total_ispi != theirs.total_ispi
+        or mine.counters.instructions != theirs.counters.instructions
+    ]
+
+
+def _checkpointed_sweep(kind, directory, trace_length, warmup):
+    """One sweep of ``_jobs()`` on a fresh *kind* runner storing results in
+    *directory*: ``(results, checkpoint.hits, simulate phases)``."""
+    if kind == "serial":
+        observer = Observer(profiler=PhaseProfiler())
+        runner = SimulationRunner(
+            trace_length=trace_length, warmup=warmup, seed=SEED,
+            observer=observer, checkpoint_dir=directory,
+        )
+        results = [runner.run(name, config) for name, config in _jobs()]
+        metrics, profile = observer.registry, observer.profiler
+    else:
+        runner = ParallelRunner(
+            trace_length=trace_length, warmup=warmup, seed=SEED,
+            max_workers=2, collect_metrics=True, checkpoint_dir=directory,
+        )
+        results = runner.run_jobs(_jobs())
+        metrics, profile = runner.metrics, runner.profile
+    simulated = profile.summary().get("simulate", {}).get("calls", 0)
+    return results, metrics.value("checkpoint.hits"), simulated
 
 
 def main(argv=None) -> int:
@@ -99,22 +138,42 @@ def main(argv=None) -> int:
         )
     if retries < 1:
         failures.append("no retries were spent; recovery path never ran")
-    for index, (mine, theirs) in enumerate(zip(results, reference)):
-        if (
-            mine.penalties.as_dict() != theirs.penalties.as_dict()
-            or mine.total_ispi != theirs.total_ispi
-            or mine.counters.instructions != theirs.counters.instructions
-        ):
-            failures.append(
-                f"cell {index} ({theirs.program}) diverged from the "
-                f"fault-free serial reference"
+    for index in _diverged(results, reference):
+        failures.append(
+            f"cell {index} ({reference[index].program}) diverged from the "
+            f"fault-free serial reference"
+        )
+
+    with tempfile.TemporaryDirectory() as scratch:
+        for kind in ("serial", "parallel"):
+            directory = os.path.join(scratch, kind)
+            _checkpointed_sweep(kind, directory, trace_length, warmup)
+            resumed, hits, simulated = _checkpointed_sweep(
+                kind, directory, trace_length, warmup
             )
+            print(
+                f"{kind} resume: {hits} checkpoint hits | "
+                f"{simulated} simulate phases"
+            )
+            if hits != len(_jobs()) or simulated:
+                failures.append(
+                    f"{kind} resume loaded {hits}/{len(_jobs())} cells and "
+                    f"simulated {simulated}"
+                )
+            for index in _diverged(resumed, reference):
+                failures.append(
+                    f"{kind} resume: cell {index} diverged from the "
+                    f"fault-free serial reference"
+                )
 
     if failures:
         for failure in failures:
             print(f"FAIL: {failure}", file=sys.stderr)
         return 1
-    print("robustness check passed: faulted sweep is bit-identical")
+    print(
+        "robustness check passed: faulted and resumed sweeps are "
+        "bit-identical"
+    )
     return 0
 
 

@@ -9,7 +9,10 @@ Regenerate (only after an intentional behaviour change) with:
 
     PYTHONPATH=src python tools/regen_metrics_goldens.py
 
-and review the diff before committing.
+and review the diff before committing.  The tool then prints the
+goldens' digest: copy it into ``ENGINE_SEMANTICS`` in
+``src/repro/core/store.py`` so stored results from the old engine stop
+matching (``tests/core/test_golden_metrics.py`` fails until you do).
 """
 
 from __future__ import annotations
@@ -64,6 +67,16 @@ def golden_metrics(policy: FetchPolicy) -> dict:
 
 def golden_path(policy: FetchPolicy) -> str:
     return os.path.join(GOLDEN_DIR, f"metrics_{policy.name.lower()}.json")
+
+
+def goldens_digest() -> str:
+    """sha256 of every ``metrics_*.json`` golden, concatenated in name order."""
+    digest = hashlib.sha256()
+    for name in sorted(os.listdir(GOLDEN_DIR)):
+        if name.startswith("metrics_") and name.endswith(".json"):
+            with open(os.path.join(GOLDEN_DIR, name), "rb") as handle:
+                digest.update(handle.read())
+    return digest.hexdigest()
 
 
 def _metrics_hash(metrics: dict) -> str:
@@ -140,6 +153,7 @@ def main() -> int:
             json.dump(golden_metrics(policy), handle, indent=2, sort_keys=True)
             handle.write("\n")
         print(f"wrote {os.path.relpath(path)}")
+    print(f"ENGINE_SEMANTICS = {goldens_digest()!r}")
     return 0
 
 
