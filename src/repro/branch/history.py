@@ -3,8 +3,10 @@
 The paper's PHT "waits until a branch is resolved before updating the
 global history register", which is why its prediction accuracy *degrades*
 with deeper speculation (Table 3): at prediction time the register is
-missing the outcomes of the still-unresolved branches.  The engine models
-this by calling :meth:`GlobalHistory.shift_in` only at branch resolution.
+missing the outcomes of the still-unresolved branches.  The branch unit
+models this by shifting outcomes in only at branch resolution
+(:meth:`~repro.branch.unit.BranchUnit.resolve` applies
+:meth:`GlobalHistory.shift_in`'s rule inline).
 """
 
 from __future__ import annotations

@@ -44,7 +44,13 @@ from pathlib import Path
 
 import numpy as np
 
-from repro.branch.unit import BranchStats, FetchOutcome, PenaltyCause, PredictionResult
+from repro.branch.unit import (
+    BranchStats,
+    FetchOutcome,
+    PenaltyCause,
+    PredictionResult,
+    correct_result,
+)
 from repro.config import SimConfig
 from repro.errors import SimulationError
 from repro.isa import INSTRUCTION_SIZE, InstrKind
@@ -330,14 +336,14 @@ def build_stream(program: Program, trace: Trace, config: SimConfig) -> Predictio
                 if queue[0][0] <= tau:
                     while queue and queue[0][0] <= tau:
                         _, pht_index, q_taken, pc = queue.popleft()
-                        resolve(pht_index, q_taken, pc=pc)
+                        resolve(pht_index, q_taken, pc)
                 if len(queue) >= max_unresolved:
                     head = queue[0][0]
                     if head > tau:
                         tau = head
                     while queue and queue[0][0] <= tau:
                         _, pht_index, q_taken, pc = queue.popleft()
-                        resolve(pht_index, q_taken, pc=pc)
+                        resolve(pht_index, q_taken, pc)
             tau += 1
         else:
             tau += length
@@ -347,7 +353,7 @@ def build_stream(program: Program, trace: Trace, config: SimConfig) -> Predictio
         if queue and queue[0][0] <= tau_br:
             while queue and queue[0][0] <= tau_br:
                 _, pht_index, q_taken, pc = queue.popleft()
-                resolve(pht_index, q_taken, pc=pc)
+                resolve(pht_index, q_taken, pc)
         term_addr = start + (length - 1) * INSTRUCTION_SIZE
         ctrl_idx = (term_addr - base) // INSTRUCTION_SIZE
         raw_target = targets[ctrl_idx]
@@ -384,7 +390,7 @@ def build_stream(program: Program, trace: Trace, config: SimConfig) -> Predictio
     # resolve_at <= clock + resolve_slots, so the flush drains the queue).
     while queue:
         _, pht_index, q_taken, pc = queue.popleft()
-        resolve(pht_index, q_taken, pc=pc)
+        resolve(pht_index, q_taken, pc)
 
     arrays = {
         "outcome": np.asarray(outcome_l, dtype=np.int8),
@@ -579,16 +585,7 @@ class ReplayBranchUnit:
         outcome_code = self._outcome[i]
         if outcome_code == 0:
             stats.correct += 1
-            return PredictionResult(
-                outcome=_OUTCOMES[0],
-                cause=_CAUSES[0],
-                penalty_slots=0,
-                wrong_path_start=None,
-                wrong_path_delay=0,
-                wrong_path_slots=0,
-                pht_index=pht_index,
-                predicted_taken=predicted_taken,
-            )
+            return correct_result(pht_index, predicted_taken)
         self._last = i
         cause_code = self._cause[i]
         cause = _CAUSES[cause_code]

@@ -18,12 +18,21 @@ This module encodes the paper's front-end branch semantics (§4.1):
 
 The unit is purely about branches; all I-cache/bus timing lives in
 :mod:`repro.core.engine`.
+
+The conditional-branch path (:meth:`BranchUnit.predict` on a
+``COND_BRANCH``) and :meth:`BranchUnit.resolve` run once per dynamic
+branch, so they apply the BTB lookup/insert, counter-table and history
+rules inline rather than through the component methods; the components
+(:mod:`repro.branch.btb`, :mod:`repro.branch.pht`,
+:mod:`repro.branch.history`) keep the same rules as their public API.
 """
 
 from __future__ import annotations
 
 import enum
+import functools
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 from repro.branch.btb import BranchTargetBuffer
 from repro.branch.history import GlobalHistory
@@ -31,7 +40,7 @@ from repro.branch.pht import PatternHistoryTable
 from repro.branch.ras import ReturnAddressStack
 from repro.branch.static import StaticPredictor
 from repro.errors import ConfigError, SimulationError
-from repro.isa import InstrKind
+from repro.isa import INSTRUCTION_SIZE, InstrKind
 
 #: Issue slots lost to a misfetch (2 cycles x 4-wide issue).
 MISFETCH_PENALTY_SLOTS = 8
@@ -60,9 +69,12 @@ class PenaltyCause(enum.Enum):
     BTB_MISPREDICT = "btb_mispredict"
 
 
-@dataclass(frozen=True, slots=True)
-class PredictionResult:
+class PredictionResult(NamedTuple):
     """Everything the engine needs to account for one control transfer.
+
+    Immutable (a named tuple: cheap to build, and assigning a field
+    raises), so correct results can be interned and shared — see
+    :func:`correct_result`.
 
     Attributes:
         outcome: CORRECT / MISFETCH / MISPREDICT.
@@ -88,6 +100,25 @@ class PredictionResult:
     wrong_path_slots: int
     pht_index: int | None
     predicted_taken: bool | None
+
+
+_COND = InstrKind.COND_BRANCH
+
+
+@functools.cache
+def correct_result(
+    pht_index: int | None, predicted_taken: bool | None
+) -> PredictionResult:
+    """The interned result of a correctly predicted transfer.
+
+    One immutable object per ``(pht_index, predicted_taken)``.  The
+    intern table lives on this function, outside every branch unit, so
+    engine forks (deep copies of the unit) share it instead of copying it.
+    """
+    return PredictionResult(
+        FetchOutcome.CORRECT, PenaltyCause.NONE, 0, None, 0, 0,
+        pht_index, predicted_taken,
+    )
 
 
 @dataclass(slots=True)
@@ -140,18 +171,6 @@ class BranchUnit:
         self.mispredict_penalty_slots = mispredict_penalty_slots
         self.stats = BranchStats()
 
-    # -- direction prediction ------------------------------------------------
-
-    def _predict_direction(
-        self, pc: int, btb_entry, static_target: int | None
-    ) -> tuple[bool, int | None]:
-        """Return ``(taken?, pht_index or None)`` for a conditional branch."""
-        if self.coupled:
-            if btb_entry is not None:
-                return self.btb.counter_predicts_taken(btb_entry), None
-            return self.static_fallback.predict(pc, static_target), None
-        return self.pht.predict(pc, self.history.value)
-
     # -- the main classification entry point ---------------------------------
 
     def predict(
@@ -169,11 +188,11 @@ class BranchUnit:
         ``static_target`` is the target encoded in the instruction (None
         for returns / indirect calls).
         """
-        if kind is InstrKind.COND_BRANCH:
+        if kind is _COND:
             return self._predict_conditional(
-                pc, static_target, actual_taken, actual_target, fall_through
+                pc, static_target, actual_taken, fall_through
             )
-        if kind in (InstrKind.JUMP, InstrKind.CALL):
+        if kind is InstrKind.JUMP or kind is InstrKind.CALL:
             return self._predict_direct(pc, actual_target, fall_through)
         if kind is InstrKind.RETURN:
             return self._predict_return(pc, actual_target, fall_through)
@@ -181,122 +200,112 @@ class BranchUnit:
             return self._predict_indirect(pc, actual_target, fall_through)
         raise SimulationError(f"non-control kind {kind} reached the branch unit")
 
-    def _result_correct(
-        self, pht_index: int | None, predicted_taken: bool | None
+    def _misfetch(
+        self,
+        wrong_start: int,
+        pht_index: int | None,
+        predicted_taken: bool | None,
     ) -> PredictionResult:
-        self.stats.correct += 1
+        """Charge and build a misfetch: the fall-through (*wrong_start*)
+        is fetched until the decode-time redirect."""
+        stats = self.stats
+        slots = self.misfetch_penalty_slots
+        stats.btb_misfetches += 1
+        stats.penalty_slots_by_cause[PenaltyCause.BTB_MISFETCH.value] += slots
         return PredictionResult(
-            outcome=FetchOutcome.CORRECT,
-            cause=PenaltyCause.NONE,
-            penalty_slots=0,
-            wrong_path_start=None,
-            wrong_path_delay=0,
-            wrong_path_slots=0,
-            pht_index=pht_index,
-            predicted_taken=predicted_taken,
+            FetchOutcome.MISFETCH, PenaltyCause.BTB_MISFETCH, slots,
+            wrong_start, 0, slots, pht_index, predicted_taken,
         )
-
-    def _charge(self, cause: PenaltyCause, slots: int) -> None:
-        self.stats.penalty_slots_by_cause[cause.value] += slots
-        if cause is PenaltyCause.BTB_MISFETCH:
-            self.stats.btb_misfetches += 1
-        elif cause is PenaltyCause.PHT_MISPREDICT:
-            self.stats.pht_mispredicts += 1
-        elif cause is PenaltyCause.BTB_MISPREDICT:
-            self.stats.btb_mispredicts += 1
 
     def _predict_conditional(
         self,
         pc: int,
         static_target: int | None,
         actual_taken: bool,
-        actual_target: int,
         fall_through: int,
     ) -> PredictionResult:
         if static_target is None:
             raise SimulationError(f"conditional at {pc:#x} lacks a static target")
-        self.stats.conditional += 1
-        entry = self.btb.lookup(pc)
-        predicted_taken, pht_index = self._predict_direction(pc, entry, static_target)
-        if self.speculative_btb_update and predicted_taken:
-            # Decode-time speculative insertion; the decode stage computes
-            # the real static target, so the inserted target is correct.
-            self.btb.insert(pc, static_target)
-        elif actual_taken:
-            # Non-speculative designs (and not-predicted-taken branches)
-            # insert once the branch resolves taken.
-            self.btb.insert(pc, static_target)
+        stats = self.stats
+        stats.conditional += 1
+        # BTB lookup (BranchTargetBuffer.lookup): a hit moves the entry
+        # to the MRU end of its set.
+        btb = self.btb
+        word = pc // INSTRUCTION_SIZE
+        ways = btb._sets[word & btb.set_mask]
+        tag = word >> btb._tag_shift
+        entry = None
+        for i, way in enumerate(ways):
+            if way.tag == tag:
+                entry = way
+                ways.append(ways.pop(i))
+                break
+        if entry is None:
+            btb.misses += 1
+        else:
+            btb.hits += 1
+        # Direction: the PHT at the (stale) resolved history, or for
+        # coupled designs the BTB entry's counter / the static fallback.
+        if self.coupled:
+            pht_index = None
+            if entry is not None:
+                predicted_taken = entry.counter >= btb.counter_threshold
+            else:
+                predicted_taken = self.static_fallback.predict(pc, static_target)
+        else:
+            predicted_taken, pht_index = self.pht.predict(pc, self.history.value)
+        # BTB insert: at decode when predicted taken (speculative update,
+        # with the decode-computed static target), else once the branch
+        # resolves taken.  On a lookup hit the entry is already MRU, so
+        # refreshing it only rewrites the target.
+        if actual_taken or (predicted_taken and self.speculative_btb_update):
+            if entry is not None:
+                entry.target = static_target
+            else:
+                btb.insert(pc, static_target)
 
         if predicted_taken == actual_taken:
-            if not predicted_taken:
-                return self._result_correct(pht_index, predicted_taken)
-            if entry is not None:
-                # Target came from the BTB: clean hit.
-                return self._result_correct(pht_index, predicted_taken)
+            if not predicted_taken or entry is not None:
+                # Not taken, or taken with the target from the BTB: clean.
+                stats.correct += 1
+                return correct_result(pht_index, predicted_taken)
             # Predicted taken but the target had to be computed at decode:
             # misfetch.  The two pre-decode cycles fetched the fall-through,
             # which is wrong because the branch is taken.
-            self._charge(PenaltyCause.BTB_MISFETCH, self.misfetch_penalty_slots)
-            return PredictionResult(
-                outcome=FetchOutcome.MISFETCH,
-                cause=PenaltyCause.BTB_MISFETCH,
-                penalty_slots=self.misfetch_penalty_slots,
-                wrong_path_start=fall_through,
-                wrong_path_delay=0,
-                wrong_path_slots=self.misfetch_penalty_slots,
-                pht_index=pht_index,
-                predicted_taken=predicted_taken,
-            )
+            return self._misfetch(fall_through, pht_index, predicted_taken)
         # Direction mispredict (PHT's fault in the decoupled design).
-        self._charge(PenaltyCause.PHT_MISPREDICT, self.mispredict_penalty_slots)
+        slots = self.mispredict_penalty_slots
+        stats.pht_mispredicts += 1
+        stats.penalty_slots_by_cause[PenaltyCause.PHT_MISPREDICT.value] += slots
         if predicted_taken:
             if entry is not None:
                 # Fetched the taken target immediately; wrong for 4 cycles.
                 wrong_start = entry.target
                 delay = 0
-                window = self.mispredict_penalty_slots
             else:
                 # Composite: 2 cycles of (squashed) fall-through fetch, then
                 # a decode-time redirect to the (wrong) computed target for
                 # the remaining 2 cycles.
                 wrong_start = static_target
                 delay = self.misfetch_penalty_slots
-                window = self.mispredict_penalty_slots - self.misfetch_penalty_slots
         else:
             # Predicted not taken: fall-through fetched for 4 cycles.
             wrong_start = fall_through
             delay = 0
-            window = self.mispredict_penalty_slots
         return PredictionResult(
-            outcome=FetchOutcome.MISPREDICT,
-            cause=PenaltyCause.PHT_MISPREDICT,
-            penalty_slots=self.mispredict_penalty_slots,
-            wrong_path_start=wrong_start,
-            wrong_path_delay=delay,
-            wrong_path_slots=window,
-            pht_index=pht_index,
-            predicted_taken=predicted_taken,
+            FetchOutcome.MISPREDICT, PenaltyCause.PHT_MISPREDICT, slots,
+            wrong_start, delay, slots - delay, pht_index, predicted_taken,
         )
 
     def _predict_direct(
         self, pc: int, actual_target: int, fall_through: int
     ) -> PredictionResult:
         self.stats.unconditional += 1
-        entry = self.btb.lookup(pc)
-        if entry is None:
-            self.btb.insert(pc, actual_target)
-            self._charge(PenaltyCause.BTB_MISFETCH, self.misfetch_penalty_slots)
-            return PredictionResult(
-                outcome=FetchOutcome.MISFETCH,
-                cause=PenaltyCause.BTB_MISFETCH,
-                penalty_slots=self.misfetch_penalty_slots,
-                wrong_path_start=fall_through,
-                wrong_path_delay=0,
-                wrong_path_slots=self.misfetch_penalty_slots,
-                pht_index=None,
-                predicted_taken=None,
-            )
-        return self._result_correct(None, None)
+        if self.btb.lookup(pc) is not None:
+            self.stats.correct += 1
+            return correct_result(None, None)
+        self.btb.insert(pc, actual_target)
+        return self._misfetch(fall_through, None, None)
 
     def _predict_dynamic_target(
         self, pc: int, actual_target: int, fall_through: int, via_ras: bool
@@ -310,29 +319,17 @@ class BranchUnit:
             predicted = entry.target if entry is not None else None
         self.btb.insert(pc, actual_target)
         if predicted is None:
-            self._charge(PenaltyCause.BTB_MISFETCH, self.misfetch_penalty_slots)
-            return PredictionResult(
-                outcome=FetchOutcome.MISFETCH,
-                cause=PenaltyCause.BTB_MISFETCH,
-                penalty_slots=self.misfetch_penalty_slots,
-                wrong_path_start=fall_through,
-                wrong_path_delay=0,
-                wrong_path_slots=self.misfetch_penalty_slots,
-                pht_index=None,
-                predicted_taken=None,
-            )
+            return self._misfetch(fall_through, None, None)
         if predicted == actual_target:
-            return self._result_correct(None, None)
-        self._charge(PenaltyCause.BTB_MISPREDICT, self.mispredict_penalty_slots)
+            self.stats.correct += 1
+            return correct_result(None, None)
+        stats = self.stats
+        slots = self.mispredict_penalty_slots
+        stats.btb_mispredicts += 1
+        stats.penalty_slots_by_cause[PenaltyCause.BTB_MISPREDICT.value] += slots
         return PredictionResult(
-            outcome=FetchOutcome.MISPREDICT,
-            cause=PenaltyCause.BTB_MISPREDICT,
-            penalty_slots=self.mispredict_penalty_slots,
-            wrong_path_start=predicted,
-            wrong_path_delay=0,
-            wrong_path_slots=self.mispredict_penalty_slots,
-            pht_index=None,
-            predicted_taken=None,
+            FetchOutcome.MISPREDICT, PenaltyCause.BTB_MISPREDICT, slots,
+            predicted, 0, slots, None, None,
         )
 
     def _predict_return(
@@ -370,8 +367,18 @@ class BranchUnit:
             if pc is not None:
                 self.btb.update_counter(pc, taken)
         elif pht_index is not None:
-            self.pht.update(pht_index, taken)
-        self.history.shift_in(taken)
+            # CounterTable.update: saturating step towards the outcome.
+            table = self.pht.table
+            values = table.values
+            value = values[pht_index]
+            if taken:
+                if value < table.max_value:
+                    values[pht_index] = value + 1
+            elif value > 0:
+                values[pht_index] = value - 1
+        # GlobalHistory.shift_in: the outcome enters at bit 0.
+        history = self.history
+        history.value = ((history.value << 1) | (1 if taken else 0)) & history.mask
 
     # -- wrong-path (speculative, read-only) probes ---------------------------
 
@@ -382,8 +389,7 @@ class BranchUnit:
             if entry is not None:
                 return self.btb.counter_predicts_taken(entry)
             return self.static_fallback.predict(pc, None)
-        idx = self.pht.index(pc, self.history.snapshot())
-        return self.pht.table.predict(idx)
+        return self.pht.predict(pc, self.history.value)[0]
 
     def peek_target(self, pc: int) -> int | None:
         """BTB target without touching LRU/statistics."""

@@ -307,7 +307,7 @@ class FetchEngine:
         resolve = self._timing_resolve
         while queue and queue[0][0] <= now:
             _, pht_index, taken, pc = queue.popleft()
-            resolve(pht_index, taken, pc=pc)
+            resolve(pht_index, taken, pc)
 
     def _apply_arch_resolutions(self, now: int) -> None:
         """Train the predictor for every architectural-clock resolution
@@ -316,7 +316,7 @@ class FetchEngine:
         resolve = self.unit.resolve
         while queue and queue[0][0] <= now:
             _, pht_index, taken, pc = queue.popleft()
-            resolve(pht_index, taken, pc=pc)
+            resolve(pht_index, taken, pc)
 
     def _depth_gate(self, t: int) -> int:
         """Stall (branch_full) until an unresolved-branch slot is free."""

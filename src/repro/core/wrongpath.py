@@ -5,7 +5,7 @@ addresses it fetches are determined by the *static* code image plus the
 *current* predictor state: at each control transfer on the wrong path the
 machine follows its own (speculative, read-only) prediction.
 
-:func:`iter_wrong_path_runs` enumerates the straight-line ``(pc, n)``
+:func:`iter_wrong_path_runs` lists the straight-line ``(pc, n)``
 segments such a walk touches; :func:`iter_lines_from_runs` splits any
 segment sequence at cache-line boundaries; and
 :func:`iter_wrong_path_lines` composes the two, leaving all timing/stall
@@ -13,6 +13,10 @@ decisions to the engine.  The split keeps the walker purely functional
 and unit-testable, and lets prediction-stream replay
 (:mod:`repro.branch.stream`) record walks once in line-size-independent
 form and re-split them for each swept cache geometry.
+
+All three return lists, built eagerly.  That is sound because nothing
+mutates the predictor while the engine consumes a walk, and it saves a
+generator resume per chunk on the engine's redirect path.
 
 Modelling notes (see DESIGN.md §4):
 
@@ -29,7 +33,7 @@ Modelling notes (see DESIGN.md §4):
 
 from __future__ import annotations
 
-from collections.abc import Iterable, Iterator
+from collections.abc import Iterable
 
 import numpy as np
 
@@ -49,16 +53,19 @@ def iter_wrong_path_runs(
     unit: BranchUnit,
     start_pc: int,
     max_instructions: int,
-) -> Iterator[tuple[int, int]]:
-    """Yield ``(start_addr, n_instructions)`` straight-line wrong-path runs.
+) -> list[tuple[int, int]]:
+    """List the ``(start_addr, n_instructions)`` straight-line runs of a
+    wrong-path walk.
 
     The walk starts at *start_pc* and fetches at most *max_instructions*
-    instructions; each yielded run ends at a control transfer (inclusive)
-    or at the instruction budget.  Runs are independent of any cache
-    geometry — split them with :func:`iter_lines_from_runs`.
+    instructions; each run ends at a control transfer (inclusive) or at
+    the instruction budget.  Runs are independent of any cache geometry —
+    split them with :func:`iter_lines_from_runs`.  This is the only place
+    that follows control transfers on the wrong path.
     """
+    runs: list[tuple[int, int]] = []
     if max_instructions <= 0:
-        return
+        return runs
     base = image.base
     n_image = image.n_instructions
     kinds = image.kinds_list
@@ -70,17 +77,17 @@ def iter_wrong_path_runs(
     while remaining > 0:
         offset = pc - base
         if offset < 0 or offset % INSTRUCTION_SIZE:
-            return
+            return runs
         idx = offset // INSTRUCTION_SIZE
         if idx >= n_image:
-            return
+            return runs
         ctrl = next_ctrl[idx]
         run = (n_image if ctrl >= n_image else ctrl + 1) - idx
         take = run if run < remaining else remaining
-        yield (base + idx * INSTRUCTION_SIZE, take)
+        runs.append((base + idx * INSTRUCTION_SIZE, take))
         remaining -= take
         if take < run or ctrl >= n_image:
-            return
+            return runs
         # Follow the speculative prediction at the control transfer.
         kind = kinds[ctrl]
         ctrl_addr = base + ctrl * INSTRUCTION_SIZE
@@ -101,20 +108,23 @@ def iter_wrong_path_runs(
                 predicted = unit.peek_target(ctrl_addr)
             pc = predicted if predicted is not None else fall
         else:  # pragma: no cover - images contain only the kinds above
-            return
+            return runs
+    return runs
 
 
 def iter_lines_from_runs(
     runs: Iterable[tuple[int, int]],
     line_size: int,
-) -> Iterator[tuple[int, int]]:
-    """Split ``(start_addr, n)`` runs into ``(line_number, n)`` chunks.
+) -> list[tuple[int, int]]:
+    """Split ``(start_addr, n)`` runs into a list of ``(line_number, n)``
+    chunks.
 
     Pure address arithmetic: the same recorded run sequence can be
     re-split for any swept line size.
     """
     line_shift = line_size.bit_length() - 1
     per_line = line_size // INSTRUCTION_SIZE
+    chunks: list[tuple[int, int]] = []
     for start_addr, count in runs:
         pos = start_addr // INSTRUCTION_SIZE
         left = count
@@ -123,9 +133,10 @@ def iter_lines_from_runs(
             line = addr >> line_shift
             in_line = per_line - pos % per_line
             chunk = in_line if in_line < left else left
-            yield (line, chunk)
+            chunks.append((line, chunk))
             pos += chunk
             left -= chunk
+    return chunks
 
 
 def lines_from_runs_arrays(run_pc, run_n, line_size: int):
@@ -163,15 +174,16 @@ def iter_wrong_path_lines(
     start_pc: int,
     max_instructions: int,
     line_size: int,
-) -> Iterator[tuple[int, int]]:
-    """Yield ``(line_number, n_instructions)`` runs of a wrong-path walk.
+) -> list[tuple[int, int]]:
+    """List the ``(line_number, n_instructions)`` chunks of a wrong-path
+    walk.
 
     The walk starts at *start_pc* and fetches at most *max_instructions*
     instructions, splitting each straight-line run at cache-line
-    boundaries.  The caller (engine) decides how many of the yielded
+    boundaries.  The caller (engine) decides how many of the listed
     instructions actually fit in its redirect window.
     """
-    yield from iter_lines_from_runs(
+    return iter_lines_from_runs(
         iter_wrong_path_runs(image, unit, start_pc, max_instructions),
         line_size,
     )

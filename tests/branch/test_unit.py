@@ -8,6 +8,7 @@ from repro.branch import (
     BranchUnit,
     FetchOutcome,
     PenaltyCause,
+    PredictionResult,
     make_paper_branch_unit,
 )
 from repro.errors import ConfigError, SimulationError
@@ -209,6 +210,35 @@ class TestStats:
         unit.reset()
         assert unit.stats.btb_misfetches == 0
         assert unit.btb.peek(PC) is None
+
+
+class TestResultObjects:
+    def test_correct_result_is_interned(self, unit):
+        """Same (pht_index, predicted_taken): the very same object."""
+        first = unit.predict(PC, InstrKind.COND_BRANCH, TARGET, False, FALL, FALL)
+        second = unit.predict(PC, InstrKind.COND_BRANCH, TARGET, False, FALL, FALL)
+        assert first.outcome is FetchOutcome.CORRECT
+        assert second is first
+        jump = unit.predict(PC + 8, InstrKind.JUMP, TARGET, True, TARGET, FALL + 8)
+        assert jump.outcome is FetchOutcome.MISFETCH
+        hit = unit.predict(PC + 8, InstrKind.JUMP, TARGET, True, TARGET, FALL + 8)
+        again = unit.predict(PC + 8, InstrKind.JUMP, TARGET, True, TARGET, FALL + 8)
+        assert hit.outcome is FetchOutcome.CORRECT
+        assert again is hit
+        assert (hit.pht_index, hit.predicted_taken) == (None, None)
+
+    @pytest.mark.parametrize("taken", [False, True])
+    def test_results_are_read_only(self, unit, taken):
+        """Interned correct results and fresh mispredicts alike reject
+        assignment to every field."""
+        actual = TARGET if taken else FALL
+        result = unit.predict(PC, InstrKind.COND_BRANCH, TARGET, taken, actual, FALL)
+        assert result.outcome is (
+            FetchOutcome.MISPREDICT if taken else FetchOutcome.CORRECT
+        )
+        for name in PredictionResult._fields:
+            with pytest.raises(AttributeError):
+                setattr(result, name, getattr(result, name))
 
 
 class TestConfigValidation:

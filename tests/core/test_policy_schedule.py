@@ -8,6 +8,7 @@ deterministically, with interval stats that partition the run totals.
 
 from __future__ import annotations
 
+import copy
 from dataclasses import replace
 
 import pytest
@@ -27,7 +28,9 @@ from repro.core.schedule import (
     build_schedule,
     interval_spans,
 )
+from repro.branch import FetchOutcome
 from repro.errors import SimulationError
+from repro.isa import INSTRUCTION_SIZE, InstrKind
 from repro.program.workloads import build_workload
 from repro.trace.generator import generate_trace
 
@@ -273,6 +276,73 @@ class TestOracleAdoption:
         assert [s.policy for s in adopted.intervals] == [
             s.policy for s in rerun.intervals
         ]
+
+
+def _unit_state(unit):
+    btb = unit.btb
+    return (
+        copy.deepcopy(unit.stats),
+        [[(e.tag, e.target, e.counter) for e in ways] for ways in btb._sets],
+        (btb.hits, btb.misses, btb.insertions, btb.evictions),
+        list(unit.pht.table.values),
+        unit.history.value,
+    )
+
+
+class TestForkIsolation:
+    """Forks copy the live predictor but share the interned results."""
+
+    SPLIT = 600
+
+    def _warm_engine(self, workload):
+        program, trace = workload
+        engine = build_engine(program, SimConfig())
+        t, warm = engine._run_span(trace.records[: self.SPLIT], 0, 0)
+        return engine, trace.records[self.SPLIT :], t, warm
+
+    def test_fork_leaves_parent_untouched(self, workload):
+        engine, rest, t, warm = self._warm_engine(workload)
+        unit = engine.unit
+        before = _unit_state(unit)
+        counters = copy.deepcopy(engine.counters)
+        fork = engine.fork()
+        assert fork.unit is not unit and fork.unit.stats is not unit.stats
+        fork._run_span(rest, t, warm)
+        assert _unit_state(fork.unit) != before
+        assert _unit_state(unit) == before
+        assert engine.counters == counters
+
+    def test_forks_share_interned_results(self, workload):
+        engine, _, _, _ = self._warm_engine(workload)
+        program, _ = workload
+        image = program.image
+        first, second = engine.fork(), engine.fork()
+        # A not-taken prediction confirmed by the truth is correct.
+        pc = next(
+            image.base + INSTRUCTION_SIZE * i
+            for i, kind in enumerate(image.kinds_list)
+            if kind == InstrKind.COND_BRANCH
+            and not engine.unit.peek_direction(image.base + INSTRUCTION_SIZE * i)
+        )
+        target = image.targets_list[(pc - image.base) // INSTRUCTION_SIZE]
+        fall = pc + INSTRUCTION_SIZE
+        args = (pc, InstrKind.COND_BRANCH, target, False, fall, fall)
+        result = first.unit.predict(*args)
+        assert result.outcome is FetchOutcome.CORRECT
+        assert second.unit.predict(*args) is result
+
+    def test_adopt_leaves_parent_results_untouched(self, workload):
+        engine, rest, t, warm = self._warm_engine(workload)
+        old_unit = engine.unit
+        before = _unit_state(old_unit)
+        fork = engine.fork()
+        t, warm = fork._run_span(rest[:400], t, warm)
+        adopted = _unit_state(fork.unit)
+        engine.adopt(fork)
+        assert engine.unit is fork.unit
+        assert _unit_state(engine.unit) == adopted
+        engine._run_span(rest[400:800], t, warm)
+        assert _unit_state(old_unit) == before
 
 
 class TestScheduleUnits:

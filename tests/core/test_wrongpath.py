@@ -1,10 +1,18 @@
 """Wrong-path walker (static path enumeration)."""
 
+import copy
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.branch import make_paper_branch_unit
-from repro.core.wrongpath import iter_wrong_path_lines
-from repro.isa import Instruction, InstrKind
+from repro.core.wrongpath import (
+    iter_lines_from_runs,
+    iter_wrong_path_lines,
+    iter_wrong_path_runs,
+)
+from repro.isa import INSTRUCTION_SIZE, Instruction, InstrKind
 from repro.program import CodeImage
 
 BASE = 0x1000  # line 128 with 32-byte lines
@@ -124,3 +132,105 @@ class TestControlFollowing:
         list(iter_wrong_path_lines(image, unit, BASE, 16, 32))
         assert unit.btb.hits == hits_before
         assert unit.pht.table.values == values_before
+
+
+def _reference_lines(image, unit, start_pc, max_instructions, line_size):
+    """The walker as a lazy generator chain: follow transfers with the
+    unit's read-only peeks, then split each run at line boundaries."""
+    base, n_image = image.base, image.n_instructions
+    pc, remaining = start_pc, max_instructions
+    while remaining > 0:
+        offset = pc - base
+        idx = offset // INSTRUCTION_SIZE
+        if offset < 0 or offset % INSTRUCTION_SIZE or idx >= n_image:
+            return
+        ctrl = image.next_ctrl_list[idx]
+        run = (n_image if ctrl >= n_image else ctrl + 1) - idx
+        take = min(run, remaining)
+        pos, left = idx + base // INSTRUCTION_SIZE, take
+        per_line = line_size // INSTRUCTION_SIZE
+        while left > 0:
+            chunk = min(per_line - pos % per_line, left)
+            yield (pos * INSTRUCTION_SIZE) // line_size, chunk
+            pos += chunk
+            left -= chunk
+        remaining -= take
+        if take < run or ctrl >= n_image:
+            return
+        kind = image.kinds_list[ctrl]
+        ctrl_addr = base + ctrl * INSTRUCTION_SIZE
+        fall = ctrl_addr + INSTRUCTION_SIZE
+        if kind == InstrKind.COND_BRANCH:
+            taken = unit.peek_direction(ctrl_addr)
+            pc = image.targets_list[ctrl] if taken else fall
+        elif kind in (InstrKind.JUMP, InstrKind.CALL):
+            pc = image.targets_list[ctrl]
+        else:
+            predicted = None
+            if kind == InstrKind.RETURN and unit.ras is not None:
+                predicted = unit.ras.peek()
+            if predicted is None:
+                predicted = unit.peek_target(ctrl_addr)
+            pc = fall if predicted is None else predicted
+
+
+@pytest.fixture(scope="module")
+def trained_units(gcc_run):
+    """Paper branch units (with and without a RAS) trained on growing
+    prefixes of the gcc trace, so walks see live predictor state."""
+    program, trace = gcc_run.program, gcc_run.trace
+    image = program.image
+    units = []
+    for use_ras in (False, True):
+        unit = make_paper_branch_unit(use_ras=use_ras)
+        units.append(copy.deepcopy(unit))
+        for i, (start, length, kind, taken, next_pc) in enumerate(trace.records):
+            if kind == InstrKind.PLAIN:
+                continue
+            pc = start + (length - 1) * INSTRUCTION_SIZE
+            raw = image.targets_list[(pc - image.base) // INSTRUCTION_SIZE]
+            result = unit.predict(
+                pc, InstrKind(kind), None if raw < 0 else raw, taken, next_pc,
+                pc + INSTRUCTION_SIZE,
+            )
+            if kind == InstrKind.CALL:
+                unit.notify_call(pc + INSTRUCTION_SIZE)
+            if kind == InstrKind.COND_BRANCH:
+                unit.resolve(result.pht_index, taken, pc)
+            if i in (200, 3000):
+                units.append(copy.deepcopy(unit))
+    return image, units
+
+
+class TestListWalker:
+    @settings(max_examples=300, deadline=None)
+    @given(
+        which=st.integers(0, 5),
+        near=st.sampled_from((None, InstrKind.COND_BRANCH, InstrKind.RETURN)),
+        offset=st.integers(-64, 64),
+        anchor=st.floats(0.0, 1.0, exclude_max=True),
+        budget=st.integers(0, 40),
+        line_size=st.sampled_from((16, 32, 64)),
+    )
+    def test_matches_generator_chain(
+        self, trained_units, which, near, offset, anchor, budget, line_size
+    ):
+        image, units = trained_units
+        unit = units[which]
+        # Anchor anywhere in the image, or a little before a branch or
+        # return so that walks reach them; the offset also reaches
+        # misaligned and off-image starts on either side.
+        sites = range(image.n_instructions)
+        if near is not None:
+            sites = [i for i in sites if image.kinds_list[i] == near]
+        start_pc = image.base + INSTRUCTION_SIZE * sites[
+            int(anchor * len(sites))
+        ] + (offset if near is None else -abs(offset) // 2)
+        lines = iter_wrong_path_lines(image, unit, start_pc, budget, line_size)
+        runs = iter_wrong_path_runs(image, unit, start_pc, budget)
+        assert isinstance(lines, list) and isinstance(runs, list)
+        assert lines == list(iter_lines_from_runs(runs, line_size))
+        assert lines == list(
+            _reference_lines(image, unit, start_pc, budget, line_size)
+        )
+        assert sum(n for _, n in lines) <= budget
