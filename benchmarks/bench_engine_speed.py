@@ -336,45 +336,54 @@ def _vector_sweep(repeats=3, trace_length=100_000):
     return out
 
 
-def _schedule_overhead(repeats=5, trace_length=200_000, interval=5_000):
+def _schedule_overhead(repeats=9, trace_length=200_000, interval=5_000):
     """Static-schedule seam cost on the paper's (whole-run) configurations.
 
     The ``PolicySchedule`` seam must be invisible when nothing switches:
     a plain static run (``adaptive_interval=None``, the paper's regime)
     is timed against the same run with interval bookkeeping enabled (the
     per-span snapshot/commit machinery at *interval*-instruction
-    boundaries, still under one policy).  Pairs are interleaved so
-    machine-wide drift cancels; the reported ``overhead`` is the median
-    pair ratio minus one.  Results are asserted identical before any
-    number is reported.
+    boundaries, still under one policy).  After one untimed warm-up run
+    of each, *repeats* pairs are interleaved, alternating which run of
+    the pair goes first, so machine-wide drift and order effects cancel;
+    the reported ``overhead`` is the median pair ratio minus one.
+    Results are asserted identical before any number is reported.
     """
     import statistics
+    import time
 
     program = build_workload("gcc")
     trace = generate_trace(program, trace_length, seed=3)
     plain_cfg = SimConfig(policy=FetchPolicy.RESUME)
     interval_cfg = replace(plain_cfg, adaptive_interval=interval)
-    plain_best = interval_best = None
-    ratios = []
-    for _ in range(repeats):
-        p_s, plain = _best_of(1, lambda: simulate(program, trace, plain_cfg))
-        i_s, chunked = _best_of(
-            1, lambda: simulate(program, trace, interval_cfg)
-        )
-        assert (
-            plain.penalties == chunked.penalties
-            and plain.counters == chunked.counters
-        ), "interval bookkeeping changed a static run's results"
-        plain_best = p_s if plain_best is None else min(plain_best, p_s)
-        interval_best = (
-            i_s if interval_best is None else min(interval_best, i_s)
-        )
-        ratios.append(i_s / p_s)
+    plain = simulate(program, trace, plain_cfg)
+    chunked = simulate(program, trace, interval_cfg)
+    assert (
+        plain.penalties == chunked.penalties
+        and plain.counters == chunked.counters
+    ), "interval bookkeeping changed a static run's results"
+
+    def timed(config):
+        started = time.perf_counter()
+        simulate(program, trace, config)
+        return time.perf_counter() - started
+
+    plain_times = []
+    interval_times = []
+    for pair in range(repeats):
+        if pair % 2:
+            interval_times.append(timed(interval_cfg))
+            plain_times.append(timed(plain_cfg))
+        else:
+            plain_times.append(timed(plain_cfg))
+            interval_times.append(timed(interval_cfg))
+    ratios = [i_s / p_s for p_s, i_s in zip(plain_times, interval_times)]
     return {
         "trace_length": trace_length,
         "interval": interval,
-        "plain_s": round(plain_best, 4),
-        "interval_s": round(interval_best, 4),
+        "pairs": repeats,
+        "plain_s": round(min(plain_times), 4),
+        "interval_s": round(min(interval_times), 4),
         "overhead": round(statistics.median(ratios) - 1.0, 4),
     }
 

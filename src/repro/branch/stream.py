@@ -75,6 +75,9 @@ _CAUSES = (
     PenaltyCause.PHT_MISPREDICT,
     PenaltyCause.BTB_MISPREDICT,
 )
+#: Cause names by code: the ``penalty_slots_by_cause`` keys, read
+#: without an enum ``.value`` property call per redirect.
+_CAUSE_NAMES = tuple(cause.value for cause in _CAUSES)
 _OUTCOME_CODE = {outcome: code for code, outcome in enumerate(_OUTCOMES)}
 _CAUSE_CODE = {cause: code for code, cause in enumerate(_CAUSES)}
 
@@ -129,7 +132,7 @@ def stream_digest(config: SimConfig) -> str:
     return digest[:16]
 
 
-@dataclass(slots=True)
+@dataclass(slots=True, weakref_slot=True)
 class PredictionStream:
     """One workload's recorded branch-outcome sequence.
 
@@ -454,30 +457,28 @@ class _LoweredStream:
         self.wp_n = stream.wp_n.tolist()
 
 
-_LOWERED_CAP = 8
-# Keyed by id(stream); each entry pins the stream so the id cannot be
-# recycled while the entry lives (same scheme as repro.core.vector_kernels).
-_lowered_memo: dict[int, tuple[PredictionStream, _LoweredStream]] = {}
-_n_lowerings = 0
+# Keyed by id(stream) in the shared lowering memo (repro.core.lowering):
+# an entry dies with its stream, so the id cannot be recycled while the
+# entry lives.
+_lowered_memo: dict[int, _LoweredStream] = {}
 
 
 def stream_lowerings() -> int:
     """Stream lowerings actually performed — a test hook (see
     ``tests/core/test_lowering_sharing.py``), not a metric."""
-    return _n_lowerings
+    from repro.core.lowering import LOWERING_COUNTS
+
+    return LOWERING_COUNTS["stream"]
 
 
 def _lowered_lists(stream: PredictionStream) -> _LoweredStream:
-    entry = _lowered_memo.get(id(stream))
-    if entry is not None:
-        return entry[1]
-    global _n_lowerings
-    if len(_lowered_memo) >= _LOWERED_CAP:
-        _lowered_memo.pop(next(iter(_lowered_memo)))
-    _n_lowerings += 1
-    value = _LoweredStream(stream)
-    _lowered_memo[id(stream)] = (stream, value)
-    return value
+    # Deferred import: repro.core imports this module.
+    from repro.core.lowering import memo_get
+
+    return memo_get(
+        _lowered_memo, (stream,), id(stream), "stream",
+        lambda: _LoweredStream(stream),
+    )
 
 
 class ReplayBranchUnit:
@@ -588,9 +589,8 @@ class ReplayBranchUnit:
             return correct_result(pht_index, predicted_taken)
         self._last = i
         cause_code = self._cause[i]
-        cause = _CAUSES[cause_code]
         penalty = self._penalty[i]
-        stats.penalty_slots_by_cause[cause.value] += penalty
+        stats.penalty_slots_by_cause[_CAUSE_NAMES[cause_code]] += penalty
         if cause_code == 1:
             stats.btb_misfetches += 1
         elif cause_code == 2:
@@ -600,7 +600,7 @@ class ReplayBranchUnit:
         raw_start = self._wstart[i]
         return PredictionResult(
             outcome=_OUTCOMES[outcome_code],
-            cause=cause,
+            cause=_CAUSES[cause_code],
             penalty_slots=penalty,
             wrong_path_start=None if raw_start < 0 else raw_start,
             wrong_path_delay=self._delay[i],

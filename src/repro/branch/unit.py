@@ -104,6 +104,12 @@ class PredictionResult(NamedTuple):
 
 _COND = InstrKind.COND_BRANCH
 
+#: ``penalty_slots_by_cause`` keys, bound once: an enum's ``.value`` is
+#: a property call, and the redirect paths charge one per redirect.
+_BTB_MISFETCH = PenaltyCause.BTB_MISFETCH.value
+_PHT_MISPREDICT = PenaltyCause.PHT_MISPREDICT.value
+_BTB_MISPREDICT = PenaltyCause.BTB_MISPREDICT.value
+
 
 @functools.cache
 def correct_result(
@@ -133,9 +139,9 @@ class BranchStats:
     btb_mispredicts: int = 0
     penalty_slots_by_cause: dict[str, int] = field(
         default_factory=lambda: {
-            PenaltyCause.BTB_MISFETCH.value: 0,
-            PenaltyCause.PHT_MISPREDICT.value: 0,
-            PenaltyCause.BTB_MISPREDICT.value: 0,
+            _BTB_MISFETCH: 0,
+            _PHT_MISPREDICT: 0,
+            _BTB_MISPREDICT: 0,
         }
     )
 
@@ -211,7 +217,7 @@ class BranchUnit:
         stats = self.stats
         slots = self.misfetch_penalty_slots
         stats.btb_misfetches += 1
-        stats.penalty_slots_by_cause[PenaltyCause.BTB_MISFETCH.value] += slots
+        stats.penalty_slots_by_cause[_BTB_MISFETCH] += slots
         return PredictionResult(
             FetchOutcome.MISFETCH, PenaltyCause.BTB_MISFETCH, slots,
             wrong_start, 0, slots, pht_index, predicted_taken,
@@ -276,7 +282,7 @@ class BranchUnit:
         # Direction mispredict (PHT's fault in the decoupled design).
         slots = self.mispredict_penalty_slots
         stats.pht_mispredicts += 1
-        stats.penalty_slots_by_cause[PenaltyCause.PHT_MISPREDICT.value] += slots
+        stats.penalty_slots_by_cause[_PHT_MISPREDICT] += slots
         if predicted_taken:
             if entry is not None:
                 # Fetched the taken target immediately; wrong for 4 cycles.
@@ -326,7 +332,7 @@ class BranchUnit:
         stats = self.stats
         slots = self.mispredict_penalty_slots
         stats.btb_mispredicts += 1
-        stats.penalty_slots_by_cause[PenaltyCause.BTB_MISPREDICT.value] += slots
+        stats.penalty_slots_by_cause[_BTB_MISPREDICT] += slots
         return PredictionResult(
             FetchOutcome.MISPREDICT, PenaltyCause.BTB_MISPREDICT, slots,
             predicted, 0, slots, None, None,

@@ -4,7 +4,8 @@
 cannot (``schedule.driver_required``), both built on the warm-state
 primitives of :class:`~repro.core.engine.FetchEngine` — ``fork`` (deep
 copy of the warm machine), ``set_policy`` (interval-boundary policy
-swap), and ``_run_span`` (the hot loop over one interval's records):
+swap), and ``_run_span`` (the hot loop over one interval's lowered
+records, shared by every fork):
 
 * **tournament** — the committed timeline runs the controller's
   incumbent; every other candidate runs the same interval on a fork of
@@ -80,12 +81,12 @@ class AdaptiveEngine:
             inner.unit.stream.require_trace(trace)
         inner._tau = 0
         inner.interval_log = []
-        records = trace.records
-        spans = interval_spans(records, self.config.adaptive_interval)
+        plans = inner.plans(trace)
+        spans = interval_spans(trace.records, self.config.adaptive_interval)
         if isinstance(self.schedule, TournamentController):
-            t = self._run_tournament(records, spans, warmup_instructions)
+            t = self._run_tournament(plans, spans, warmup_instructions)
         elif isinstance(self.schedule, OracleSchedule):
-            t = self._run_oracle(records, spans, warmup_instructions)
+            t = self._run_oracle(plans, spans, warmup_instructions)
         else:
             raise SimulationError(
                 f"unknown driver schedule {type(self.schedule).__name__}"
@@ -100,7 +101,7 @@ class AdaptiveEngine:
         fork,
         policy: FetchPolicy,
         span: tuple[int, int],
-        records,
+        plans,
         index: int,
         t: int,
         warm_left: int,
@@ -115,13 +116,13 @@ class AdaptiveEngine:
         lo, hi = span
         fork.set_policy(policy)
         snapshot = fork.snapshot_stats()
-        end_t, end_warm = fork._run_span(records[lo:hi], t, warm_left)
+        end_t, end_warm = fork._run_span(plans[lo:hi], t, warm_left)
         self.inner.shadow_runs += 1
         return fork.interval_delta(index, snapshot, reset=reset), end_t, end_warm
 
     # -- the two drivers ----------------------------------------------------
 
-    def _run_tournament(self, records, spans, warmup_instructions: int) -> int:
+    def _run_tournament(self, plans, spans, warmup_instructions: int) -> int:
         """Committed incumbent + shadow challengers per interval."""
         inner = self.inner
         controller = self.schedule
@@ -140,21 +141,21 @@ class AdaptiveEngine:
             snapshot = inner.snapshot_stats()
             warm_before = warm_left
             t_before = t
-            t, warm_left = inner._run_span(records[lo:hi], t, warm_left)
+            t, warm_left = inner._run_span(plans[lo:hi], t, warm_left)
             reset = warm_before > 0 and warm_left <= 0
             stats = inner.interval_delta(k, snapshot, reset=reset)
             inner.commit_interval(stats, reset=reset)
             estimates = {incumbent: stats.ispi}
             for policy, fork in shadows:
                 shadow, _, _ = self._shadow_interval(
-                    fork, policy, (lo, hi), records, k, t_before,
+                    fork, policy, (lo, hi), plans, k, t_before,
                     warm_before, reset,
                 )
                 estimates[policy] = shadow.ispi
             controller.update(estimates)
         return t
 
-    def _run_oracle(self, records, spans, warmup_instructions: int) -> int:
+    def _run_oracle(self, plans, spans, warmup_instructions: int) -> int:
         """Best-of-all-candidates per interval, from identical warm state.
 
         Every candidate (including the eventual winner) runs the interval
@@ -183,12 +184,12 @@ class AdaptiveEngine:
             best = None
             best_slots = None
             reset = warm_before > 0 and warm_before - _span_instructions(
-                records, lo, hi
+                plans, lo, hi
             ) <= 0
             for policy in candidates:
                 fork = inner.fork()
                 stats, end_t, end_warm = self._shadow_interval(
-                    fork, policy, (lo, hi), records, k, t, warm_before, reset
+                    fork, policy, (lo, hi), plans, k, t, warm_before, reset
                 )
                 if best_slots is None or stats.penalty_slots < best_slots:
                     best = (policy, fork, stats, end_t, end_warm)
@@ -200,13 +201,13 @@ class AdaptiveEngine:
             else:
                 inner.set_policy(best_policy, t=t, interval=k)
                 snapshot = inner.snapshot_stats()
-                t, warm_left = inner._run_span(records[lo:hi], t, warm_left)
+                t, warm_left = inner._run_span(plans[lo:hi], t, warm_left)
                 stats = inner.interval_delta(k, snapshot, reset=reset)
             inner.commit_interval(stats, reset=reset)
             self.schedule.observe(stats)
         return t
 
 
-def _span_instructions(records, lo: int, hi: int) -> int:
+def _span_instructions(plans, lo: int, hi: int) -> int:
     """Instruction count of the record span [lo, hi)."""
-    return sum(records[i].length for i in range(lo, hi))
+    return sum(plans[i].length for i in range(lo, hi))

@@ -1,0 +1,176 @@
+"""Lowered, read-only simulation inputs shared across engines.
+
+Every cell of a sweep re-reads the same trace through the same code
+image, and most of what it derives per record depends on neither the
+policy nor the cache state.  This module holds that derivation, done
+once and memoized:
+
+* :class:`FetchProgram` — the event loop's view of one trace at one
+  line size: per record, an interned :class:`BlockPlan` with the
+  record's per-line probes and its terminator's static fields;
+* the identity-keyed memo (:func:`memo_get`) that
+  :mod:`repro.core.vector_kernels` (the vector backend's arrays),
+  :mod:`repro.core.wrongpath` (static wrong-path segments) and
+  :mod:`repro.branch.stream` (replayed streams' list forms) share.
+
+Lowered state is pure read-only data, so one lowering serves every
+engine (and every ``AdaptiveEngine`` fork) simulating the same trace;
+simlint SIM011 flags direct constructions outside the factories.
+"""
+
+from __future__ import annotations
+
+import weakref
+from typing import NamedTuple
+
+from repro.isa import INSTRUCTION_SIZE, InstrKind
+from repro.program.image import CodeImage
+from repro.trace.event import Trace
+
+_PLAIN = int(InstrKind.PLAIN)
+_COND = int(InstrKind.COND_BRANCH)
+
+# -- the identity-keyed memo ---------------------------------------------------
+#
+# Memos key on *object identity*: content keys would need a digest the
+# Trace doesn't carry, and test suites legitimately build distinct
+# programs under one name/seed/shape.  Identity keying still shares
+# everything that should be shared: a policy sweep passes one trace
+# object to every engine, and ``FetchEngine.fork()`` shares the
+# program/config/stream with its forks by identity.  An entry is dropped
+# as soon as one of its source objects dies (a weak-reference
+# finalizer), so an ``id()`` cannot be recycled while its entry lives,
+# and a worker that loads a fresh trace per job keeps no dead trace's
+# lowering alive.
+
+MEMO_CAP = 8
+
+#: Lowerings actually performed, by kind — a test hook (see
+#: tests/core/test_lowering_sharing.py), not a metric.
+LOWERING_COUNTS = {
+    "fetch": 0,
+    "segments": 0,
+    "stream": 0,
+    "trace": 0,
+    "probe": 0,
+    "walk": 0,
+    "probe_split": 0,
+    "walk_split": 0,
+}
+
+
+def memo_get(memo: dict, sources: tuple, key, kind: str, build):
+    """``memo[key]``, built by ``build()`` on a miss.
+
+    *key* holds the ids of *sources*, the objects the value is derived
+    from; the entry lives until one of them dies, and at most
+    :data:`MEMO_CAP` entries are kept (the oldest is evicted).
+    """
+    value = memo.get(key)
+    if value is not None:
+        return value
+    if len(memo) >= MEMO_CAP:
+        memo.pop(next(iter(memo)))
+    LOWERING_COUNTS[kind] += 1
+    value = memo[key] = build()
+    for source in sources:
+        weakref.finalize(source, memo.pop, key, None)
+    return value
+
+
+# -- the event loop's fetch program -------------------------------------------
+
+
+class BlockPlan(NamedTuple):
+    """One trace record, lowered for the event loop.
+
+    ``probes`` lists the record's right-path cache accesses as
+    ``(line, chunk, gate, tail)``: *chunk* instructions issue from
+    *line*, and *tail* instructions of the line remain after them (the
+    fetchahead prefetch trigger).  A conditional branch's terminator is
+    its own last probe with *gate* set: the speculation-depth gate runs
+    just before it.  The remaining fields describe the terminator, the
+    inputs of the branch unit's ``predict``.
+    """
+
+    length: int
+    probes: tuple[tuple[int, int, bool, int], ...]
+    kind: int
+    term_addr: int
+    kind_enum: InstrKind
+    static_target: int | None
+    fall: int
+    taken: bool
+    next_pc: int
+
+
+def _line_probes(
+    pc: int, n: int, gate: bool, shift: int, per_line: int
+) -> list[tuple[int, int, bool, int]]:
+    """Split *n* sequential instructions at *pc* into per-line probes."""
+    probes = []
+    idx = pc // INSTRUCTION_SIZE
+    while n > 0:
+        in_line = per_line - idx % per_line
+        chunk = in_line if in_line < n else n
+        probes.append((pc >> shift, chunk, gate, in_line - chunk))
+        pc += chunk * INSTRUCTION_SIZE
+        idx += chunk
+        n -= chunk
+    return probes
+
+
+class FetchProgram:
+    """One trace lowered for the event loop at one line size.
+
+    ``plans[i]`` is record *i*'s :class:`BlockPlan`.  Plans are interned
+    per distinct record value (a 200k-instruction gcc trace has 37,934
+    records but 1,318 distinct ones), so the lowering costs one list
+    slot per record plus one small plan per distinct record.
+    """
+
+    __slots__ = ("plans",)
+
+    def __init__(self, trace: Trace, image: CodeImage, line_size: int) -> None:
+        shift = line_size.bit_length() - 1
+        per_line = line_size // INSTRUCTION_SIZE
+        base = image.base
+        targets = image.targets_list
+        interned: dict[tuple, BlockPlan] = {}
+        plans = []
+        for record in trace.records:
+            plan = interned.get(record)
+            if plan is None:
+                start, length, kind, taken, next_pc = record
+                term_addr = start + (length - 1) * INSTRUCTION_SIZE
+                static_target = None
+                if kind == _COND:
+                    probes = _line_probes(
+                        start, length - 1, False, shift, per_line
+                    ) + _line_probes(term_addr, 1, True, shift, per_line)
+                else:
+                    probes = _line_probes(start, length, False, shift, per_line)
+                if kind != _PLAIN:
+                    raw = targets[(term_addr - base) // INSTRUCTION_SIZE]
+                    static_target = None if raw < 0 else raw
+                plan = interned[record] = BlockPlan(
+                    length, tuple(probes), kind, term_addr, InstrKind(kind),
+                    static_target, term_addr + INSTRUCTION_SIZE, taken, next_pc,
+                )
+            plans.append(plan)
+        self.plans = plans
+
+
+_fetch_memo: dict[tuple, FetchProgram] = {}
+
+
+def fetch_program(trace: Trace, image: CodeImage, line_size: int) -> FetchProgram:
+    """The (memoized) fetch program of *trace* through *image* at
+    *line_size*."""
+    return memo_get(
+        _fetch_memo,
+        (trace, image),
+        (id(trace), id(image), line_size),
+        "fetch",
+        lambda: FetchProgram(trace, image, line_size),
+    )

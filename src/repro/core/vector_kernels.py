@@ -7,9 +7,10 @@ machinery it runs on.  This module is the machinery:
 * **kernels** — pure array transforms, each with a straight-Python
   reference in ``tests/properties/test_vector_kernels.py``: set/tag
   arithmetic (:func:`split_sets`), run-to-probe expansion
-  (:func:`expand_runs`), and the perfect-cache timeline's
-  speculation-depth gating (:func:`depth_gate_positions`) and segment
-  positioning (:func:`accumulate_positions`);
+  (:func:`lines_from_runs_arrays`, :func:`expand_runs`), and the
+  perfect-cache timeline's speculation-depth gating
+  (:func:`depth_gate_positions`) and segment positioning
+  (:func:`accumulate_positions`);
 
 * **lowered state** — the per-trace / per-line-size / per-geometry
   array forms the engine consumes (:class:`TraceArrays`,
@@ -31,7 +32,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.core.wrongpath import lines_from_runs_arrays
+from repro.core.lowering import memo_get
 from repro.isa import INSTRUCTION_SIZE, InstrKind
 from repro.trace.event import Trace
 
@@ -48,10 +49,39 @@ def split_sets(lines, set_mask: int, set_shift: int):
     return lines & set_mask, lines >> set_shift
 
 
+def lines_from_runs_arrays(run_pc, run_n, line_size: int):
+    """Vectorized twin of :func:`repro.core.wrongpath.iter_lines_from_runs`.
+
+    Splits ``(start_addr, n)`` run arrays into flat ``(line, chunk)``
+    probe arrays in one pass — the same address arithmetic as the
+    iterator, batch form (the vector backend lowers a stream's recorded
+    walks once per line size instead of re-splitting per redirect).
+    Returns ``(line, chunk, run_off)`` where ``run_off[i] :
+    run_off[i + 1]`` indexes run *i*'s probes.
+    """
+    run_pc = np.asarray(run_pc, dtype=np.int64)
+    run_n = np.asarray(run_n, dtype=np.int64)
+    shift = line_size.bit_length() - 1
+    per_line = line_size // INSTRUCTION_SIZE
+    first = run_pc >> shift
+    last = (run_pc + (run_n - 1) * INSTRUCTION_SIZE) >> shift
+    count = last - first + 1
+    total = int(count.sum())
+    run_off = np.zeros(run_pc.size + 1, dtype=np.int64)
+    np.cumsum(count, out=run_off[1:])
+    probe_run = np.repeat(np.arange(run_pc.size, dtype=np.int64), count)
+    within = np.arange(total, dtype=np.int64) - run_off[probe_run]
+    line = first[probe_run] + within
+    idx0 = run_pc // INSTRUCTION_SIZE
+    lo = np.maximum(line * per_line, idx0[probe_run])
+    hi = np.minimum((line + 1) * per_line, idx0[probe_run] + run_n[probe_run])
+    return line, hi - lo, run_off
+
+
 def expand_runs(run_pc, run_n, line_size: int):
     """Expand instruction runs into per-line probes.
 
-    Mirrors the event loop's ``_issue_run`` chunking: a run of *n*
+    Mirrors the event loop's per-line split (``FetchProgram``): a run of *n*
     instructions starting at *pc* probes each cache line it touches
     once, issuing ``min(per_line - idx % per_line, remaining)``
     instructions from it.  Returns ``(probe_run, probe_line,
@@ -122,26 +152,8 @@ def accumulate_positions(lengths, extra):
 #
 # The record arrays depend only on the trace; the probe stream
 # additionally depends on the line size; the walk probes additionally
-# depend on the stream.  All memos key on *object identity* — each
-# entry pins a strong reference to its source object, so an ``id()``
-# cannot be recycled while the entry lives.  Content keys would need a
-# digest the Trace doesn't carry, and test suites legitimately build
-# distinct programs under one name/seed/shape.  Identity keying still
-# shares everything that should be shared: a policy sweep passes one
-# trace object to every engine, and ``FetchEngine.fork()`` shares the
-# program/config/stream with its forks by identity.
-
-_MEMO_CAP = 8
-
-#: Lowerings actually performed, by kind — a test hook (see
-#: tests/core/test_lowering_sharing.py), not a metric.
-LOWERING_COUNTS = {
-    "trace": 0,
-    "probe": 0,
-    "walk": 0,
-    "probe_split": 0,
-    "walk_split": 0,
-}
+# depend on the stream.  All share the identity-keyed memo of
+# :mod:`repro.core.lowering`.
 
 
 class TraceArrays:
@@ -255,38 +267,26 @@ class WalkSplit:
         self.tuples = list(zip(sets.tolist(), tags.tolist(), wa.chunk_l))
 
 
-_trace_memo: dict[int, tuple[Trace, TraceArrays]] = {}
-_probe_memo: dict[tuple, tuple[Trace, ProbeArrays]] = {}
-_walk_memo: dict[tuple, tuple[object, WalkArrays]] = {}
-_probe_split_memo: dict[tuple, tuple[Trace, ProbeSplit]] = {}
-_walk_split_memo: dict[tuple, tuple[object, WalkSplit]] = {}
-
-
-def _memo_get(memo: dict, anchor, key, kind: str, build):
-    entry = memo.get(key)
-    if entry is not None:
-        return entry[1]
-    if len(memo) >= _MEMO_CAP:
-        memo.pop(next(iter(memo)))
-    LOWERING_COUNTS[kind] += 1
-    value = build()
-    memo[key] = (anchor, value)
-    return value
+_trace_memo: dict[int, TraceArrays] = {}
+_probe_memo: dict[tuple, ProbeArrays] = {}
+_walk_memo: dict[tuple, WalkArrays] = {}
+_probe_split_memo: dict[tuple, ProbeSplit] = {}
+_walk_split_memo: dict[tuple, WalkSplit] = {}
 
 
 def trace_arrays(trace: Trace) -> TraceArrays:
     """The (memoized) per-record arrays of *trace*."""
-    return _memo_get(
-        _trace_memo, trace, id(trace), "trace", lambda: TraceArrays(trace)
+    return memo_get(
+        _trace_memo, (trace,), id(trace), "trace", lambda: TraceArrays(trace)
     )
 
 
 def probe_arrays(trace: Trace, line_size: int) -> ProbeArrays:
     """The (memoized) right-path probe stream of *trace* at *line_size*."""
     ta = trace_arrays(trace)
-    return _memo_get(
+    return memo_get(
         _probe_memo,
-        trace,
+        (trace,),
         (id(trace), line_size),
         "probe",
         lambda: ProbeArrays(ta, line_size),
@@ -295,9 +295,9 @@ def probe_arrays(trace: Trace, line_size: int) -> ProbeArrays:
 
 def walk_arrays(stream, line_size: int) -> WalkArrays:
     """The (memoized) lowered wrong-path walks of *stream* at *line_size*."""
-    return _memo_get(
+    return memo_get(
         _walk_memo,
-        stream,
+        (stream,),
         (id(stream), line_size),
         "walk",
         lambda: WalkArrays(stream.wp_pc, stream.wp_n, stream.wp_off, line_size),
@@ -310,9 +310,9 @@ def probe_split(
     """The (memoized) set/tag split of *trace*'s probe stream for one
     cache geometry."""
     pa = probe_arrays(trace, line_size)
-    return _memo_get(
+    return memo_get(
         _probe_split_memo,
-        trace,
+        (trace,),
         (id(trace), line_size, set_mask, set_shift),
         "probe_split",
         lambda: ProbeSplit(pa, set_mask, set_shift),
@@ -325,9 +325,9 @@ def walk_split(
     """The (memoized) set/tag split of *stream*'s walk probes for one
     cache geometry."""
     wa = walk_arrays(stream, line_size)
-    return _memo_get(
+    return memo_get(
         _walk_split_memo,
-        stream,
+        (stream,),
         (id(stream), line_size, set_mask, set_shift),
         "walk_split",
         lambda: WalkSplit(wa, set_mask, set_shift),

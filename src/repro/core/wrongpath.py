@@ -14,9 +14,10 @@ and unit-testable, and lets prediction-stream replay
 (:mod:`repro.branch.stream`) record walks once in line-size-independent
 form and re-split them for each swept cache geometry.
 
-All three return lists, built eagerly.  That is sound because nothing
-mutates the predictor while the engine consumes a walk, and it saves a
-generator resume per chunk on the engine's redirect path.
+All three return lists, built eagerly: nothing mutates the predictor
+while the engine consumes a walk.  Walks are assembled from memoized
+static segments (:func:`_walk`), so a live walk consults the predictor
+only at the transfers it picks.
 
 Modelling notes (see DESIGN.md §4):
 
@@ -35,9 +36,8 @@ from __future__ import annotations
 
 from collections.abc import Iterable
 
-import numpy as np
-
 from repro.branch.unit import BranchUnit
+from repro.core.lowering import memo_get
 from repro.isa import INSTRUCTION_SIZE, InstrKind
 from repro.program.image import CodeImage
 
@@ -45,7 +45,89 @@ _COND = int(InstrKind.COND_BRANCH)
 _JUMP = int(InstrKind.JUMP)
 _CALL = int(InstrKind.CALL)
 _RETURN = int(InstrKind.RETURN)
-_ICALL = int(InstrKind.INDIRECT_CALL)
+_END = -1
+
+
+def _segment(
+    image: CodeImage, pc: int, budget: int, line_size: int | None
+) -> tuple:
+    """The predictor-independent stretch of a walk from *pc* with
+    *budget* instructions left, through static jumps and calls up to the
+    end of the walk or a transfer the predictor picks.
+
+    Returns ``(pieces, kind, ctrl_addr, target, remaining)``: the
+    ``(start_addr, n)`` runs (``(line, n)`` chunks with a *line_size*),
+    then that transfer (kind ``_END`` if none) and the budget left.
+    """
+    base = image.base
+    n_image = image.n_instructions
+    kinds = image.kinds_list
+    targets = image.targets_list
+    next_ctrl = image.next_ctrl_list
+    runs: list[tuple[int, int]] = []
+    transfer = (_END, 0, 0, 0)
+    while True:
+        offset = pc - base
+        idx = offset // INSTRUCTION_SIZE
+        if offset < 0 or offset % INSTRUCTION_SIZE or idx >= n_image:
+            break
+        ctrl = next_ctrl[idx]
+        run = (n_image if ctrl >= n_image else ctrl + 1) - idx
+        take = run if run < budget else budget
+        runs.append((base + idx * INSTRUCTION_SIZE, take))
+        budget -= take
+        if take < run or ctrl >= n_image or budget == 0:
+            break
+        kind = kinds[ctrl]
+        if kind != _JUMP and kind != _CALL:
+            transfer = (kind, base + ctrl * INSTRUCTION_SIZE, targets[ctrl], budget)
+            break
+        pc = targets[ctrl]
+    pieces = runs if line_size is None else iter_lines_from_runs(runs, line_size)
+    return (tuple(pieces), *transfer)
+
+
+#: One memo of static segments per (image, line size), keyed by
+#: ``(pc, remaining budget)``; see :func:`_walk`.
+_segment_memos: dict[tuple, dict] = {}
+
+
+def _walk(
+    image: CodeImage, unit: BranchUnit, pc: int, remaining: int, line_size: int | None
+) -> list[tuple[int, int]]:
+    """The one loop that follows wrong-path transfers.
+
+    The code between predictor-picked transfers comes from the segment
+    memo of *image* at *line_size*; the loop only asks the predictor
+    (read-only ``peek_*``) where each such transfer goes.  The memo
+    holds only what the image alone decides, because predictor state
+    changes between walks.
+    """
+    walk: list[tuple[int, int]] = []
+    if remaining <= 0:
+        return walk
+    segments = memo_get(
+        _segment_memos, (image,), (id(image), line_size), "segments", dict
+    )
+    while True:
+        segment = segments.get((pc, remaining))
+        if segment is None:
+            segment = _segment(image, pc, remaining, line_size)
+            segments[pc, remaining] = segment
+        pieces, kind, ctrl_addr, target, remaining = segment
+        walk += pieces
+        if kind == _END:
+            return walk
+        fall = ctrl_addr + INSTRUCTION_SIZE
+        if kind == _COND:
+            pc = target if unit.peek_direction(ctrl_addr) else fall
+        else:  # returns and indirect calls: the RAS, else the BTB
+            predicted = (
+                unit.ras.peek() if kind == _RETURN and unit.ras is not None else None
+            )
+            if predicted is None:
+                predicted = unit.peek_target(ctrl_addr)
+            pc = fall if predicted is None else predicted
 
 
 def iter_wrong_path_runs(
@@ -60,56 +142,9 @@ def iter_wrong_path_runs(
     The walk starts at *start_pc* and fetches at most *max_instructions*
     instructions; each run ends at a control transfer (inclusive) or at
     the instruction budget.  Runs are independent of any cache geometry —
-    split them with :func:`iter_lines_from_runs`.  This is the only place
-    that follows control transfers on the wrong path.
+    split them with :func:`iter_lines_from_runs`.
     """
-    runs: list[tuple[int, int]] = []
-    if max_instructions <= 0:
-        return runs
-    base = image.base
-    n_image = image.n_instructions
-    kinds = image.kinds_list
-    targets = image.targets_list
-    next_ctrl = image.next_ctrl_list
-
-    pc = start_pc
-    remaining = max_instructions
-    while remaining > 0:
-        offset = pc - base
-        if offset < 0 or offset % INSTRUCTION_SIZE:
-            return runs
-        idx = offset // INSTRUCTION_SIZE
-        if idx >= n_image:
-            return runs
-        ctrl = next_ctrl[idx]
-        run = (n_image if ctrl >= n_image else ctrl + 1) - idx
-        take = run if run < remaining else remaining
-        runs.append((base + idx * INSTRUCTION_SIZE, take))
-        remaining -= take
-        if take < run or ctrl >= n_image:
-            return runs
-        # Follow the speculative prediction at the control transfer.
-        kind = kinds[ctrl]
-        ctrl_addr = base + ctrl * INSTRUCTION_SIZE
-        fall = ctrl_addr + INSTRUCTION_SIZE
-        if kind == _COND:
-            if unit.peek_direction(ctrl_addr):
-                pc = targets[ctrl]
-            else:
-                pc = fall
-        elif kind == _JUMP or kind == _CALL:
-            pc = targets[ctrl]
-        elif kind == _RETURN or kind == _ICALL:
-            if kind == _RETURN and unit.ras is not None:
-                predicted = unit.ras.peek()
-            else:
-                predicted = unit.peek_target(ctrl_addr)
-            if predicted is None:
-                predicted = unit.peek_target(ctrl_addr)
-            pc = predicted if predicted is not None else fall
-        else:  # pragma: no cover - images contain only the kinds above
-            return runs
-    return runs
+    return _walk(image, unit, start_pc, max_instructions, None)
 
 
 def iter_lines_from_runs(
@@ -129,43 +164,13 @@ def iter_lines_from_runs(
         pos = start_addr // INSTRUCTION_SIZE
         left = count
         while left > 0:
-            addr = pos * INSTRUCTION_SIZE
-            line = addr >> line_shift
+            line = (pos * INSTRUCTION_SIZE) >> line_shift
             in_line = per_line - pos % per_line
             chunk = in_line if in_line < left else left
             chunks.append((line, chunk))
             pos += chunk
             left -= chunk
     return chunks
-
-
-def lines_from_runs_arrays(run_pc, run_n, line_size: int):
-    """Vectorized twin of :func:`iter_lines_from_runs`.
-
-    Splits ``(start_addr, n)`` run arrays into flat ``(line, chunk)``
-    probe arrays in one pass — the same address arithmetic as the
-    iterator, batch form (the vector backend lowers a stream's recorded
-    walks once per line size instead of re-splitting per redirect).
-    Returns ``(line, chunk, run_off)`` where ``run_off[i] :
-    run_off[i + 1]`` indexes run *i*'s probes.
-    """
-    run_pc = np.asarray(run_pc, dtype=np.int64)
-    run_n = np.asarray(run_n, dtype=np.int64)
-    shift = line_size.bit_length() - 1
-    per_line = line_size // INSTRUCTION_SIZE
-    first = run_pc >> shift
-    last = (run_pc + (run_n - 1) * INSTRUCTION_SIZE) >> shift
-    count = last - first + 1
-    total = int(count.sum())
-    run_off = np.zeros(run_pc.size + 1, dtype=np.int64)
-    np.cumsum(count, out=run_off[1:])
-    probe_run = np.repeat(np.arange(run_pc.size, dtype=np.int64), count)
-    within = np.arange(total, dtype=np.int64) - run_off[probe_run]
-    line = first[probe_run] + within
-    idx0 = run_pc // INSTRUCTION_SIZE
-    lo = np.maximum(line * per_line, idx0[probe_run])
-    hi = np.minimum((line + 1) * per_line, idx0[probe_run] + run_n[probe_run])
-    return line, hi - lo, run_off
 
 
 def iter_wrong_path_lines(
@@ -176,14 +181,9 @@ def iter_wrong_path_lines(
     line_size: int,
 ) -> list[tuple[int, int]]:
     """List the ``(line_number, n_instructions)`` chunks of a wrong-path
-    walk.
+    walk: :func:`iter_wrong_path_runs` split at cache-line boundaries.
 
-    The walk starts at *start_pc* and fetches at most *max_instructions*
-    instructions, splitting each straight-line run at cache-line
-    boundaries.  The caller (engine) decides how many of the listed
-    instructions actually fit in its redirect window.
+    The caller (engine) decides how many of the listed instructions
+    actually fit in its redirect window.
     """
-    return iter_lines_from_runs(
-        iter_wrong_path_runs(image, unit, start_pc, max_instructions),
-        line_size,
-    )
+    return _walk(image, unit, start_pc, max_instructions, line_size)

@@ -7,14 +7,16 @@ constraints are all checked.  A ``FetchEngine(...)`` (or
 ``VectorEngine(...)``) constructed directly anywhere else silently
 bypasses that seam: the cell pins one backend regardless of the
 ``engine_backend`` knob, and the cross-backend differential guarantees
-quietly erode.  The same seam discipline covers the backend's lowered
-kernel state (``repro.core.vector_kernels``): ``TraceArrays`` /
-``ProbeArrays`` / ``WalkArrays`` and their geometry splits are memoized
-read-only data shared across engines and ``AdaptiveEngine`` forks, and
-a direct construction launders a private un-memoized copy past that
-sharing (and past the identity keying that makes it correct).  This
-rule flags direct constructions in the determinism modules outside the
-sanctioned factories (``build_engine`` and the ``*_arrays`` /
+quietly erode.  The same seam discipline covers the lowered state the
+engines run on: the event loop's ``FetchProgram``
+(``repro.core.lowering``) and the vector backend's ``TraceArrays`` /
+``ProbeArrays`` / ``WalkArrays`` and their geometry splits
+(``repro.core.vector_kernels``) are memoized read-only data shared
+across engines and ``AdaptiveEngine`` forks, and a direct construction
+launders a private un-memoized copy past that sharing (and past the
+identity keying that makes it correct).  This rule flags direct
+constructions in the determinism modules outside the sanctioned
+factories (``build_engine``, ``fetch_program`` and the ``*_arrays`` /
 ``*_split`` lowering factories).
 """
 
@@ -27,11 +29,12 @@ from repro.lint.context import FileContext
 from repro.lint.registry import RawFinding, Rule, register
 
 #: Constructors that must go through a seam: the engines themselves and
-#: the vector backend's lowered kernel state.
+#: the lowered state they run on.
 _ENGINE_CLASSES = frozenset(
     {
         "FetchEngine",
         "VectorEngine",
+        "FetchProgram",
         "TraceArrays",
         "ProbeArrays",
         "WalkArrays",
@@ -45,6 +48,7 @@ _ENGINE_CLASSES = frozenset(
 _ALLOWED_FACTORIES = frozenset(
     {
         "build_engine",
+        "fetch_program",
         "trace_arrays",
         "probe_arrays",
         "walk_arrays",

@@ -80,11 +80,11 @@ class Histogram:
         self.min: int | None = None
         self.max: int | None = None
 
-    def observe(self, value: int) -> None:
-        """Record one sample."""
-        self.counts[bisect_right(self.bounds, value - 1)] += 1
-        self.count += 1
-        self.total += value
+    def observe(self, value: int, n: int = 1) -> None:
+        """Record *n* samples of *value*."""
+        self.counts[bisect_right(self.bounds, value - 1)] += n
+        self.count += n
+        self.total += value * n
         if self.min is None or value < self.min:
             self.min = value
         if self.max is None or value > self.max:

@@ -63,7 +63,7 @@ class BlockRecord(NamedTuple):
             raise TraceError(f"PLAIN-terminated block at {self.start:#x} taken")
 
 
-@dataclass(slots=True)
+@dataclass(slots=True, weakref_slot=True)
 class Trace:
     """An ordered sequence of correct-path block records."""
 

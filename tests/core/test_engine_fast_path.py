@@ -1,11 +1,11 @@
 """Differential tests for the engine's direct-mapped hot-loop fast path.
 
-The fast path in ``FetchEngine._issue_run`` (and the inlined terminator
-issue in ``run``) batches cache-hit bookkeeping for direct-mapped,
-unclassified, stream-buffer-free configurations.  These tests force the
-general path on an otherwise identical engine and assert the results are
-bit-identical, so the fast path can never drift from the reference
-semantics.
+The fast path in ``FetchEngine._run_span``'s probe loop inlines
+cache-hit bookkeeping for direct-mapped, unclassified, stream-buffer-free
+configurations.  These tests force the general path
+(``_fetch_right_line`` for every probe) on an otherwise identical engine
+and assert the results are bit-identical, so the fast path can never
+drift from the reference semantics.
 """
 
 from __future__ import annotations

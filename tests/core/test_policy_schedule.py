@@ -234,9 +234,9 @@ class TestOracleAdoption:
         calls = {"n": 0}
         original = FetchEngine._run_span
 
-        def counting(engine, records, t, warm_left):
+        def counting(engine, plans, t, warm_left):
             calls["n"] += 1
-            return original(engine, records, t, warm_left)
+            return original(engine, plans, t, warm_left)
 
         monkeypatch.setattr(FetchEngine, "_run_span", counting)
         return calls
@@ -297,8 +297,9 @@ class TestForkIsolation:
     def _warm_engine(self, workload):
         program, trace = workload
         engine = build_engine(program, SimConfig())
-        t, warm = engine._run_span(trace.records[: self.SPLIT], 0, 0)
-        return engine, trace.records[self.SPLIT :], t, warm
+        plans = engine.plans(trace)
+        t, warm = engine._run_span(plans[: self.SPLIT], 0, 0)
+        return engine, plans[self.SPLIT :], t, warm
 
     def test_fork_leaves_parent_untouched(self, workload):
         engine, rest, t, warm = self._warm_engine(workload)

@@ -234,3 +234,72 @@ class TestListWalker:
             _reference_lines(image, unit, start_pc, budget, line_size)
         )
         assert sum(n for _, n in lines) <= budget
+
+
+@pytest.fixture(scope="module")
+def second_image(runner):
+    """Another workload's image: same code base address, other code, so
+    its segments share ``(pc, budget)`` keys with gcc's."""
+    return runner.prepared("li").program.image
+
+
+class TestSegmentMemo:
+    """Walks are assembled from static segments memoized per (image,
+    line size) and shared by every walk; they must never carry one
+    predictor's choices into another walk, or one image's code into
+    another's."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        walks=st.lists(
+            st.tuples(
+                st.integers(0, 5),
+                st.integers(0, 1),
+                st.floats(0.0, 1.0, exclude_max=True),
+                st.integers(-8, 8),
+                st.integers(0, 40),
+                st.sampled_from((16, 32, 64)),
+            ),
+            min_size=1,
+            max_size=12,
+        )
+    )
+    def test_shared_memo_matches_reference(
+        self, trained_units, second_image, walks
+    ):
+        image, units = trained_units
+        images = (image, second_image)
+        for which, pick, anchor, offset, budget, line_size in walks:
+            walked = images[pick]
+            start_pc = (
+                walked.base
+                + INSTRUCTION_SIZE * int(anchor * walked.n_instructions)
+                + offset
+            )
+            unit = units[which]
+            lines = iter_wrong_path_lines(walked, unit, start_pc, budget, line_size)
+            assert isinstance(lines, list)
+            assert lines == list(
+                _reference_lines(walked, unit, start_pc, budget, line_size)
+            )
+
+    def test_units_disagree_through_one_memo(self, trained_units):
+        """Two units walking from one start through one warm memo each
+        follow their own predictions."""
+        image, units = trained_units
+        for i, kind in enumerate(image.kinds_list):
+            pc = image.base + INSTRUCTION_SIZE * i
+            if kind == InstrKind.COND_BRANCH and units[0].peek_direction(
+                pc
+            ) != units[5].peek_direction(pc):
+                break
+        else:  # pragma: no cover - the trained units must differ somewhere
+            pytest.fail("no conditional where the units disagree")
+        walks = [
+            iter_wrong_path_lines(image, unit, pc, 16, 32)
+            for unit in (units[0], units[5], units[0])
+        ]
+        assert walks[0] != walks[1]
+        assert walks[0] == walks[2]
+        for unit, lines in zip((units[0], units[5]), walks):
+            assert lines == list(_reference_lines(image, unit, pc, 16, 32))

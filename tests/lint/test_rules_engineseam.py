@@ -60,6 +60,17 @@ POSITIVE = [
         "arrays = TraceArrays(trace)\n",
         id="kernel-state-module-level",
     ),
+    pytest.param(
+        "def plans(engine, trace):\n"
+        "    return FetchProgram(trace, engine.program.image, 32).plans\n",
+        id="fetch-program",
+    ),
+    pytest.param(
+        "from repro.core import lowering\n"
+        "def plans(trace, image):\n"
+        "    return lowering.FetchProgram(trace, image, 32).plans\n",
+        id="fetch-program-attribute",
+    ),
 ]
 
 NEGATIVE = [
@@ -99,6 +110,18 @@ NEGATIVE = [
         "    wa = walk_arrays(stream, line_size)\n"
         "    return WalkSplit(wa, set_mask, set_shift)\n",
         id="split-factory-itself",
+    ),
+    pytest.param(
+        "def fetch_program(trace, image, line_size):\n"
+        "    return memo_get(_fetch_memo, (trace, image),\n"
+        "                    (id(trace), id(image), line_size), 'fetch',\n"
+        "                    lambda: FetchProgram(trace, image, line_size))\n",
+        id="fetch-program-factory-itself",
+    ),
+    pytest.param(
+        "def plans(engine, trace):\n"
+        "    return fetch_program(trace, engine.program.image, 32).plans\n",
+        id="calls-through-fetch-program",
     ),
 ]
 

@@ -49,6 +49,14 @@ class TestHistogram:
         assert h.total == 15
         assert (h.min, h.max) == (1, 5)
 
+    def test_repeated_samples_equal_single_observes(self):
+        folded, single = Histogram("h", bounds=(4, 8)), Histogram("h", bounds=(4, 8))
+        for value, n in ((16, 3), (8, 2), (2, 1)):
+            folded.observe(value, n)
+            for _ in range(n):
+                single.observe(value)
+        assert folded.as_value() == single.as_value()
+
     def test_empty_bounds_rejected(self):
         with pytest.raises(ObservabilityError):
             Histogram("h", bounds=())

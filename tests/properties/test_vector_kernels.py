@@ -20,7 +20,8 @@ from repro.core.vector import (
     expand_runs,
     split_sets,
 )
-from repro.core.wrongpath import iter_lines_from_runs, lines_from_runs_arrays
+from repro.core.vector_kernels import lines_from_runs_arrays
+from repro.core.wrongpath import iter_lines_from_runs
 from repro.isa import INSTRUCTION_SIZE
 
 lines_arrays = st.lists(st.integers(0, 2**20), min_size=0, max_size=64)

@@ -18,6 +18,7 @@ from __future__ import annotations
 import contextlib
 import faulthandler
 import os
+import signal
 import subprocess
 import sys
 from pathlib import Path
@@ -44,6 +45,10 @@ JOBS = [
 ]
 
 REPO_ROOT = Path(__file__).resolve().parents[2]
+
+#: Seconds ``ServerProcess.stop`` waits for a graceful exit before it
+#: kills the server's process group.
+STOP_GRACE_SECONDS = 5.0
 
 
 @pytest.fixture(autouse=True)
@@ -104,7 +109,12 @@ class ServerProcess:
             stderr=subprocess.STDOUT,
             text=True,
             env=env,
+            # Its own process group: the server's spawn-pool workers and
+            # resource tracker join it, so stop() can reap them all even
+            # when the server itself died without tearing its pool down.
+            start_new_session=True,
         )
+        self.pgid = self.proc.pid
         self.address = self._read_announce()
 
     def _read_announce(self) -> str:
@@ -123,8 +133,19 @@ class ServerProcess:
         return self.proc.wait(timeout=timeout)
 
     def stop(self) -> None:
+        """Stop the server and every process of its group.
+
+        SIGTERM first, so a live server shuts its pool down itself; then
+        the whole group is SIGKILLed, which also reaps workers orphaned
+        by a server that was killed or exited through an injected fault.
+        """
         if self.proc.poll() is None:
-            self.proc.kill()
+            with contextlib.suppress(ProcessLookupError):
+                self.proc.send_signal(signal.SIGTERM)
+            with contextlib.suppress(subprocess.TimeoutExpired):
+                self.proc.wait(timeout=STOP_GRACE_SECONDS)
+        with contextlib.suppress(ProcessLookupError, PermissionError):
+            os.killpg(self.pgid, signal.SIGKILL)
         with contextlib.suppress(Exception):
             self.proc.wait(timeout=10)
         if self.proc.stdout is not None:

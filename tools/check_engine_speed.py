@@ -23,7 +23,11 @@ mirrors over the lowered probe and walk streams carry that floor;
 When the trajectory records a ``static_schedule`` section, the
 PolicySchedule seam's bookkeeping is also re-measured: running a static
 configuration with interval accounting enabled must cost less than
-``--schedule-tolerance`` (default 2%) over the plain static run.
+``--schedule-tolerance`` (default 2%) over the plain static run.  That
+cost is the median ratio of ``SCHEDULE_PAIRS`` interleaved
+plain/interval pairs (as ``tools/check_overhead.py`` measures the null
+sink), never a ratio of two separately taken best-of timings, so host
+drift between the two measurements cancels.
 
 Usage::
 
@@ -50,6 +54,9 @@ sys.path.insert(0, os.path.join(_ROOT, "src"))
 sys.path.insert(0, _ROOT)
 
 BASELINE_PATH = os.path.join(_ROOT, "BENCH_engine.json")
+
+#: Interleaved plain/interval pairs behind the static-schedule ratio.
+SCHEDULE_PAIRS = 9
 
 
 def main(argv=None) -> int:
@@ -205,11 +212,12 @@ def main(argv=None) -> int:
     if stored_schedule is not None:
         from benchmarks.bench_engine_speed import _schedule_overhead
 
-        schedule = _schedule_overhead(repeats=5)
+        schedule = _schedule_overhead(repeats=SCHEDULE_PAIRS)
         print(
             f"{'static_schedule':>16}: plain {schedule['plain_s']:.3f}s, "
             f"intervalled {schedule['interval_s']:.3f}s "
-            f"({schedule['overhead'] * 100:+.2f}%; stored "
+            f"(median of {schedule['pairs']} pairs "
+            f"{schedule['overhead'] * 100:+.2f}%; stored "
             f"{stored_schedule['overhead'] * 100:+.2f}%)"
         )
         if schedule["overhead"] > args.schedule_tolerance:
