@@ -55,6 +55,7 @@ at phase boundaries and failed attempts publish nothing, so only the new
 from __future__ import annotations
 
 import contextlib
+import os
 import time
 from collections import deque
 from collections.abc import Iterable, Sequence
@@ -65,6 +66,7 @@ from dataclasses import dataclass, field, replace
 from repro.config import ALL_POLICIES, FetchPolicy, SimConfig
 from repro.core.engine import simulate
 from repro.core.faults import is_transient
+from repro.core.lifeline import tie_to_parent
 from repro.core.results import MissingResult, SimulationResult, SweepFailure
 from repro.core.runner import DEFAULT_TRACE_LENGTH, DEFAULT_WARMUP
 from repro.core.store import ResultStore, cell_digest, cell_key
@@ -458,7 +460,7 @@ class ParallelRunner:
     ) -> None:
         """Pool path: submit rounds, watchdog each round, rebuild on damage."""
         queue: deque[_Batch] = deque(batches)
-        pool = ProcessPoolExecutor(max_workers=self.max_workers)
+        pool = self._new_pool()
         try:
             while queue:
                 round_batches = list(queue)
@@ -519,7 +521,7 @@ class ParallelRunner:
                     # tear it down hard and start fresh for the requeue.
                     self._terminate_pool(pool)
                     if queue:
-                        pool = ProcessPoolExecutor(max_workers=self.max_workers)
+                        pool = self._new_pool()
                         self.metrics.inc("sweep.pool_rebuilds")
         except BaseException:
             # Fail-fast exit (or interrupt): cancel outstanding work so a
@@ -610,6 +612,14 @@ class ParallelRunner:
             self.metrics.merge(MetricsRegistry.from_dict(registry_dict))
         if profile_summary is not None:
             self.profile.merge_summary(profile_summary)
+
+    def _new_pool(self) -> ProcessPoolExecutor:
+        # Workers die with this process, even when it is SIGKILLed.
+        return ProcessPoolExecutor(
+            max_workers=self.max_workers,
+            initializer=tie_to_parent,
+            initargs=(os.getpid(),),
+        )
 
     @staticmethod
     def _terminate_pool(pool: ProcessPoolExecutor) -> None:

@@ -20,11 +20,18 @@ Every finished result is memoised in process, keyed by every input that
 changes it (:func:`~repro.core.store.cell_key`), so a sweep simulates
 each distinct cell once: repeat requests are served the very same
 result object (``sweep.result_hits``).
+
+:meth:`SimulationRunner.run_many` simulates a planned batch of cells
+side by side on every core before they are requested: forked workers
+run the same attempt loop, and each outcome is held until :meth:`run`
+asks for its cell, so results, counters and the registry match a serial
+run (see ``docs/performance.md``).
 """
 
 from __future__ import annotations
 
 import contextlib
+import os
 import time
 import warnings
 from collections.abc import Iterable, Iterator, Sequence
@@ -44,7 +51,9 @@ from repro.core.results import MissingResult, SimulationResult, SweepFailure
 from repro.core.store import ResultStore, cell_digest, cell_key
 from repro.errors import ExperimentError, JobTimeoutError
 from repro.obs.events import StreamBuild, SweepIncident
+from repro.obs.metrics import MetricsRegistry
 from repro.obs.observer import Observer
+from repro.obs.profile import PhaseProfiler
 from repro.program.program import Program
 from repro.trace.event import Trace
 from repro.trace.generator import generate_trace
@@ -70,12 +79,95 @@ DEFAULT_TRACE_LENGTH = 200_000
 DEFAULT_WARMUP = 50_000
 
 
+#: Relative engine time per trace record, by cell kind (measured on gcc
+#: and doduc at 200k instructions): a real-cache event-loop cell, its
+#: extra cost with next-line prefetch, a replayed perfect-cache cell,
+#: and a stream build.  Per-interval schedules cost ``ADAPTIVE_FACTOR``
+#: times their static cell.  Only the order of plan tasks uses them.
+REAL_CACHE_WEIGHT = 30
+PREFETCH_WEIGHT = 5
+REPLAYED_WEIGHT = 1
+STREAM_BUILD_WEIGHT = 12
+ADAPTIVE_FACTOR = 4
+
+
 @dataclass(frozen=True, slots=True)
 class WorkloadRun:
     """A prepared (program, trace) pair ready to simulate."""
 
     program: Program
     trace: Trace
+
+
+@dataclass(slots=True)
+class CellOutcome:
+    """One planned cell as a pool worker finished it (see ``run_many``).
+
+    Held by the parent until :meth:`SimulationRunner.run` asks for the
+    cell, which then publishes *metrics* and *profile* and either serves
+    *result* or hands *error* to ``on_error``.
+    """
+
+    result: SimulationResult | None
+    #: The attempt loop's final exception (``result`` is then ``None``).
+    error: Exception | None
+    attempts: int
+    #: Registry delta (``MetricsRegistry.as_dict``); ``None`` unobserved.
+    metrics: dict[str, object] | None
+    #: Phase summary of the attempts; ``None`` without a profiler.
+    profile: dict[str, dict[str, float]] | None
+    #: The parent wrote the result to the checkpoint store.
+    stored: bool = False
+
+
+@dataclass(slots=True)
+class _PlanTask:
+    """Cells one pool worker simulates in a row.
+
+    A task is one cell, except that cells sharing a prediction stream
+    the runner has not built yet travel together, so the stream is built
+    once and shipped back (*stream_key*).
+    """
+
+    cells: list[tuple[tuple, str, SimConfig]]
+    stream_key: tuple | None = None
+
+
+def _plan_workers() -> int:
+    """CPUs this process may run on: the plan pool's worker ceiling.
+
+    Platforms without an affinity API (and so without a safe ``fork``)
+    report 1, which keeps every plan in process.
+    """
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:
+        return 1
+
+
+#: In a plan pool worker: the runner whose plan it serves (see _adopt).
+_forked_runner: SimulationRunner | None = None
+
+
+def _adopt(runner: SimulationRunner, parent_pid: int) -> None:
+    """Plan pool worker initializer: serve *runner*, die with the parent.
+
+    The pool forks, so *runner* arrives unpickled, with the programs,
+    traces and streams the parent prepared for the plan.
+    """
+    global _forked_runner
+    from repro.core.lifeline import tie_to_parent
+
+    tie_to_parent(parent_pid)
+    _forked_runner = runner
+
+
+def _simulate_task(cells, stream_key):
+    """Pool worker: one task's cell outcomes, plus the stream it built."""
+    runner = _forked_runner
+    outcomes = [runner._isolated(name, config) for name, config in cells]
+    stream = runner._streams.get(stream_key) if stream_key is not None else None
+    return outcomes, stream
 
 
 class SimulationRunner:
@@ -178,6 +270,8 @@ class SimulationRunner:
         self._traces: dict[tuple[str, int, int], Trace] = {}
         self._streams: dict[tuple[str, int, int, str], PredictionStream] = {}
         self._results: dict[tuple, SimulationResult] = {}
+        #: Pool outcomes of planned cells, waiting for their request.
+        self._planned: dict[tuple, CellOutcome] = {}
 
     def _phase(self, name: str):
         """Profiling scope for *name* (no-op without an observer/profiler)."""
@@ -395,7 +489,9 @@ class SimulationRunner:
 
         The fault-tolerant cell executor.  Lookup order: the in-process
         result memo (``sweep.result_hits``; no fault fires, no phase
-        opens, no engine metric publishes), then the checkpoint store
+        opens, no engine metric publishes), then a pool outcome held by
+        :meth:`run_many` (served as a simulated cell: its metrics and
+        phases publish now, in request order), then the checkpoint store
         (checkpoint/resume), then simulation: the cell runs under the
         watchdog with up to ``retries`` transient re-attempts, and a
         final failure either raises (``on_error="raise"``) or degrades
@@ -415,6 +511,9 @@ class SimulationRunner:
             if self.observer is not None:
                 self.observer.registry.inc("sweep.result_hits")
             return hit
+        planned = self._planned.pop(key, None)
+        if planned is not None:
+            return self._absorb(name, config, key, planned)
         digest = None
         if self.checkpoint.enabled:
             digest = cell_digest(
@@ -428,6 +527,27 @@ class SimulationRunner:
                 self._incident("checkpoint_hit", name)
                 self._results[key] = hit
                 return hit
+        result, error, attempts = self._attempt(name, config)
+        if error is not None:
+            return self._give_up(name, config, error, attempts)
+        self.cells_simulated += 1
+        self._results[key] = result
+        if digest is not None:
+            self.checkpoint.store(
+                digest, name, config, self.trace_length, self.warmup,
+                self.seed, result,
+            )
+            # A failed write disables the store: count only real stores.
+            if self.checkpoint.enabled and self.observer is not None:
+                self.observer.registry.inc("checkpoint.stores")
+        return result
+
+    def _attempt(
+        self, name: str, config: SimConfig
+    ) -> tuple[SimulationResult | None, Exception | None, int]:
+        """The cell's attempt loop: ``(result, None, attempts)``, or
+        ``(None, final exception, attempts)`` once retries are spent or
+        the failure is deterministic."""
         attempts = 0
         while True:
             try:
@@ -446,11 +566,10 @@ class SimulationRunner:
                             observer=self.observer,
                             stream=stream,
                         )
-                break
+                return result, None, attempts
             except Exception as exc:
                 attempts += 1
-                transient = is_transient(exc)
-                if transient and attempts <= self.retries:
+                if is_transient(exc) and attempts <= self.retries:
                     if isinstance(exc, JobTimeoutError):
                         self._incident(
                             "timeout", name, detail=str(exc), attempt=attempts
@@ -467,34 +586,256 @@ class SimulationRunner:
                     if delay > 0:
                         time.sleep(delay)
                     continue
-                if self.on_error == "skip":
-                    self.failures.append(
-                        SweepFailure(
-                            benchmark=name,
-                            error_type=type(exc).__name__,
-                            message=str(exc),
-                            attempts=attempts,
-                            transient=transient,
-                        )
-                    )
-                    self._incident(
-                        "skip", name,
-                        detail=f"{type(exc).__name__}: {exc}",
-                        attempt=attempts,
-                    )
-                    return MissingResult(program=name, config=config)
-                raise
-        self.cells_simulated += 1
-        self._results[key] = result
-        if digest is not None:
-            self.checkpoint.store(
-                digest, name, config, self.trace_length, self.warmup,
-                self.seed, result,
+                return None, exc, attempts
+
+    def _give_up(
+        self, name: str, config: SimConfig, exc: Exception, attempts: int
+    ) -> SimulationResult:
+        """Apply ``on_error`` to a cell whose attempts all failed."""
+        if self.on_error != "skip":
+            raise exc
+        self.failures.append(
+            SweepFailure(
+                benchmark=name,
+                error_type=type(exc).__name__,
+                message=str(exc),
+                attempts=attempts,
+                transient=is_transient(exc),
             )
-            # A failed write disables the store: count only real stores.
-            if self.checkpoint.enabled and self.observer is not None:
-                self.observer.registry.inc("checkpoint.stores")
-        return result
+        )
+        self._incident(
+            "skip", name,
+            detail=f"{type(exc).__name__}: {exc}",
+            attempt=attempts,
+        )
+        return MissingResult(program=name, config=config)
+
+    # -- planned cells on every core --------------------------------------------
+
+    def run_many(self, plan: Iterable[tuple[str, SimConfig]]) -> None:
+        """Simulate the ``(benchmark, config)`` cells of *plan* side by side.
+
+        Nothing is returned and nothing is published yet: each finished
+        cell is written to the checkpoint store at once and its outcome
+        held until :meth:`run` asks for the cell, which serves it as a
+        simulated cell in request order.  Cells already memoised, held or
+        stored are skipped.  The plan's programs and traces are prepared
+        here, so forked workers inherit them; cells sharing a stream not
+        built yet form one task.  Tasks go longest first (a static
+        estimate) to a pool of ``min(cpus, tasks)`` forked workers, each
+        running the cell's attempt loop under a private observer; the
+        pool is joined before returning.
+
+        Everything stays in process (nothing is dispatched) on one CPU,
+        with fewer than two tasks, with a fault plan (faults must fire in
+        request order), and while the observer streams events (a plan's
+        events would sit in memory until their cells are requested).  A
+        task whose worker dies leaves its cells to :meth:`run`
+        (``sweep.plan_fallbacks``).
+        """
+        observer = self.observer
+        if observer is not None:
+            for name in (
+                "sweep.plan_cells", "sweep.plan_errors", "sweep.plan_fallbacks",
+                "sweep.plan_tasks",
+            ):
+                observer.registry.counter(name)
+        if self.fault_plan is not None or (
+            observer is not None and observer.events_enabled
+        ):
+            return
+        cells: dict[tuple, tuple[str, SimConfig]] = {}
+        for name, config in plan:
+            config = self._effective_config(config)
+            key = cell_key(
+                name, config, self.trace_length, self.warmup, self.seed
+            )
+            if key in cells or key in self._results or key in self._planned:
+                continue
+            if self.checkpoint.enabled and self.checkpoint.entry_path(
+                cell_digest(
+                    name, config, self.trace_length, self.warmup, self.seed
+                )
+            ).is_file():
+                continue
+            cells[key] = (name, config)
+        cpus = _plan_workers()
+        tasks = self._plan_tasks(cells)
+        if min(cpus, len(tasks)) < 2:
+            return
+        tasks = [task for task in tasks if self._preparable(task)]
+        if min(cpus, len(tasks)) < 2:
+            return
+        # Longest first; the sort is stable, so ties keep plan order.
+        tasks.sort(key=self._task_cost, reverse=True)
+        self._dispatch(tasks, min(cpus, len(tasks)))
+
+    def _plan_tasks(
+        self, cells: dict[tuple, tuple[str, SimConfig]]
+    ) -> list[_PlanTask]:
+        """Group planned cells into pool tasks, in plan order."""
+        tasks: list[_PlanTask] = []
+        by_stream: dict[tuple, _PlanTask] = {}
+        for key, (name, config) in cells.items():
+            stream_key = None
+            if self.replay != "off" and replay_eligible(config):
+                stream_key = (
+                    name, self.trace_length, self.seed, stream_digest(config)
+                )
+                if stream_key in self._streams:
+                    stream_key = None
+            task = by_stream.get(stream_key) if stream_key else None
+            if task is None:
+                task = _PlanTask(cells=[], stream_key=stream_key)
+                tasks.append(task)
+                if stream_key is not None:
+                    by_stream[stream_key] = task
+            task.cells.append((key, name, config))
+        return tasks
+
+    def _preparable(self, task: _PlanTask) -> bool:
+        """Prepare the task's workload; a failure leaves it to run()."""
+        try:
+            self.prepared(task.cells[0][1])
+        except Exception:
+            return False
+        return True
+
+    def _task_cost(self, task: _PlanTask) -> int:
+        """Static engine-time estimate of one task (see the weights)."""
+        records = self.trace(task.cells[0][1]).n_blocks
+        cost = STREAM_BUILD_WEIGHT if task.stream_key is not None else 0
+        for _, _, config in task.cells:
+            replayed = self.replay != "off" and replay_eligible(config)
+            weight = (
+                REPLAYED_WEIGHT if replayed and config.perfect_cache
+                else REAL_CACHE_WEIGHT
+            )
+            if config.prefetch:
+                weight += PREFETCH_WEIGHT
+            if config.adaptive_interval is not None:
+                weight *= ADAPTIVE_FACTOR
+            cost += weight
+        return cost * records
+
+    def _dispatch(self, tasks: list[_PlanTask], workers: int) -> None:
+        """Run *tasks* on a fork pool of *workers*; hold every outcome.
+
+        Fork, not spawn: workers inherit the prepared plan instead of
+        rebuilding it.  The pool forks from the calling thread, so call
+        this from a process whose other threads hold no locks.
+        """
+        import multiprocessing
+        from concurrent.futures import as_completed
+        from concurrent.futures.process import ProcessPoolExecutor
+
+        self._count("sweep.plan_tasks", len(tasks))
+        self._count("sweep.plan_cells", sum(len(t.cells) for t in tasks))
+        with self._phase("simulate_plan"):
+            pool = ProcessPoolExecutor(
+                max_workers=workers,
+                mp_context=multiprocessing.get_context("fork"),
+                initializer=_adopt,
+                initargs=(self, os.getpid()),
+            )
+            try:
+                futures = {
+                    pool.submit(
+                        _simulate_task,
+                        [(name, config) for _, name, config in task.cells],
+                        task.stream_key,
+                    ): task
+                    for task in tasks
+                }
+                for future in as_completed(futures):
+                    task = futures[future]
+                    try:
+                        outcomes, stream = future.result()
+                    except Exception:
+                        # A dead worker or an unpicklable outcome: these
+                        # cells run in process when they are requested.
+                        self._count("sweep.plan_fallbacks", len(task.cells))
+                        continue
+                    self._hold(task, outcomes, stream)
+            except BaseException:
+                # Interrupted: do not wait for the running tasks.
+                for process in list((pool._processes or {}).values()):
+                    process.terminate()
+                raise
+            finally:
+                pool.shutdown(wait=True, cancel_futures=True)
+
+    def _hold(
+        self, task: _PlanTask, outcomes: list[CellOutcome], stream
+    ) -> None:
+        """Keep a finished task's outcomes (and stream) for their requests."""
+        if stream is not None:
+            self._streams.setdefault(task.stream_key, stream)
+        for (key, name, config), outcome in zip(
+            task.cells, outcomes, strict=True
+        ):
+            if outcome.result is not None and self.checkpoint.enabled:
+                self.checkpoint.store(
+                    cell_digest(
+                        name, config, self.trace_length, self.warmup,
+                        self.seed,
+                    ),
+                    name, config, self.trace_length, self.warmup, self.seed,
+                    outcome.result,
+                )
+                outcome.stored = self.checkpoint.enabled
+            self._planned[key] = outcome
+
+    def _isolated(self, name: str, config: SimConfig) -> CellOutcome:
+        """Pool worker: one cell's attempt loop under a private observer."""
+        shared = private = self.observer
+        if shared is not None:
+            private = Observer(
+                profiler=PhaseProfiler() if shared.profiler is not None
+                else None
+            )
+        self.observer = private
+        try:
+            result, error, attempts = self._attempt(name, config)
+        finally:
+            self.observer = shared
+        return CellOutcome(
+            result=result,
+            error=error,
+            attempts=attempts,
+            metrics=None if private is None else private.registry.as_dict(),
+            profile=(
+                None if private is None or private.profiler is None
+                else private.profiler.summary()
+            ),
+        )
+
+    def _absorb(
+        self, name: str, config: SimConfig, key: tuple, outcome: CellOutcome
+    ) -> SimulationResult:
+        """Serve a held pool outcome at its request, as run() would have."""
+        observer = self.observer
+        if observer is not None:
+            if outcome.metrics:
+                observer.registry.merge(
+                    MetricsRegistry.from_dict(outcome.metrics)
+                )
+            if outcome.profile and observer.profiler is not None:
+                observer.profiler.merge_summary(
+                    {f"pool.{phase}": stat
+                     for phase, stat in outcome.profile.items()}
+                )
+        if outcome.error is not None:
+            return self._give_up(name, config, outcome.error, outcome.attempts)
+        self.cells_simulated += 1
+        self._results[key] = outcome.result
+        if outcome.stored and observer is not None:
+            observer.registry.inc("checkpoint.stores")
+        return outcome.result
+
+    def _count(self, name: str, n: int) -> None:
+        if self.observer is not None:
+            self.observer.registry.inc(name, n)
 
     def run_policies(
         self,

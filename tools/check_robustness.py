@@ -13,6 +13,12 @@ serial and the parallel runner: a second, fresh runner on the same
 directory must load every cell (``checkpoint.hits == len(jobs)``),
 simulate nothing, and return the fault-free results bit-identically.
 
+A kill leg SIGKILLs ``python -m repro table5 --checkpoint DIR`` (a
+planned experiment, simulated by forked pool workers on a multi-core
+host) once at least five cells are stored, then resumes it: the resumed
+tables must be byte-identical to an undisturbed run, and no process of
+the victim's process group may survive it.
+
 Usage::
 
     PYTHONPATH=src python tools/check_robustness.py
@@ -27,8 +33,12 @@ from __future__ import annotations
 
 import argparse
 import os
+import signal
+import subprocess
 import sys
 import tempfile
+import time
+from pathlib import Path
 
 sys.path.insert(
     0, os.path.join(os.path.dirname(os.path.abspath(__file__)), "..", "src")
@@ -38,9 +48,13 @@ from repro.config import FetchPolicy, SimConfig  # noqa: E402
 from repro.core.faults import FaultPlan, FaultSpec  # noqa: E402
 from repro.core.parallel import ParallelRunner  # noqa: E402
 from repro.core.runner import SimulationRunner  # noqa: E402
+from repro.core.store import ResultStore  # noqa: E402
 from repro.obs import Observer, PhaseProfiler  # noqa: E402
 
 SEED = 7
+
+#: Cells the kill leg waits for in the store before killing the victim.
+KILL_AFTER_CELLS = 5
 
 
 def _jobs():
@@ -95,6 +109,81 @@ def _checkpointed_sweep(kind, directory, trace_length, warmup):
         metrics, profile = runner.metrics, runner.profile
     simulated = profile.summary().get("simulate", {}).get("calls", 0)
     return results, metrics.value("checkpoint.hits"), simulated
+
+
+def _table5(trace_length, *extra):
+    """Start ``python -m repro table5`` in a process group of its own."""
+    src = os.path.join(os.path.dirname(os.path.abspath(__file__)), "..", "src")
+    return subprocess.Popen(
+        [sys.executable, "-m", "repro", "table5",
+         "--trace-length", str(trace_length), "--seed", str(SEED), *extra],
+        env=dict(os.environ, PYTHONPATH=src), stdout=subprocess.PIPE,
+        stderr=subprocess.DEVNULL, text=True, start_new_session=True,
+    )
+
+
+def _tables(output: str) -> str:
+    """CLI output minus its bracketed timing and traffic lines."""
+    return "\n".join(
+        line for line in output.splitlines() if not line.startswith("[")
+    )
+
+
+def _group_members(pgid: int) -> list[int]:
+    """Live (non-zombie) processes in process group *pgid* (Linux)."""
+    members = []
+    for entry in Path("/proc").iterdir():
+        if not entry.name.isdigit():
+            continue
+        try:
+            fields = (entry / "stat").read_text().rsplit(")", 1)[1].split()
+        except OSError:
+            continue
+        if int(fields[2]) == pgid and fields[0] not in ("Z", "X"):
+            members.append(int(entry.name))
+    return members
+
+
+def _kill_and_resume(trace_length: int) -> list[str]:
+    """The kill leg: failures, or an empty list."""
+    reference, _ = _table5(trace_length).communicate(timeout=600)
+    with tempfile.TemporaryDirectory() as scratch:
+        store = ResultStore(scratch)
+        victim = _table5(trace_length, "--checkpoint", scratch)
+        deadline = time.monotonic() + 300
+        while (
+            store.entries() < KILL_AFTER_CELLS
+            and victim.poll() is None
+            and time.monotonic() < deadline
+        ):
+            time.sleep(0.01)
+        victim.send_signal(signal.SIGKILL)
+        victim.communicate()
+        stored = store.entries()
+        survivors = _group_members(victim.pid)
+        deadline = time.monotonic() + 5
+        while survivors and time.monotonic() < deadline:
+            time.sleep(0.1)
+            survivors = _group_members(victim.pid)
+        for pid in survivors:
+            os.kill(pid, signal.SIGKILL)
+        resumed = _table5(trace_length, "--checkpoint", scratch)
+        output, _ = resumed.communicate(timeout=600)
+    print(
+        f"kill/resume: victim killed after {stored} stored cells | "
+        f"{len(survivors)} survivor(s) | resume exit {resumed.returncode}"
+    )
+    failures = []
+    if stored < KILL_AFTER_CELLS:
+        failures.append(f"victim was killed after only {stored} stored cells")
+    if survivors:
+        failures.append(
+            f"{len(survivors)} process(es) of the killed victim's group "
+            f"outlived it: {survivors}"
+        )
+    if resumed.returncode != 0 or _tables(output) != _tables(reference):
+        failures.append("resumed table5 output differs from an undisturbed run")
+    return failures
 
 
 def main(argv=None) -> int:
@@ -165,6 +254,9 @@ def main(argv=None) -> int:
                     f"{kind} resume: cell {index} diverged from the "
                     f"fault-free serial reference"
                 )
+
+    if sys.platform.startswith("linux"):
+        failures += _kill_and_resume(trace_length)
 
     if failures:
         for failure in failures:
