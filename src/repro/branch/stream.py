@@ -37,7 +37,6 @@ import copy
 import hashlib
 import json
 import os
-import tempfile
 from collections import deque
 from dataclasses import asdict, dataclass
 from pathlib import Path
@@ -52,6 +51,7 @@ from repro.branch.unit import (
     correct_result,
 )
 from repro.config import SimConfig
+from repro.core.durable import publish_dir
 from repro.errors import SimulationError
 from repro.isa import INSTRUCTION_SIZE, InstrKind
 from repro.program.program import Program
@@ -214,15 +214,12 @@ class PredictionStream:
 
         Arrays go to individual ``.npy`` files (the only layout
         ``np.load(mmap_mode="r")`` can map zero-copy — npz members cannot
-        be mmapped) inside a temp dir that is renamed into place, so a
-        killed writer leaves no torn entry.
+        be mmapped), published as one directory by
+        :func:`~repro.core.durable.publish_dir`.  Raises ``OSError`` on
+        failure; a concurrent writer that published first is not one.
         """
-        directory = Path(directory)
-        directory.parent.mkdir(parents=True, exist_ok=True)
-        tmp = Path(
-            tempfile.mkdtemp(dir=directory.parent, prefix=directory.name + ".tmp")
-        )
-        try:
+
+        def fill(tmp: Path) -> None:
             for name, dtype in _FIELDS:
                 array = np.ascontiguousarray(getattr(self, name), dtype=dtype)
                 np.save(tmp / f"{name}.npy", array)
@@ -237,14 +234,8 @@ class PredictionStream:
             }
             with open(tmp / _META_NAME, "w", encoding="utf-8") as handle:
                 json.dump(meta, handle)
-            os.rename(tmp, directory)
-        except OSError:
-            # A concurrent writer may have renamed its copy first (the
-            # streams are deterministic, so either copy is valid) — or the
-            # filesystem refused; either way drop our temp dir and move on.
-            import shutil
 
-            shutil.rmtree(tmp, ignore_errors=True)
+        publish_dir(Path(directory), fill)
 
     @classmethod
     def load(

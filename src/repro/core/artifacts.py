@@ -19,26 +19,19 @@ part of the path, so a bumped ``GENERATOR_VERSION`` or a different
 ``(trace_length, seed)`` simply misses and regenerates.  Nothing is ever
 reused across a format bump.
 
-Writes are atomic (temp file + ``os.replace``) so concurrent workers can
-share one cache directory: the worst case under a race is building the
-same artifact twice, never reading a half-written one.  Corrupt entries
-(truncated files, unpicklable programs) are treated as misses and
-overwritten, not errors.
+Writes, failures and pruning follow the shared on-disk contract
+(:mod:`repro.core.durable`), so concurrent workers can share one cache
+directory.  Corrupt entries are misses, regenerated and overwritten.
 """
 
 from __future__ import annotations
 
-import contextlib
-import os
 import pickle
 import re
-import shutil
-import tempfile
-import warnings
-from dataclasses import dataclass
 from pathlib import Path
 
 from repro.branch.stream import STREAM_FORMAT_VERSION, PredictionStream
+from repro.core.durable import DurableStore, PruneStats, atomic_write, remove_tree
 from repro.errors import ExperimentError, TraceError
 from repro.program.program import Program
 from repro.trace.event import Trace
@@ -58,34 +51,11 @@ _ENTRY_KEY_RE = re.compile(r"^t\d+-s-?\d+-g(\d+)$")
 _STREAM_DIR_RE = re.compile(r"^stream-f(\d+)-[0-9a-f]+$")
 
 
-@dataclass(slots=True)
-class PruneStats:
-    """What :meth:`ArtifactCache.prune` reclaimed."""
+class ArtifactCache(DurableStore):
+    """Filesystem cache of ``(workload, trace_length, seed)`` artifacts,
+    safe to share between concurrent processes and across runs."""
 
-    entries: int = 0
-    bytes_freed: int = 0
-
-
-class ArtifactCache:
-    """Filesystem cache of ``(workload, trace_length, seed)`` artifacts.
-
-    The cache is safe to share between concurrent processes and to keep
-    across sessions.  A disabled cache (``ArtifactCache(None)``) is a
-    no-op passthrough, so callers never need to branch.
-    """
-
-    def __init__(self, cache_dir: str | os.PathLike[str] | None) -> None:
-        self.root: Path | None = None if cache_dir is None else Path(cache_dir)
-        #: Stores that failed with an OS-level error (full disk, read-only
-        #: directory, ...).  The first failure disables the cache for the
-        #: rest of the run — a sweep must never die for its cache.
-        self.store_failures = 0
-        self._disabled = False
-
-    @property
-    def enabled(self) -> bool:
-        """True when a cache directory was configured and still healthy."""
-        return self.root is not None and not self._disabled
+    kind = "artifact cache"
 
     # -- keying -------------------------------------------------------------
 
@@ -109,7 +79,7 @@ class ArtifactCache:
         correctness never depends on cache contents, so the only sane
         response to damage is to regenerate.
         """
-        if self.root is None or self._disabled:
+        if not self.enabled:
             return None
         entry = self.entry_dir(workload, trace_length, seed)
         try:
@@ -137,39 +107,24 @@ class ArtifactCache:
     ) -> None:
         """Persist *program* and *trace* under their key (atomic).
 
-        OS-level write failures (disk full, read-only directory) degrade
-        gracefully: a warning is emitted, ``store_failures`` is counted,
-        and the cache is disabled for the remainder of the run — the
-        sweep itself continues uncached rather than aborting.
+        OS-level write failures (disk full, read-only directory) degrade:
+        warn, count, disable; the sweep continues uncached.
         """
-        if self.root is None or self._disabled:
+        if not self.enabled:
             return
         try:
             entry = self.entry_dir(workload, trace_length, seed)
             entry.mkdir(parents=True, exist_ok=True)
-            _atomic_write(
-                entry / _PROGRAM_FILE, pickle.dumps(program, protocol=4)
-            )
+            atomic_write(entry / _PROGRAM_FILE, pickle.dumps(program, protocol=4))
             # The suffix must end in ".npz" or np.savez would append one
             # and write to a different path than the one we rename.
-            fd, tmp = tempfile.mkstemp(dir=entry, suffix=".tmp.npz")
-            try:
-                os.close(fd)
-                save_trace(trace, tmp)
-                os.replace(tmp, entry / _TRACE_FILE)
-            except BaseException:
-                with contextlib.suppress(OSError):
-                    os.unlink(tmp)
-                raise
-        except OSError as exc:
-            self.store_failures += 1
-            self._disabled = True
-            warnings.warn(
-                f"artifact cache disabled for this run: storing "
-                f"{workload!r} failed: {type(exc).__name__}: {exc}",
-                RuntimeWarning,
-                stacklevel=2,
+            atomic_write(
+                entry / _TRACE_FILE,
+                lambda tmp: save_trace(trace, tmp),
+                suffix=".tmp.npz",
             )
+        except OSError as exc:
+            self.degrade(exc, f"storing {workload!r}")
 
     # -- the one-call convenience used by the runners -----------------------
 
@@ -220,7 +175,7 @@ class ArtifactCache:
         is a miss — the stream is rebuilt, never trusted.  ``mmap=True``
         maps the arrays read-only (zero-copy for parallel workers).
         """
-        if self.root is None or self._disabled:
+        if not self.enabled:
             return None
         directory = self.stream_dir(workload, trace_length, seed, digest)
         try:
@@ -243,25 +198,14 @@ class ArtifactCache:
         seed: int,
         stream: PredictionStream,
     ) -> None:
-        """Persist *stream* under its key (atomic; failures degrade).
-
-        Same failure policy as :meth:`store`: an OS-level error counts a
-        store failure and disables the cache for the rest of the run.
-        """
-        if self.root is None or self._disabled:
+        """Persist *stream* under its key (atomic; failures degrade)."""
+        if not self.enabled:
             return
         try:
             directory = self.stream_dir(workload, trace_length, seed, stream.digest)
             stream.save(directory)
         except OSError as exc:
-            self.store_failures += 1
-            self._disabled = True
-            warnings.warn(
-                f"artifact cache disabled for this run: storing stream for "
-                f"{workload!r} failed: {type(exc).__name__}: {exc}",
-                RuntimeWarning,
-                stacklevel=2,
-            )
+            self.degrade(exc, f"storing stream for {workload!r}")
 
     # -- maintenance ----------------------------------------------------------
 
@@ -276,19 +220,20 @@ class ArtifactCache:
           (plus unrecognised entry names — debris from older layouts);
         * stream subdirectories with a different ``STREAM_FORMAT_VERSION``.
 
-        Current-format entries are untouched.  Deletion errors are
-        swallowed (concurrent access, permissions): prune is best-effort
-        housekeeping, never correctness.
+        Current-format entries are untouched.  Each removed tree counts
+        as one entry.  Pruning is best-effort housekeeping, never
+        correctness.
         """
         stats = PruneStats()
         if self.root is None or not self.root.is_dir():
             return stats
         current = f"v{CACHE_FORMAT_VERSION}"
+        stale: list[Path] = []
         for version_dir in sorted(self.root.iterdir()):
             if not version_dir.is_dir() or not version_dir.name.startswith("v"):
                 continue
             if version_dir.name != current:
-                self._prune_tree(version_dir, stats)
+                stale.append(version_dir)
                 continue
             for workload_dir in sorted(version_dir.iterdir()):
                 if not workload_dir.is_dir():
@@ -298,7 +243,7 @@ class ArtifactCache:
                         continue
                     match = _ENTRY_KEY_RE.match(entry.name)
                     if match is None or int(match.group(1)) != GENERATOR_VERSION:
-                        self._prune_tree(entry, stats)
+                        stale.append(entry)
                         continue
                     for sub in sorted(entry.iterdir()):
                         if not sub.is_dir():
@@ -307,31 +252,9 @@ class ArtifactCache:
                         if stream_match is not None and (
                             int(stream_match.group(1)) != STREAM_FORMAT_VERSION
                         ):
-                            self._prune_tree(sub, stats)
+                            stale.append(sub)
+        for tree in stale:
+            remove_tree(tree, stats)
+            stats.entries += 1
         return stats
 
-    @staticmethod
-    def _prune_tree(path: Path, stats: PruneStats) -> None:
-        """Remove one stale tree, accumulating its size into *stats*."""
-        freed = 0
-        with contextlib.suppress(OSError):
-            for dirpath, _dirnames, filenames in os.walk(path):
-                for filename in filenames:
-                    with contextlib.suppress(OSError):
-                        freed += os.path.getsize(os.path.join(dirpath, filename))
-        shutil.rmtree(path, ignore_errors=True)
-        stats.entries += 1
-        stats.bytes_freed += freed
-
-
-def _atomic_write(path: Path, payload: bytes) -> None:
-    """Write *payload* to *path* via a same-directory temp file + rename."""
-    fd, tmp = tempfile.mkstemp(dir=path.parent, suffix=".tmp")
-    try:
-        with os.fdopen(fd, "wb") as fh:
-            fh.write(payload)
-        os.replace(tmp, path)
-    except BaseException:
-        with contextlib.suppress(OSError):
-            os.unlink(tmp)
-        raise

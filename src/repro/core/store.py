@@ -8,38 +8,23 @@ One store serves both users of that map: ``--checkpoint DIR`` /
 ``checkpoint_dir=`` on the local runners (crash-resumable sweeps) and
 the sweep service's ``--data-dir`` (any client, across restarts).
 
-The on-disk contract mirrors :class:`~repro.core.artifacts.ArtifactCache`:
-
-* **Versioned layout** — entries live under
-  ``<dir>/v<RESULT_STORE_VERSION>/<digest[:2]>/<digest>.pkl``; bumping
-  the version orphans old trees instead of misreading them.
-* **Atomic writes** — temp file + ``os.replace``; concurrent writers of
-  the same digest are last-write-wins, never torn (any winner is the
-  right answer, the result being content-addressed).
-* **Corruption = miss** — a truncated, garbled, or identity-mismatched
-  entry is re-simulated and atomically overwritten, never trusted and
-  never fatal.
-* **Graceful store failure** — an unwritable store (full disk,
-  read-only directory) warns, counts, and disables itself; the sweep
-  continues uncached.
-* **Pruning** — :meth:`ResultStore.prune` reclaims orphaned version
-  trees and malformed entries, like ``ArtifactCache.prune``.
+Writes, failures and pruning follow the shared on-disk contract
+(:mod:`repro.core.durable`).  Entries live under
+``<dir>/v<RESULT_STORE_VERSION>/<digest[:2]>/<digest>.pkl``; a damaged
+or identity-mismatched entry is a miss, re-simulated and overwritten.
 """
 
 from __future__ import annotations
 
-import contextlib
 import hashlib
 import os
 import pickle
 import re
-import tempfile
-import warnings
 from dataclasses import asdict
 from pathlib import Path
 
 from repro.config import SimConfig
-from repro.core.artifacts import PruneStats
+from repro.core.durable import DurableStore, PruneStats, atomic_write, remove_tree
 from repro.core.results import SimulationResult
 from repro.errors import CheckpointError
 from repro.trace.generator import GENERATOR_VERSION
@@ -107,29 +92,18 @@ def cell_digest(
     return hashlib.sha256(";".join(items).encode("utf-8")).hexdigest()
 
 
-class ResultStore:
-    """Content-addressed ``digest -> SimulationResult`` store.
+class ResultStore(DurableStore):
+    """Content-addressed ``digest -> SimulationResult`` store, safe to
+    share between concurrent processes and across runs."""
 
-    Safe to share between concurrent processes and across sessions; a
-    disabled store (``ResultStore(None)``) is a no-op passthrough so its
-    users never branch on configuration.
-    """
+    kind = "result store"
 
     def __init__(self, directory: str | os.PathLike[str] | None) -> None:
-        self.root: Path | None = None if directory is None else Path(directory)
+        super().__init__(directory)
         #: Lookup / write traffic counters.
         self.hits = 0
         self.misses = 0
         self.stores = 0
-        #: Stores that failed with an OS-level error; the first failure
-        #: disables the store for the rest of the run.
-        self.store_failures = 0
-        self._disabled = False
-
-    @property
-    def enabled(self) -> bool:
-        """True when a directory was configured and the store is healthy."""
-        return self.root is not None and not self._disabled
 
     # -- keying --------------------------------------------------------------
 
@@ -162,7 +136,7 @@ class ResultStore:
         or a tampered file) are misses: correctness never depends on
         store contents.
         """
-        if self.root is None or self._disabled:
+        if not self.enabled:
             return None
         path = self.entry_path(digest)
         try:
@@ -215,13 +189,9 @@ class ResultStore:
     ) -> None:
         """Persist one finished cell under its digest (atomic).
 
-        Last-write-wins under concurrency: the payload lands in a private
-        temp file and is published by a single ``os.replace``, so a
-        concurrent reader sees either the old entry or the new one in
-        full.  OS-level failures degrade gracefully — warn, count,
-        disable — because a sweep must never die for its cache.
+        OS-level failures degrade: a sweep must never die for its cache.
         """
-        if self.root is None or self._disabled:
+        if not self.enabled:
             return
         path = self.entry_path(digest)
         payload = pickle.dumps(
@@ -238,23 +208,9 @@ class ResultStore:
         )
         try:
             path.parent.mkdir(parents=True, exist_ok=True)
-            fd, tmp = tempfile.mkstemp(dir=path.parent, suffix=".tmp")
-            try:
-                with os.fdopen(fd, "wb") as handle:
-                    handle.write(payload)
-                os.replace(tmp, path)
-            except BaseException:
-                with contextlib.suppress(OSError):
-                    os.unlink(tmp)
-                raise
+            atomic_write(path, payload)
         except OSError as exc:
-            self.store_failures += 1
-            self._disabled = True
-            warnings.warn(
-                f"result store disabled after write failure: {exc}",
-                RuntimeWarning,
-                stacklevel=2,
-            )
+            self.degrade(exc, f"storing cell {digest[:12]}")
             return
         self.stores += 1
 
@@ -285,35 +241,17 @@ class ResultStore:
         if self.root is None or not self.root.is_dir():
             return stats
         current = f"v{RESULT_STORE_VERSION}"
+        # Every reclaimed file counts as one entry.
         for child in sorted(self.root.iterdir()):
             if child.name != current:
-                _prune_tree(child, stats)
+                stats.entries += remove_tree(child, stats)
                 continue
             for shard in sorted(child.iterdir()):
                 if not shard.is_dir() or not _SHARD_RE.match(shard.name):
-                    _prune_tree(shard, stats)
+                    stats.entries += remove_tree(shard, stats)
                     continue
                 for entry in sorted(shard.iterdir()):
                     if not _ENTRY_RE.match(entry.name):
-                        _prune_tree(entry, stats)
+                        stats.entries += remove_tree(entry, stats)
         return stats
 
-
-def _prune_tree(path: Path, stats: PruneStats) -> None:
-    """Delete *path* (file or tree), accounting every reclaimed file."""
-    if path.is_file() or path.is_symlink():
-        try:
-            stats.bytes_freed += path.stat().st_size
-            path.unlink()
-            stats.entries += 1
-        except OSError:
-            return
-        return
-    if not path.is_dir():
-        return
-    for child in sorted(path.iterdir()):
-        _prune_tree(child, stats)
-    try:
-        path.rmdir()
-    except OSError:
-        return

@@ -86,22 +86,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="skip the whole-program flow rules (SIM014-SIM016)",
     )
     parser.add_argument(
-        "--flow-cache",
-        default=None,
-        metavar="DIR",
-        help=(
-            "directory for the content-addressed flow summary cache; "
-            "warm runs re-index only edited files (default: no cache)"
-        ),
-    )
-    parser.add_argument(
-        "--jobs",
-        type=int,
-        default=1,
-        metavar="N",
-        help="index flow summaries across N worker processes (default: 1)",
-    )
-    parser.add_argument(
         "--list-rules",
         action="store_true",
         help="print the rule catalogue and exit",
@@ -203,8 +187,6 @@ def main(argv: Sequence[str] | None = None) -> int:
             root=root,
             select=select,
             flow=not args.no_flow,
-            flow_cache=args.flow_cache,
-            jobs=args.jobs,
         )
     except ReproError as exc:
         print(f"error: {exc}", file=sys.stderr)

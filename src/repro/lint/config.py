@@ -16,7 +16,6 @@ Recognised keys::
     taxonomy-modules = [...]          # module prefixes for SIM004
     tests-path = "tests"              # corpus for SIM008 parity lookups
     flow = true                       # run whole-program rules (SIM014+)
-    flow-cache = ".cache/simflow"     # summary cache dir, repo-relative
 
     [tool.simlint.severity]
     SIM007 = "warning"                # per-rule severity override
@@ -97,8 +96,6 @@ class LintConfig:
     tests_path: str = "tests"
     #: Whether the whole-program flow phase runs at all.
     flow: bool = True
-    #: Repo-relative summary-cache directory ("" = no on-disk cache).
-    flow_cache: str = ""
 
     def severity_for(self, rule_id: str, default: str) -> str:
         """Effective severity for one rule (``"off"`` if disabled)."""
@@ -131,7 +128,6 @@ def config_from_table(table: dict) -> LintConfig:
         "tests-path",
         "severity",
         "flow",
-        "flow-cache",
     }
     unknown = sorted(set(table) - known)
     if unknown:
@@ -159,11 +155,6 @@ def config_from_table(table: dict) -> LintConfig:
         raise LintConfigError(
             f"[tool.simlint] flow must be a boolean, got {flow!r}"
         )
-    flow_cache = table.get("flow-cache", "")
-    if not isinstance(flow_cache, str):
-        raise LintConfigError(
-            f"[tool.simlint] flow-cache must be a string, got {flow_cache!r}"
-        )
     extra_namespaces = _string_tuple(table, "metric-namespaces") or ()
     extra_allowed = _string_tuple(table, "taxonomy-allowed") or ()
     return LintConfig(
@@ -181,7 +172,6 @@ def config_from_table(table: dict) -> LintConfig:
         severity_overrides=dict(severity_table),
         tests_path=tests_path,
         flow=flow,
-        flow_cache=flow_cache,
     )
 
 

@@ -7,10 +7,8 @@ call path rarely stays inside one file.  The layer runs in two phases:
 
 1. **index** (:mod:`~repro.lint.flow.indexer`): every file becomes a
    :class:`~repro.lint.flow.facts.ModuleSummary` of per-function call
-   sites and local effect facts.  Indexing is a pure function of the
-   source text, so summaries are content-addressed, cached on disk
-   (:mod:`~repro.lint.flow.cache`), and shippable across a process
-   pool (:mod:`~repro.lint.flow.project`);
+   sites and local effect facts, built in process from the tree the
+   per-file phase already parsed;
 2. **analyze** (:mod:`~repro.lint.flow.symbols`,
    :mod:`~repro.lint.flow.callgraph`): the summaries join into a
    repo-wide symbol table and call graph, over which the flow rules —
@@ -25,32 +23,19 @@ machinery as the per-file rules; the driver
 (:func:`repro.lint.runner.run_lint`) decides when the phases run.
 """
 
-from repro.lint.flow.cache import SummaryCache
 from repro.lint.flow.callgraph import CallGraph, Node
-from repro.lint.flow.facts import FLOW_FORMAT_VERSION, ModuleSummary, content_key
+from repro.lint.flow.facts import ModuleSummary
 from repro.lint.flow.indexer import index_module, index_tree
-from repro.lint.flow.project import (
-    FlowStats,
-    IndexEntry,
-    ProjectContext,
-    build_project,
-    index_entries,
-)
+from repro.lint.flow.project import FlowStats, ProjectContext
 from repro.lint.flow.symbols import SymbolTable, node_id
 
 __all__ = [
-    "FLOW_FORMAT_VERSION",
     "CallGraph",
     "FlowStats",
-    "IndexEntry",
     "ModuleSummary",
     "Node",
     "ProjectContext",
-    "SummaryCache",
     "SymbolTable",
-    "build_project",
-    "content_key",
-    "index_entries",
     "index_module",
     "index_tree",
     "node_id",

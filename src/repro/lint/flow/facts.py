@@ -2,9 +2,8 @@
 
 One :class:`ModuleSummary` per source file, built by
 :mod:`repro.lint.flow.indexer` as a pure function of ``(module name,
-source text)`` — no filesystem state, no imports executed — so summaries
-are content-addressable and can be cached on disk and shipped across a
-process pool.  A summary holds, per function (including methods, nested
+source text)`` — no filesystem state, no imports executed.  A summary
+holds, per function (including methods, nested
 functions, and the module body as the pseudo-function ``<module>``):
 
 * the **call sites** executing in the function's own body (nested
@@ -22,21 +21,11 @@ plus the module-level import alias map and, per class, the
 syntactically inferable attribute types (``self.x = ClassName(...)``
 assignments and annotated ``__init__`` parameters stored on ``self``)
 that let phase 2 resolve ``self.store.load(...)`` to a concrete method.
-
-Everything is a plain dataclass with a stable ``to_dict``/``from_dict``
-JSON round-trip — the exact bytes the summary cache persists.  Bump
-:data:`FLOW_FORMAT_VERSION` whenever the shape (or the indexer's
-semantics) change: the cache keys on it, so stale layouts simply miss.
 """
 
 from __future__ import annotations
 
-import hashlib
 from dataclasses import dataclass, field
-
-#: Version of the summary shape *and* the indexing semantics.  Part of
-#: every cache key: bumping it invalidates all cached summaries.
-FLOW_FORMAT_VERSION = 1
 
 #: Effect kinds recorded for nondeterminism sources (SIM014 taint).
 NONDET_KINDS = ("clock", "entropy", "rng", "id", "ordering")
@@ -97,25 +86,6 @@ class CallSite:
     #: order-sanitizer recognised by SIM014.
     in_sorted: bool = False
 
-    def to_dict(self) -> dict:
-        return {
-            "target": self.target,
-            "kind": self.kind,
-            "line": self.line,
-            "col": self.col,
-            "in_sorted": self.in_sorted,
-        }
-
-    @classmethod
-    def from_dict(cls, data: dict) -> CallSite:
-        return cls(
-            target=str(data["target"]),
-            kind=str(data["kind"]),
-            line=int(data["line"]),
-            col=int(data["col"]),
-            in_sorted=bool(data["in_sorted"]),
-        )
-
 
 @dataclass(frozen=True, slots=True)
 class Effect:
@@ -131,23 +101,6 @@ class Effect:
     detail: str
     line: int
     col: int
-
-    def to_dict(self) -> dict:
-        return {
-            "kind": self.kind,
-            "detail": self.detail,
-            "line": self.line,
-            "col": self.col,
-        }
-
-    @classmethod
-    def from_dict(cls, data: dict) -> Effect:
-        return cls(
-            kind=str(data["kind"]),
-            detail=str(data["detail"]),
-            line=int(data["line"]),
-            col=int(data["col"]),
-        )
 
 
 @dataclass(slots=True)
@@ -183,31 +136,6 @@ class FunctionFact:
             return head
         return None
 
-    def to_dict(self) -> dict:
-        return {
-            "qualpath": self.qualpath,
-            "line": self.line,
-            "is_async": self.is_async,
-            "calls": [c.to_dict() for c in self.calls],
-            "nondet": [e.to_dict() for e in self.nondet],
-            "blocking": [e.to_dict() for e in self.blocking],
-            "constructs": [e.to_dict() for e in self.constructs],
-            "mutates": list(self.mutates),
-        }
-
-    @classmethod
-    def from_dict(cls, data: dict) -> FunctionFact:
-        return cls(
-            qualpath=str(data["qualpath"]),
-            line=int(data["line"]),
-            is_async=bool(data["is_async"]),
-            calls=tuple(CallSite.from_dict(c) for c in data["calls"]),
-            nondet=tuple(Effect.from_dict(e) for e in data["nondet"]),
-            blocking=tuple(Effect.from_dict(e) for e in data["blocking"]),
-            constructs=tuple(Effect.from_dict(e) for e in data["constructs"]),
-            mutates=tuple(str(m) for m in data["mutates"]),
-        )
-
 
 @dataclass(slots=True)
 class ClassFact:
@@ -225,25 +153,6 @@ class ClassFact:
     #: Alias-resolved base-class names (single-level MRO hints).
     bases: tuple[str, ...] = ()
 
-    def to_dict(self) -> dict:
-        return {
-            "name": self.name,
-            "line": self.line,
-            "methods": list(self.methods),
-            "attr_types": dict(sorted(self.attr_types.items())),
-            "bases": list(self.bases),
-        }
-
-    @classmethod
-    def from_dict(cls, data: dict) -> ClassFact:
-        return cls(
-            name=str(data["name"]),
-            line=int(data["line"]),
-            methods=tuple(str(m) for m in data["methods"]),
-            attr_types={str(k): str(v) for k, v in data["attr_types"].items()},
-            bases=tuple(str(b) for b in data["bases"]),
-        )
-
 
 @dataclass(slots=True)
 class ModuleSummary:
@@ -251,7 +160,6 @@ class ModuleSummary:
 
     relpath: str
     module: str
-    content_hash: str
     #: qualpath -> fact, in source order.
     functions: dict[str, FunctionFact] = field(default_factory=dict)
     #: class name -> fact, in source order.
@@ -260,52 +168,3 @@ class ModuleSummary:
     #: convention: ``from a import b`` maps ``b`` to ``a.b``).
     imports: dict[str, str] = field(default_factory=dict)
 
-    def to_dict(self) -> dict:
-        return {
-            "version": FLOW_FORMAT_VERSION,
-            "relpath": self.relpath,
-            "module": self.module,
-            "content_hash": self.content_hash,
-            "functions": {
-                q: f.to_dict() for q, f in self.functions.items()
-            },
-            "classes": {n: c.to_dict() for n, c in self.classes.items()},
-            "imports": dict(self.imports),
-        }
-
-    @classmethod
-    def from_dict(cls, data: dict) -> ModuleSummary:
-        if data.get("version") != FLOW_FORMAT_VERSION:
-            raise ValueError(
-                f"summary format {data.get('version')!r} != "
-                f"{FLOW_FORMAT_VERSION}"
-            )
-        return cls(
-            relpath=str(data["relpath"]),
-            module=str(data["module"]),
-            content_hash=str(data["content_hash"]),
-            functions={
-                str(q): FunctionFact.from_dict(f)
-                for q, f in data["functions"].items()
-            },
-            classes={
-                str(n): ClassFact.from_dict(c)
-                for n, c in data["classes"].items()
-            },
-            imports={str(k): str(v) for k, v in data["imports"].items()},
-        )
-
-
-def content_key(module: str, source: str) -> str:
-    """Cache key for one file: format version + module name + bytes.
-
-    The module name participates because the summary embeds it (and the
-    scoped rules key off it): the same bytes at a different package path
-    must not share an entry.
-    """
-    digest = hashlib.sha256()
-    digest.update(f"simflow-v{FLOW_FORMAT_VERSION}\x00".encode())
-    digest.update(module.encode("utf-8", "surrogatepass"))
-    digest.update(b"\x00")
-    digest.update(source.encode("utf-8", "surrogatepass"))
-    return digest.hexdigest()

@@ -2,9 +2,8 @@
 
 :func:`index_module` is a pure function of ``(relpath, module, source)``
 — it parses the text, walks the tree once, and records per-function call
-sites and effect facts.  Purity is what makes the whole flow layer
-cacheable: the summary cache keys on a content hash, and a process-pool
-worker can index a file with nothing but its path and module name.
+sites and effect facts.  The lint runner calls :func:`index_tree` on
+the tree the per-file phase already parsed, so no file is parsed twice.
 
 Resolution here is *local only*: import aliases are applied
 (``from time import sleep`` → ``time.sleep``), module-level definitions
@@ -37,7 +36,6 @@ from repro.lint.flow.facts import (
     Effect,
     FunctionFact,
     ModuleSummary,
-    content_key,
 )
 from repro.lint.rules.determinism import (
     BANNED_CALLS,
@@ -248,8 +246,7 @@ class _FunctionWalker:
 class _ModuleIndexer:
     """Single-pass tree walk producing a :class:`ModuleSummary`."""
 
-    def __init__(self, tree: ast.Module, relpath: str, module: str,
-                 source: str) -> None:
+    def __init__(self, tree: ast.Module, relpath: str, module: str) -> None:
         self.tree = tree
         self.relpath = relpath
         self.module = module
@@ -266,7 +263,6 @@ class _ModuleIndexer:
         self.summary = ModuleSummary(
             relpath=relpath,
             module=module,
-            content_hash=content_key(module, source),
             imports=dict(self.aliases),
         )
 
@@ -456,11 +452,9 @@ def _direct_nested_defs(
 def index_module(source: str, relpath: str, module: str) -> ModuleSummary:
     """Index *source* into a summary (raises ``SyntaxError`` on bad text)."""
     tree = ast.parse(source, filename=relpath)
-    return index_tree(tree, source, relpath, module)
+    return index_tree(tree, relpath, module)
 
 
-def index_tree(
-    tree: ast.Module, source: str, relpath: str, module: str
-) -> ModuleSummary:
-    """Index an already-parsed *tree* (the in-process fast path)."""
-    return _ModuleIndexer(tree, relpath, module, source).index()
+def index_tree(tree: ast.Module, relpath: str, module: str) -> ModuleSummary:
+    """Index an already-parsed *tree* (what the lint runner does)."""
+    return _ModuleIndexer(tree, relpath, module).index()

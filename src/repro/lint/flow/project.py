@@ -1,133 +1,31 @@
-"""Phase assembly: the indexing pipeline and the whole-program context.
+"""Phase assembly: the whole-program context the flow rules receive.
 
-:func:`index_entries` turns parsed source files into
-:class:`ModuleSummary` facts, consulting the on-disk
-:class:`~repro.lint.flow.cache.SummaryCache` first — a warm run
-re-indexes only edited files — and fanning cache misses out across a
-process pool when ``jobs > 1`` (indexing is a pure function of source
-text, so workers need nothing but the text).  :class:`ProjectContext` is
-what the flow rules actually receive: the summaries joined into a
-:class:`~repro.lint.flow.symbols.SymbolTable` and
+:class:`ProjectContext` joins the phase-1 :class:`ModuleSummary` facts
+into a :class:`~repro.lint.flow.symbols.SymbolTable` and
 :class:`~repro.lint.flow.callgraph.CallGraph`, plus the run's config and
-cache statistics.
+indexing statistics.
 """
 
 from __future__ import annotations
 
-import ast
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
 
 from repro.lint.config import LintConfig
-from repro.lint.flow.cache import SummaryCache
 from repro.lint.flow.callgraph import CallGraph
-from repro.lint.flow.facts import ModuleSummary, content_key
-from repro.lint.flow.indexer import index_module, index_tree
+from repro.lint.flow.facts import ModuleSummary
 from repro.lint.flow.symbols import SymbolTable
-
-
-@dataclass(slots=True)
-class IndexEntry:
-    """One file queued for phase-1 indexing.
-
-    ``tree`` is the already-parsed AST when the per-file phase has one
-    in hand (the in-process fast path); pool workers re-parse from
-    ``source`` instead, since ASTs do not cross process boundaries.
-    """
-
-    relpath: str
-    module: str
-    source: str
-    tree: ast.Module | None = None
 
 
 @dataclass(slots=True)
 class FlowStats:
     """Phase-1 accounting surfaced in the JSON report and tests."""
 
-    #: Files indexed fresh this run (== cache misses when caching).
+    #: Files indexed this run.
     files_indexed: int = 0
-    cache_hits: int = 0
-    cache_misses: int = 0
-    store_failures: int = 0
-    jobs: int = 1
 
     def as_dict(self) -> dict[str, int]:
-        return {
-            "files_indexed": self.files_indexed,
-            "cache_hits": self.cache_hits,
-            "cache_misses": self.cache_misses,
-            "store_failures": self.store_failures,
-            "jobs": self.jobs,
-        }
-
-
-def _index_worker(payload: tuple[str, str, str]) -> dict | None:
-    """Pool entry point: index one file, returning a JSON-shaped dict.
-
-    Summaries cross the pool as their ``to_dict`` form — the same bytes
-    the cache persists — so the pool path and the cache path exercise
-    one serialisation.  Files that fail to re-parse yield ``None`` (the
-    per-file phase already reported them).
-    """
-    source, relpath, module = payload
-    try:
-        return index_module(source, relpath, module).to_dict()
-    except SyntaxError:
-        return None
-
-
-def index_entries(
-    entries: list[IndexEntry],
-    cache: SummaryCache,
-    jobs: int = 1,
-) -> tuple[list[ModuleSummary], FlowStats]:
-    """Summaries for *entries*, cache-first, pooled when ``jobs > 1``."""
-    jobs = max(1, jobs)
-    stats = FlowStats(jobs=jobs)
-    summaries: list[ModuleSummary | None] = [None] * len(entries)
-    pending: list[int] = []
-    for pos, entry in enumerate(entries):
-        cached = cache.load(content_key(entry.module, entry.source))
-        if cached is not None:
-            summaries[pos] = cached
-        else:
-            pending.append(pos)
-    if jobs > 1 and len(pending) > 1:
-        payloads = [
-            (entries[pos].source, entries[pos].relpath, entries[pos].module)
-            for pos in pending
-        ]
-        with ProcessPoolExecutor(
-            max_workers=min(jobs, len(pending))
-        ) as pool:
-            for pos, data in zip(pending, pool.map(_index_worker, payloads)):
-                if data is not None:
-                    summaries[pos] = ModuleSummary.from_dict(data)
-    else:
-        for pos in pending:
-            entry = entries[pos]
-            try:
-                if entry.tree is not None:
-                    summaries[pos] = index_tree(
-                        entry.tree, entry.source, entry.relpath, entry.module
-                    )
-                else:
-                    summaries[pos] = index_module(
-                        entry.source, entry.relpath, entry.module
-                    )
-            except SyntaxError:
-                continue
-    for pos in pending:
-        summary = summaries[pos]
-        if summary is not None:
-            stats.files_indexed += 1
-            cache.store(summary)
-    stats.cache_hits = cache.stats.hits
-    stats.cache_misses = cache.stats.misses
-    stats.store_failures = cache.stats.store_failures
-    return [s for s in summaries if s is not None], stats
+        return {"files_indexed": self.files_indexed}
 
 
 class ProjectContext:
@@ -147,14 +45,3 @@ class ProjectContext:
         self.symbols = SymbolTable(summaries)
         self.graph = CallGraph(summaries, self.symbols)
 
-
-def build_project(
-    root: Path,
-    config: LintConfig,
-    entries: list[IndexEntry],
-    cache: SummaryCache | None = None,
-    jobs: int = 1,
-) -> ProjectContext:
-    """Index *entries* and assemble the project context in one step."""
-    summaries, stats = index_entries(entries, cache or SummaryCache(None), jobs)
-    return ProjectContext(root=root, config=config, summaries=summaries, stats=stats)

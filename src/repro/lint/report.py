@@ -16,8 +16,7 @@ gate tooling and asserted structurally in ``tests/lint``::
         ...
       ],
       "parse_errors": [{"path": "...", "message": "..."}],
-      "flow": {"files_indexed": 87, "cache_hits": 0, "cache_misses": 87,
-               "store_failures": 0, "jobs": 1},
+      "flow": {"files_indexed": 87},
       "summary": {"errors": 1, "warnings": 0, "by_rule": {"SIM001": 1}}
     }
 

@@ -4,16 +4,15 @@
 ``tools/check_lint.py`` gate, and the in-tree self-clean test, so all
 three see byte-identical results.  A run has two phases: the per-file
 rules stream over each parsed file as before, and — when any flow rule
-is active — the same parsed files are indexed into module summaries
-(cache-first, optionally across a process pool) and the whole-program
-rules run once over the assembled call graph.  Flow findings pass
+is active — the same parsed trees are indexed into module summaries
+and the whole-program rules run once over the assembled call graph.  Flow findings pass
 through the same inline-suppression filter and land in the same sorted
 finding list, so reporters cannot tell the phases apart.
 
 The outcome is a :class:`LintResult` holding the surviving findings
 (sorted by location) plus the bookkeeping reporters need: files
 checked, suppression count, parse errors (repo-relative, like
-findings), and the flow phase's cache statistics.
+findings), and the flow phase's indexing statistics.
 """
 
 from __future__ import annotations
@@ -24,13 +23,8 @@ from pathlib import Path
 from repro.lint.config import LintConfig, find_pyproject, load_config
 from repro.lint.context import FileContext, RepoContext, collect_files
 from repro.lint.findings import Finding
-from repro.lint.flow.cache import SummaryCache
-from repro.lint.flow.project import (
-    FlowStats,
-    IndexEntry,
-    ProjectContext,
-    index_entries,
-)
+from repro.lint.flow.indexer import index_tree
+from repro.lint.flow.project import FlowStats, ProjectContext
 from repro.lint.registry import FlowRule, Rule, all_rules
 
 
@@ -107,20 +101,12 @@ def _run_flow_phase(
     rules: list[tuple[FlowRule, str]],
     repo: RepoContext,
     result: LintResult,
-    cache_dir: str | Path | None,
-    jobs: int,
 ) -> None:
     """Index every parsed file, assemble the project, run flow rules."""
-    entries = [
-        IndexEntry(
-            relpath=ctx.relpath,
-            module=ctx.module,
-            source=ctx.source,
-            tree=ctx.tree,
-        )
-        for ctx in contexts
+    summaries = [
+        index_tree(ctx.tree, ctx.relpath, ctx.module) for ctx in contexts
     ]
-    summaries, stats = index_entries(entries, SummaryCache(cache_dir), jobs)
+    stats = FlowStats(files_indexed=len(summaries))
     result.flow_stats = stats
     project = ProjectContext(
         root=repo.root, config=repo.config, summaries=summaries, stats=stats
@@ -151,8 +137,6 @@ def run_lint(
     root: str | Path | None = None,
     select: tuple[str, ...] | None = None,
     flow: bool = True,
-    flow_cache: str | Path | None = None,
-    jobs: int = 1,
 ) -> LintResult:
     """Lint *paths* (files or directories) and return the result.
 
@@ -160,10 +144,7 @@ def run_lint(
     first path (or *root*) supplies ``[tool.simlint]``; *root* anchors
     repo-relative paths in findings and the registry/tests lookups.
     *select* restricts the run to the given rule ids (CLI ``--select``).
-    ``flow=False`` skips the whole-program phase (CLI ``--no-flow``);
-    *flow_cache* names the on-disk summary-cache directory (``None``
-    indexes from scratch); *jobs* fans phase-1 indexing across a
-    process pool when > 1.
+    ``flow=False`` skips the whole-program phase (CLI ``--no-flow``).
     """
     path_objs = [Path(p) for p in paths]
     if root is None:
@@ -184,8 +165,6 @@ def run_lint(
         (rule, sev) for rule, sev in rules if isinstance(rule, FlowRule)
     ]
     run_flow = flow and config.flow and bool(flow_rules)
-    if flow_cache is None and config.flow_cache:
-        flow_cache = repo.root / config.flow_cache
     result = LintResult()
     contexts: list[FileContext] = []
     for file_path in collect_files(path_objs):
@@ -201,6 +180,6 @@ def run_lint(
         if run_flow:
             contexts.append(ctx)
     if run_flow:
-        _run_flow_phase(contexts, flow_rules, repo, result, flow_cache, jobs)
+        _run_flow_phase(contexts, flow_rules, repo, result)
     result.findings.sort(key=Finding.sort_key)
     return result

@@ -15,13 +15,12 @@ journal never holds results — the store is the single source of truth —
 so replaying a request twice is harmless (idempotent by content
 addressing).
 
-Disk contract (same family as the result store):
+Writes and failures follow the shared on-disk contract
+(:mod:`repro.core.durable`).  The journal's own rules:
 
 * entries live under ``<dir>/v<JOURNAL_VERSION>/<seq>.req`` and replay
-  in admission order;
-* an entry is published by writing a complete temp file and hard-linking
-  it into place (create-exclusive), so a crash mid-record leaves at most
-  an orphaned temp file, never a half-written entry under a final name;
+  in admission order; a crash mid-record leaves at most an orphaned
+  temp file, which :meth:`RequestJournal.pending` sweeps;
 * a body that no longer decodes (torn write, version skew) is an
   *unrecoverable* entry: it is counted, removed, and skipped — recovery
   must never wedge the server.
@@ -32,8 +31,9 @@ from __future__ import annotations
 import contextlib
 import os
 import re
-import tempfile
 from pathlib import Path
+
+from repro.core.durable import DurableStore, publish_file
 
 #: On-disk journal layout version.
 JOURNAL_VERSION = 1
@@ -42,21 +42,19 @@ JOURNAL_VERSION = 1
 _ENTRY_RE = re.compile(r"^(\d{8})\.req$")
 
 
-class RequestJournal:
+class RequestJournal(DurableStore):
     """Journal of raw request bodies awaiting a response.
 
     ``RequestJournal(None)`` is a disabled no-op (every ``record``
     returns ``None``), so the server never branches on configuration.
     """
 
+    kind = "request journal"
+
     def __init__(self, directory: str | os.PathLike[str] | None) -> None:
-        self.root: Path | None = None if directory is None else Path(directory)
+        super().__init__(directory)
         #: Entries dropped by :meth:`pending` because they were damaged.
         self.unrecoverable = 0
-
-    @property
-    def enabled(self) -> bool:
-        return self.root is not None
 
     def _base(self) -> Path:
         assert self.root is not None
@@ -67,34 +65,36 @@ class RequestJournal:
     def record(self, body: bytes) -> str | None:
         """Journal one admitted request; returns its discard token.
 
-        The entry is complete before it becomes visible: the body lands
-        in a temp file first and is published under the next free
-        sequence number with ``os.link`` (fails on collision, so two
-        concurrent recorders can never share a name).  Journal failures
-        are swallowed — a server that cannot journal still serves, it
-        just cannot replay after a crash.
+        A failure degrades the journal and returns ``None``: a server
+        that cannot journal still serves, it just cannot replay.
         """
-        if self.root is None:
+        if not self.enabled:
             return None
         base = self._base()
         try:
             base.mkdir(parents=True, exist_ok=True)
-            fd, tmp = tempfile.mkstemp(dir=base, suffix=".tmp")
-            with os.fdopen(fd, "wb") as handle:
-                handle.write(body)
-            seq = self._next_seq(base)
-            while True:
-                final = base / f"{seq:08d}.req"
-                try:
-                    os.link(tmp, final)
-                except FileExistsError:
-                    seq += 1
-                    continue
-                break
-            os.unlink(tmp)
-        except OSError:
+            return publish_file(base, body, self._link_next)
+        except OSError as exc:
+            self.degrade(exc, "recording a request")
             return None
-        return final.name
+
+    def _link_next(self, tmp: str) -> str:
+        """Hard-link *tmp* under the next free sequence number.
+
+        ``os.link`` fails on collision, so concurrent recorders never
+        share a name.
+        """
+        base = Path(tmp).parent
+        seq = self._next_seq(base)
+        while True:
+            final = base / f"{seq:08d}.req"
+            try:
+                os.link(tmp, final)
+            except FileExistsError:
+                seq += 1
+                continue
+            os.unlink(tmp)
+            return final.name
 
     def discard(self, token: str | None) -> None:
         """Forget one answered request (idempotent, never raises)."""

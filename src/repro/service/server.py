@@ -217,6 +217,7 @@ class SweepService:
             {
                 "service.store_entries": self.store.entries(),
                 "service.store_failures": self.store.store_failures,
+                "service.journal_failures": self.journal.store_failures,
             }
         )
         return snapshot

@@ -1,11 +1,14 @@
 """Persistent artifact cache: keying, reuse, corruption handling, wiring."""
 
+import errno
 import os
 import pickle
+import warnings
 
 import pytest
 
 from repro.config import FetchPolicy, SimConfig
+from repro.core import artifacts as artifacts_module
 from repro.core.artifacts import ArtifactCache
 from repro.core.parallel import ParallelRunner
 from repro.core.runner import SimulationRunner
@@ -94,6 +97,36 @@ class TestCorruptionIsAMiss:
         cache, entry = populated
         os.unlink(entry / "program.pkl")
         assert cache.load("li", TRACE, SEED) is None
+
+
+class TestStoreFailure:
+    """An OS-level write failure degrades the cache: warn once, count,
+    disable; the failed write leaves no temp file and no torn entry."""
+
+    def test_failed_trace_write(self, tmp_path, monkeypatch):
+        cache = ArtifactCache(tmp_path)
+        program, trace = cache.get_or_build("li", TRACE, SEED)
+        entry = cache.entry_dir("li", TRACE, SEED)
+        before = (entry / "trace.npz").read_bytes()
+
+        def disk_fills_up(trace, path):
+            with open(path, "wb") as handle:
+                handle.write(b"PK\x03\x04 half an archive")
+            raise OSError(errno.ENOSPC, "No space left on device")
+
+        monkeypatch.setattr(artifacts_module, "save_trace", disk_fills_up)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            cache.store("li", TRACE, SEED, program, trace)
+            cache.store("li", TRACE, SEED + 1, program, trace)
+        assert [w.category for w in caught] == [RuntimeWarning]
+        assert "artifact cache disabled" in str(caught[0].message)
+        assert cache.store_failures == 1
+        assert not cache.enabled
+        assert sorted(path.name for path in entry.iterdir()) == [
+            "program.pkl", "trace.npz",
+        ]
+        assert (entry / "trace.npz").read_bytes() == before
 
 
 class TestRunnerWiring:

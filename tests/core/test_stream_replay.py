@@ -13,6 +13,10 @@ keep ineligible configurations off the replay path.
 
 from __future__ import annotations
 
+import errno
+import warnings
+
+import numpy as np
 import pytest
 
 from repro.config import ALL_POLICIES, CacheConfig, FetchPolicy, SimConfig
@@ -230,6 +234,37 @@ class TestPersistence:
         assert (
             cache.load_stream("gcc", TRACE_LENGTH * 2, SEED, stream.digest) is None
         )
+
+    def test_failed_stream_write_degrades(self, stream, tmp_path, monkeypatch):
+        cache = ArtifactCache(tmp_path)
+
+        def disk_fills_up(path, array):
+            with open(path, "wb") as handle:
+                handle.write(b"\x93NUMPY half an array")
+            raise OSError(errno.ENOSPC, "No space left on device")
+
+        monkeypatch.setattr(np, "save", disk_fills_up)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            cache.store_stream("gcc", TRACE_LENGTH, SEED, stream)
+            cache.store_stream("gcc", TRACE_LENGTH, SEED, stream)
+        assert [w.category for w in caught] == [RuntimeWarning]
+        assert cache.store_failures == 1
+        assert not cache.enabled
+        directory = cache.stream_dir("gcc", TRACE_LENGTH, SEED, stream.digest)
+        assert list(directory.parent.iterdir()) == []  # no temp dir left
+
+    def test_concurrent_stream_writer_wins_quietly(self, stream, tmp_path):
+        first, second = ArtifactCache(tmp_path), ArtifactCache(tmp_path)
+        first.store_stream("gcc", TRACE_LENGTH, SEED, stream)
+        second.store_stream("gcc", TRACE_LENGTH, SEED, stream)
+        assert second.store_failures == 0 and second.enabled
+        directory = first.stream_dir("gcc", TRACE_LENGTH, SEED, stream.digest)
+        assert [path.name for path in directory.parent.iterdir()] == [
+            directory.name
+        ]
+        loaded = second.load_stream("gcc", TRACE_LENGTH, SEED, stream.digest)
+        assert loaded is not None
 
     def test_prune_reclaims_stale_streams(self, stream, tmp_path):
         import json

@@ -1,4 +1,4 @@
-"""CLI surface of the flow layer: --no-flow, --jobs, --changed."""
+"""CLI surface of the flow layer: --no-flow, --select, --changed."""
 
 from __future__ import annotations
 
@@ -65,27 +65,6 @@ def test_select_without_flow_rules_skips_indexing(tmp_path, capsys) -> None:
     )
     assert code == 0
     assert payload["flow"] is None
-
-
-def test_jobs_flag_reaches_the_pool(tmp_path, capsys) -> None:
-    root = write_repo(tmp_path, MODULES)
-    code, payload = _run_json(
-        [str(root / "src"), "--root", str(root), "--jobs", "2"], capsys
-    )
-    assert code == 1
-    assert payload["flow"]["jobs"] == 2
-    assert [f["rule"] for f in payload["findings"]] == ["SIM014"]
-
-
-def test_flow_cache_flag_persists_summaries(tmp_path, capsys) -> None:
-    root = write_repo(tmp_path / "repo", MODULES)
-    cache = tmp_path / "cache"
-    base = [str(root / "src"), "--root", str(root), "--flow-cache", str(cache)]
-    _run_json(base, capsys)
-    code, payload = _run_json(base, capsys)
-    assert code == 1
-    assert payload["flow"]["files_indexed"] == 0
-    assert payload["flow"]["cache_hits"] == payload["files_checked"]
 
 
 def test_list_rules_includes_flow_rules(capsys) -> None:

@@ -1,13 +1,14 @@
-"""Phase-1 indexing: fact extraction and summary round-trips."""
+"""Phase-1 indexing: fact extraction from source text and parsed trees."""
 
 from __future__ import annotations
 
+import ast
 import textwrap
 
 import pytest
 
-from repro.lint.flow.facts import MODULE_BODY, ModuleSummary, content_key
-from repro.lint.flow.indexer import index_module
+from repro.lint.flow.facts import MODULE_BODY, ModuleSummary
+from repro.lint.flow.indexer import index_module, index_tree
 
 pytestmark = pytest.mark.lint
 
@@ -106,16 +107,11 @@ def test_seeded_rng_never_becomes_a_fact() -> None:
     assert [e.kind for e in summary.functions["wild"].nondet] == ["rng"]
 
 
-def test_summary_round_trips_through_the_cache_format() -> None:
-    source = "def f():\n    return 1\n"
-    summary = index_module(source, relpath="src/x.py", module="repro.x")
-    clone = ModuleSummary.from_dict(summary.to_dict())
-    assert clone.to_dict() == summary.to_dict()
-    assert clone.content_hash == content_key("repro.x", source)
-
-
-def test_version_mismatch_rejects_the_payload() -> None:
-    payload = index_module("x = 1\n", relpath="s.py", module="m").to_dict()
-    payload["version"] = -1
-    with pytest.raises(ValueError):
-        ModuleSummary.from_dict(payload)
+def test_index_tree_matches_index_module() -> None:
+    # The lint runner indexes the tree its per-file phase already parsed;
+    # that must give the same summary as indexing the source text.
+    source = "import time\n\ndef f():\n    return time.time()\n"
+    tree = ast.parse(source, filename="src/x.py")
+    assert index_tree(tree, "src/x.py", "repro.x") == index_module(
+        source, relpath="src/x.py", module="repro.x"
+    )

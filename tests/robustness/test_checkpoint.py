@@ -11,6 +11,7 @@ import subprocess
 import sys
 import threading
 import time
+import warnings
 
 import pytest
 
@@ -94,6 +95,10 @@ class TestJournal:
             store.store(*_cell(), result)  # warns, never raises
         assert not store.enabled
         assert store.load(*_cell()) is None
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # a second failure stays quiet
+            store.store(*_cell(config=RESUME), result)
+        assert store.store_failures == 1
 
 
 class TestConcurrentWriters:

@@ -2,6 +2,10 @@
 
 from __future__ import annotations
 
+import errno
+import os
+import warnings
+
 import pytest
 
 from repro.service.recovery import JOURNAL_VERSION, RequestJournal
@@ -53,7 +57,32 @@ class TestRecordReplay:
         blocked = tmp_path / "blocked"
         blocked.write_text("a file where the journal dir should go")
         journal = RequestJournal(blocked)
-        assert journal.record(b"body") is None  # serve on, just not resumable
+        with pytest.warns(RuntimeWarning, match="request journal disabled"):
+            assert journal.record(b"body") is None  # serve on, just not resumable
+        assert journal.store_failures == 1
+        assert not journal.enabled
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # a second failure stays quiet
+            assert journal.record(b"again") is None
+        assert journal.store_failures == 1
+
+    def test_failed_publish_leaves_no_temp_file(self, tmp_path, monkeypatch):
+        journal = RequestJournal(tmp_path)
+        kept = journal.record(b"before")
+
+        def no_hard_links(src, dst, **kwargs):
+            raise PermissionError(errno.EPERM, "hard links not supported")
+
+        # A filesystem without hard links fails the publish mid-record.
+        monkeypatch.setattr(os, "link", no_hard_links)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            assert journal.record(b"one") is None
+            assert journal.record(b"two") is None
+        assert [w.category for w in caught] == [RuntimeWarning]
+        assert journal.store_failures == 1
+        base = tmp_path / f"v{JOURNAL_VERSION}"
+        assert sorted(path.name for path in base.iterdir()) == [kept]
 
 
 class TestDamage:

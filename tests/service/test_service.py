@@ -321,6 +321,16 @@ class TestRecovery:
         assert service.journal.pending() == []
         assert service.store.entries() == 0
 
+    def test_journal_failure_is_counted_on_healthz(self, tmp_path):
+        service = _service(tmp_path)
+        assert service.counters()["service.journal_failures"] == 0
+        service.journal.root.parent.mkdir(parents=True, exist_ok=True)
+        service.journal.root.write_text("a file, not a directory")
+        with pytest.warns(RuntimeWarning, match="request journal disabled"):
+            assert service.journal.record(b"body") is None
+        asyncio.run(_closed(service, asyncio.sleep(0)))
+        assert service.counters()["service.journal_failures"] == 1
+
 
 class TestMetricsRendering:
     def test_prometheus_exposition(self):

@@ -8,7 +8,10 @@ and the re-store atomically overwrites the damage.
 
 from __future__ import annotations
 
+import errno
+import os
 import pickle
+import warnings
 
 import pytest
 
@@ -148,6 +151,27 @@ class TestCorruptionTolerance:
         assert store.store_failures == 1
         # Disabled means every later lookup is a cheap miss, not an error.
         assert store.load(_digest(), "li", ORACLE, TRACE, WARMUP, SEED) is None
+
+    def test_failed_write_leaves_entry_and_no_temp_file(
+        self, tmp_path, result, monkeypatch
+    ):
+        store = ResultStore(tmp_path)
+        store.store(_digest(), "li", ORACLE, TRACE, WARMUP, SEED, result)
+        entry = store.entry_path(_digest())
+        before = entry.read_bytes()
+
+        def disk_full(src, dst):
+            raise OSError(errno.ENOSPC, "No space left on device")
+
+        monkeypatch.setattr(os, "replace", disk_full)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            store.store(_digest(), "li", ORACLE, TRACE, WARMUP, SEED, result)
+            store.store(_digest(RESUME), "li", RESUME, TRACE, WARMUP, SEED, result)
+        assert [w.category for w in caught] == [RuntimeWarning]
+        assert store.store_failures == 1
+        assert entry.read_bytes() == before
+        assert sorted(path.name for path in entry.parent.iterdir()) == [entry.name]
 
 
 class TestPrune:

@@ -98,8 +98,8 @@ def main(argv=None) -> int:
             indented = "\n".join(f"    {line}" for line in output.splitlines())
             lines.append(indented)
         elif name == "check_lint":
-            # Surface the cold/warm cache timing even when the gate is
-            # quiet — it is the one latency number worth watching.
+            # Surface the lint timing even when the gate is quiet — it
+            # is the one latency number worth watching.
             for line in output.splitlines():
                 if line.startswith("lint timing:"):
                     lines.append(f"    {line}")
