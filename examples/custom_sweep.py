@@ -5,7 +5,8 @@ Run:  python examples/custom_sweep.py [benchmark]
 Explores a configuration plane the paper never ran: fetch policy x miss
 penalty, locating the latency at which the Resume/Pessimistic crossover
 happens for one benchmark — the quantitative version of the paper's
-"policy of choice depends on the latency" conclusion.
+"policy of choice depends on the latency" conclusion.  The sweep's 14
+cells go to the runner as one batch, so they simulate on every core.
 """
 
 from __future__ import annotations
@@ -16,9 +17,10 @@ from repro import FetchPolicy, SimConfig, SimulationRunner
 from repro.experiments.sweeps import Sweep
 
 
-def main() -> None:
-    benchmark = sys.argv[1] if len(sys.argv) > 1 else "li"
-    runner = SimulationRunner(trace_length=100_000)
+def main(argv: list[str] | None = None, trace_length: int = 100_000) -> None:
+    argv = sys.argv[1:] if argv is None else argv
+    benchmark = argv[0] if argv else "li"
+    runner = SimulationRunner(trace_length=trace_length)
 
     sweep = Sweep(
         base=SimConfig(),

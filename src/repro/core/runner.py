@@ -25,7 +25,8 @@ result object (``sweep.result_hits``).
 side by side on every core before they are requested: forked workers
 run the same attempt loop, and each outcome is held until :meth:`run`
 asks for its cell, so results, counters and the registry match a serial
-run (see ``docs/performance.md``).
+run (see ``docs/performance.md``).  :meth:`SimulationRunner.run_jobs`
+is the batch call for callers that know their cells up front.
 """
 
 from __future__ import annotations
@@ -34,6 +35,7 @@ import contextlib
 import os
 import time
 import warnings
+from collections import Counter
 from collections.abc import Iterable, Iterator, Sequence
 from dataclasses import dataclass, replace
 
@@ -122,14 +124,16 @@ class CellOutcome:
 
 @dataclass(slots=True)
 class _PlanTask:
-    """Cells one pool worker simulates in a row.
+    """One planned cell for a pool worker.
 
-    A task is one cell, except that cells sharing a prediction stream
-    the runner has not built yet travel together, so the stream is built
-    once and shipped back (*stream_key*).
+    *stream_key* names a prediction stream no other planned cell uses,
+    which the worker builds and ships back; shared streams are built in
+    the parent before the fork (see ``run_many``).
     """
 
-    cells: list[tuple[tuple, str, SimConfig]]
+    key: tuple
+    name: str
+    config: SimConfig
     stream_key: tuple | None = None
 
 
@@ -162,12 +166,12 @@ def _adopt(runner: SimulationRunner, parent_pid: int) -> None:
     _forked_runner = runner
 
 
-def _simulate_task(cells, stream_key):
-    """Pool worker: one task's cell outcomes, plus the stream it built."""
+def _simulate_task(name, config, stream_key):
+    """Pool worker: one cell's outcome, plus the stream it built."""
     runner = _forked_runner
-    outcomes = [runner._isolated(name, config) for name, config in cells]
+    outcome = runner._isolated(name, config)
     stream = runner._streams.get(stream_key) if stream_key is not None else None
-    return outcomes, stream
+    return outcome, stream
 
 
 class SimulationRunner:
@@ -612,6 +616,20 @@ class SimulationRunner:
 
     # -- planned cells on every core --------------------------------------------
 
+    def run_jobs(
+        self, jobs: Iterable[tuple[str, SimConfig]]
+    ) -> list[SimulationResult]:
+        """Simulate ``(benchmark, config)`` jobs; results in job order.
+
+        The batch call :class:`~repro.core.parallel.ParallelRunner` and
+        the service's ``RemoteRunner`` share: *jobs* are planned through
+        :meth:`run_many`, then requested one by one through :meth:`run`,
+        so results, cell traffic and the registry match a serial run.
+        """
+        jobs = list(jobs)
+        self.run_many(jobs)
+        return [self.run(name, config) for name, config in jobs]
+
     def run_many(self, plan: Iterable[tuple[str, SimConfig]]) -> None:
         """Simulate the ``(benchmark, config)`` cells of *plan* side by side.
 
@@ -619,19 +637,22 @@ class SimulationRunner:
         cell is written to the checkpoint store at once and its outcome
         held until :meth:`run` asks for the cell, which serves it as a
         simulated cell in request order.  Cells already memoised, held or
-        stored are skipped.  The plan's programs and traces are prepared
-        here, so forked workers inherit them; cells sharing a stream not
-        built yet form one task.  Tasks go longest first (a static
+        stored are skipped.  Each remaining cell is one task.  Once a
+        pool is certain, the plan's programs and traces, and every
+        prediction stream two or more of its cells share, are prepared
+        here, so forked workers inherit them and each is built once, as
+        in a serial run; a stream only one cell uses is built by its
+        worker and shipped back.  Tasks go longest first (a static
         estimate) to a pool of ``min(cpus, tasks)`` forked workers, each
         running the cell's attempt loop under a private observer; the
         pool is joined before returning.
 
-        Everything stays in process (nothing is dispatched) on one CPU,
-        with fewer than two tasks, with a fault plan (faults must fire in
-        request order), and while the observer streams events (a plan's
-        events would sit in memory until their cells are requested).  A
-        task whose worker dies leaves its cells to :meth:`run`
-        (``sweep.plan_fallbacks``).
+        Everything stays in process (nothing is prepared or dispatched)
+        on one CPU, with fewer than two tasks, with a fault plan (faults
+        must fire in request order), and while the observer streams
+        events (a plan's events would sit in memory until their cells
+        are requested).  A cell whose preparation fails, or whose worker
+        dies (``sweep.plan_fallbacks``), is left to :meth:`run`.
         """
         observer = self.observer
         if observer is not None:
@@ -663,7 +684,11 @@ class SimulationRunner:
         tasks = self._plan_tasks(cells)
         if min(cpus, len(tasks)) < 2:
             return
-        tasks = [task for task in tasks if self._preparable(task)]
+        users = Counter(task.stream_key for task in tasks if task.stream_key)
+        tasks = [
+            task for task in tasks
+            if self._preparable(task, shared=users[task.stream_key] > 1)
+        ]
         if min(cpus, len(tasks)) < 2:
             return
         # Longest first; the sort is stable, so ties keep plan order.
@@ -673,9 +698,9 @@ class SimulationRunner:
     def _plan_tasks(
         self, cells: dict[tuple, tuple[str, SimConfig]]
     ) -> list[_PlanTask]:
-        """Group planned cells into pool tasks, in plan order."""
+        """One pool task per planned cell, in plan order, naming the
+        stream the cell replays if the runner has not built it yet."""
         tasks: list[_PlanTask] = []
-        by_stream: dict[tuple, _PlanTask] = {}
         for key, (name, config) in cells.items():
             stream_key = None
             if self.replay != "off" and replay_eligible(config):
@@ -684,39 +709,36 @@ class SimulationRunner:
                 )
                 if stream_key in self._streams:
                     stream_key = None
-            task = by_stream.get(stream_key) if stream_key else None
-            if task is None:
-                task = _PlanTask(cells=[], stream_key=stream_key)
-                tasks.append(task)
-                if stream_key is not None:
-                    by_stream[stream_key] = task
-            task.cells.append((key, name, config))
+            tasks.append(_PlanTask(key, name, config, stream_key))
         return tasks
 
-    def _preparable(self, task: _PlanTask) -> bool:
-        """Prepare the task's workload; a failure leaves it to run()."""
+    def _preparable(self, task: _PlanTask, shared: bool) -> bool:
+        """Prepare the task's workload, and its stream when *shared* with
+        other tasks; a failure leaves the cell to run()."""
         try:
-            self.prepared(task.cells[0][1])
+            self.prepared(task.name)
+            if shared:
+                self._stream_for(task.name, task.config)
+                task.stream_key = None
         except Exception:
             return False
         return True
 
     def _task_cost(self, task: _PlanTask) -> int:
         """Static engine-time estimate of one task (see the weights)."""
-        records = self.trace(task.cells[0][1]).n_blocks
-        cost = STREAM_BUILD_WEIGHT if task.stream_key is not None else 0
-        for _, _, config in task.cells:
-            replayed = self.replay != "off" and replay_eligible(config)
-            weight = (
-                REPLAYED_WEIGHT if replayed and config.perfect_cache
-                else REAL_CACHE_WEIGHT
-            )
-            if config.prefetch:
-                weight += PREFETCH_WEIGHT
-            if config.adaptive_interval is not None:
-                weight *= ADAPTIVE_FACTOR
-            cost += weight
-        return cost * records
+        config = task.config
+        replayed = self.replay != "off" and replay_eligible(config)
+        weight = (
+            REPLAYED_WEIGHT if replayed and config.perfect_cache
+            else REAL_CACHE_WEIGHT
+        )
+        if config.prefetch:
+            weight += PREFETCH_WEIGHT
+        if config.adaptive_interval is not None:
+            weight *= ADAPTIVE_FACTOR
+        if task.stream_key is not None:
+            weight += STREAM_BUILD_WEIGHT
+        return weight * self.trace(task.name).n_blocks
 
     def _dispatch(self, tasks: list[_PlanTask], workers: int) -> None:
         """Run *tasks* on a fork pool of *workers*; hold every outcome.
@@ -730,7 +752,7 @@ class SimulationRunner:
         from concurrent.futures.process import ProcessPoolExecutor
 
         self._count("sweep.plan_tasks", len(tasks))
-        self._count("sweep.plan_cells", sum(len(t.cells) for t in tasks))
+        self._count("sweep.plan_cells", len(tasks))
         with self._phase("simulate_plan"):
             pool = ProcessPoolExecutor(
                 max_workers=workers,
@@ -741,22 +763,20 @@ class SimulationRunner:
             try:
                 futures = {
                     pool.submit(
-                        _simulate_task,
-                        [(name, config) for _, name, config in task.cells],
-                        task.stream_key,
+                        _simulate_task, task.name, task.config, task.stream_key
                     ): task
                     for task in tasks
                 }
                 for future in as_completed(futures):
                     task = futures[future]
                     try:
-                        outcomes, stream = future.result()
+                        outcome, stream = future.result()
                     except Exception:
-                        # A dead worker or an unpicklable outcome: these
-                        # cells run in process when they are requested.
-                        self._count("sweep.plan_fallbacks", len(task.cells))
+                        # A dead worker or an unpicklable outcome: the
+                        # cell runs in process when it is requested.
+                        self._count("sweep.plan_fallbacks", 1)
                         continue
-                    self._hold(task, outcomes, stream)
+                    self._hold(task, outcome, stream)
             except BaseException:
                 # Interrupted: do not wait for the running tasks.
                 for process in list((pool._processes or {}).values()):
@@ -765,26 +785,21 @@ class SimulationRunner:
             finally:
                 pool.shutdown(wait=True, cancel_futures=True)
 
-    def _hold(
-        self, task: _PlanTask, outcomes: list[CellOutcome], stream
-    ) -> None:
-        """Keep a finished task's outcomes (and stream) for their requests."""
+    def _hold(self, task: _PlanTask, outcome: CellOutcome, stream) -> None:
+        """Keep a finished task's outcome (and stream) for its request."""
         if stream is not None:
             self._streams.setdefault(task.stream_key, stream)
-        for (key, name, config), outcome in zip(
-            task.cells, outcomes, strict=True
-        ):
-            if outcome.result is not None and self.checkpoint.enabled:
-                self.checkpoint.store(
-                    cell_digest(
-                        name, config, self.trace_length, self.warmup,
-                        self.seed,
-                    ),
-                    name, config, self.trace_length, self.warmup, self.seed,
-                    outcome.result,
-                )
-                outcome.stored = self.checkpoint.enabled
-            self._planned[key] = outcome
+        if outcome.result is not None and self.checkpoint.enabled:
+            self.checkpoint.store(
+                cell_digest(
+                    task.name, task.config, self.trace_length, self.warmup,
+                    self.seed,
+                ),
+                task.name, task.config, self.trace_length, self.warmup,
+                self.seed, outcome.result,
+            )
+            outcome.stored = self.checkpoint.enabled
+        self._planned[task.key] = outcome
 
     def _isolated(self, name: str, config: SimConfig) -> CellOutcome:
         """Pool worker: one cell's attempt loop under a private observer."""

@@ -6,6 +6,11 @@ free-form counterpart: a cartesian sweep over any
 feed tables, CSV export, or external plotting.  Used by
 ``examples/custom_sweep.py`` and available to downstream users who want
 to explore configurations the paper never ran.
+
+:meth:`Sweep.run` hands all its cells to the runner in one
+``run_jobs`` call, so a :class:`~repro.core.runner.SimulationRunner`
+simulates them on every core, a ``ParallelRunner`` on its pool, and a
+``RemoteRunner`` sends them as one request.
 """
 
 from __future__ import annotations
@@ -13,10 +18,10 @@ from __future__ import annotations
 import itertools
 from collections.abc import Callable, Mapping, Sequence
 from dataclasses import dataclass, fields, replace
+from typing import Protocol
 
 from repro.config import SimConfig
 from repro.core.results import SimulationResult
-from repro.core.runner import SimulationRunner
 from repro.errors import ExperimentError
 from repro.report.format import Table
 
@@ -35,6 +40,14 @@ METRICS: dict[str, Callable[[SimulationResult], float]] = {
 }
 
 _CONFIG_FIELDS = {f.name for f in fields(SimConfig)}
+
+
+class JobRunner(Protocol):
+    """What a sweep needs of a runner: results of a batch, in job order."""
+
+    def run_jobs(
+        self, jobs: list[tuple[str, SimConfig]]
+    ) -> list[SimulationResult]: ...
 
 
 @dataclass(frozen=True, slots=True)
@@ -109,26 +122,27 @@ class Sweep:
 
     def run(
         self,
-        runner: SimulationRunner,
+        runner: JobRunner,
         benchmarks: Sequence[str],
     ) -> list[SweepPoint]:
         """Execute the sweep; points ordered benchmark-major."""
-        points: list[SweepPoint] = []
-        for name in benchmarks:
-            for assignment, config in self.configurations():
-                result = runner.run(name, config)
-                points.append(
-                    SweepPoint(
-                        benchmark=name,
-                        parameters=assignment,
-                        metrics={
-                            metric: METRICS[metric](result)
-                            for metric in self.metrics
-                        },
-                        result=result,
-                    )
-                )
-        return points
+        cells = [
+            (name, assignment, config)
+            for name in benchmarks
+            for assignment, config in self.configurations()
+        ]
+        results = runner.run_jobs([(name, config) for name, _, config in cells])
+        return [
+            SweepPoint(
+                benchmark=name,
+                parameters=assignment,
+                metrics={
+                    metric: METRICS[metric](result) for metric in self.metrics
+                },
+                result=result,
+            )
+            for (name, assignment, _), result in zip(cells, results, strict=True)
+        ]
 
     def table(
         self, points: Sequence[SweepPoint], metric: str = "total_ispi"

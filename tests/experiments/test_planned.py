@@ -9,8 +9,13 @@ forced on a 1-CPU host by patching the worker-count helper.
 
 from __future__ import annotations
 
+import contextlib
+import importlib.util
+import io
 import multiprocessing
 import os
+from dataclasses import asdict
+from pathlib import Path
 
 import pytest
 
@@ -19,6 +24,7 @@ from repro.config import ALL_POLICIES, FetchPolicy, SimConfig
 from repro.core.faults import FaultPlan, FaultSpec
 from repro.core.runner import SimulationRunner
 from repro.experiments.registry import EXPERIMENTS, PAPER_EXPERIMENTS, planned
+from repro.experiments.sweeps import Sweep
 from repro.obs import Observer, PhaseProfiler, RingBufferSink
 from repro.report import experiment_to_json
 
@@ -65,11 +71,11 @@ def _traffic(runner) -> tuple[int, int, int]:
     return runner.cells_requested, runner.cells_simulated, runner.memo_hits
 
 
-def _dying_task(cells, stream_key):
+def _dying_task(name, config, stream_key):
     """A pool task that kills its worker when it reaches doduc."""
-    if any(name == "doduc" for name, _ in cells):
+    if name == "doduc":
         os._exit(3)
-    return _simulate_task(cells, stream_key)
+    return _simulate_task(name, config, stream_key)
 
 
 @pytest.fixture
@@ -221,3 +227,115 @@ class TestFailures:
         assert ispi == _runner().run("gcc", SimConfig()).total_ispi
         assert runner.observer.registry.value("sweep.plan_errors") == 1
         assert runner.cells_simulated == 1
+
+
+def _stream_sweep() -> Sweep:
+    """Cells that all replay their program's one architectural stream."""
+    return Sweep(
+        base=SimConfig(branch_schedule="architectural"),
+        axes={
+            "perfect_cache": [False, True],
+            "policy": [FetchPolicy.ORACLE, FetchPolicy.RESUME],
+        },
+    )
+
+
+def _points(points) -> list:
+    return [
+        (p.benchmark, p.parameters, p.result.penalties.as_dict(),
+         asdict(p.result.counters))
+        for p in points
+    ]
+
+
+def _swept() -> tuple[list, SimulationRunner]:
+    """The stream sweep on a fresh observed runner."""
+    runner = _runner(observer=Observer(profiler=PhaseProfiler()))
+    return _points(_stream_sweep().run(runner, BENCHMARKS)), runner
+
+
+def _one_cpu(run):
+    """*run*() with the plan pool off, as on a one-CPU host."""
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(runner_module, "_plan_workers", lambda: 1)
+        return run()
+
+
+class TestSweepOnEveryCore:
+    def test_matches_one_cpu(self, two_workers):
+        serial_points, serial_runner = _one_cpu(_swept)
+        points, runner = _swept()
+        assert points == serial_points
+        assert _without_plan_counters(runner) == _without_plan_counters(
+            serial_runner
+        )
+        assert _traffic(runner) == _traffic(serial_runner)
+        assert serial_runner.observer.registry.value("sweep.plan_tasks") == 0
+        assert multiprocessing.active_children() == []
+
+    def test_shared_streams_are_built_once_before_the_fork(self, two_workers):
+        points, runner = _swept()
+        registry = runner.observer.registry
+        assert registry.value("stream.builds") == len(BENCHMARKS)
+        assert registry.value("stream.replays") == len(points) == 8
+        assert registry.value("sweep.plan_tasks") == len(points)
+        assert registry.value("sweep.plan_cells") == len(points)
+        assert registry.value("sweep.plan_fallbacks") == 0
+
+    def test_failed_stream_build_leaves_cells_to_run(
+        self, two_workers, monkeypatch
+    ):
+        build_stream = runner_module.build_stream
+
+        def no_gcc_stream(program, trace, config):
+            if program.name == "gcc":
+                raise OSError("no room for the gcc stream")
+            return build_stream(program, trace, config)
+
+        reference, _ = _one_cpu(_swept)
+        monkeypatch.setattr(runner_module, "build_stream", no_gcc_stream)
+        runner = _runner(observer=Observer())
+        cells = [
+            (name, config)
+            for name in BENCHMARKS
+            for _, config in _stream_sweep().configurations()
+        ]
+        runner.run_many(cells)
+        held = {outcome.result.program for outcome in runner._planned.values()}
+        assert held == {"doduc"}
+        assert runner.observer.registry.value("sweep.plan_cells") == 4
+        monkeypatch.setattr(runner_module, "build_stream", build_stream)
+        assert _points(_stream_sweep().run(runner, BENCHMARKS)) == reference
+        assert runner.cells_simulated == len(cells)
+        assert runner.observer.registry.value("stream.builds") == 2
+
+
+def _example_stdout() -> str:
+    """``examples/custom_sweep.py`` on gcc at a short trace, as printed."""
+    path = Path(__file__).parents[2] / "examples" / "custom_sweep.py"
+    spec = importlib.util.spec_from_file_location("custom_sweep", path)
+    example = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(example)
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        example.main(["gcc"], trace_length=TRACE)
+    return out.getvalue()
+
+
+def test_custom_sweep_example_plans_to_the_same_output(
+    two_workers, monkeypatch
+):
+    dispatched = []
+    dispatch = SimulationRunner._dispatch
+
+    def spy(runner, tasks, workers):
+        dispatched.append(len(tasks))
+        return dispatch(runner, tasks, workers)
+
+    monkeypatch.setattr(SimulationRunner, "_dispatch", spy)
+    serial = _one_cpu(_example_stdout)
+    assert dispatched == []
+    pooled = _example_stdout()
+    assert dispatched == [14]
+    assert pooled == serial
+    assert "gcc" in pooled

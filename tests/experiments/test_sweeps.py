@@ -1,10 +1,16 @@
 """Generic parameter sweeps."""
 
+from dataclasses import asdict
+
 import pytest
 
 from repro.config import FetchPolicy, SimConfig
+from repro.core.parallel import ParallelRunner
+from repro.core.runner import SimulationRunner
 from repro.errors import ExperimentError
 from repro.experiments.sweeps import METRICS, Sweep
+from repro.service import RemoteRunner
+from repro.service.protocol import SweepResponse
 
 
 def small_sweep():
@@ -16,6 +22,36 @@ def small_sweep():
         },
         metrics=("total_ispi", "miss_percent"),
     )
+
+
+def rows(points):
+    """Everything a point carries, in a comparable form."""
+    return [
+        (
+            point.benchmark,
+            point.parameters,
+            point.metrics,
+            point.result.penalties.as_dict(),
+            asdict(point.result.counters),
+        )
+        for point in points
+    ]
+
+
+class CountingClient:
+    """A service client that serves each sweep request from a local runner."""
+
+    def __init__(self):
+        self.requests = []
+
+    def sweep(self, request):
+        self.requests.append(request)
+        local = SimulationRunner(
+            trace_length=request.trace_length,
+            warmup=request.warmup,
+            seed=request.seed,
+        )
+        return SweepResponse(results=tuple(local.run_jobs(request.cells)))
 
 
 class TestValidation:
@@ -105,6 +141,39 @@ class TestRun:
     def test_table_unknown_metric(self, points):
         with pytest.raises(ExperimentError):
             small_sweep().table(points, metric="vibes")
+
+
+class TestRunners:
+    """Every runner with ``run_jobs`` runs a sweep to the same points."""
+
+    BENCHMARKS = ("li", "doduc")
+
+    @pytest.fixture(scope="class")
+    def reference(self, runner):
+        return rows(small_sweep().run(runner, benchmarks=self.BENCHMARKS))
+
+    def test_parallel_runner(self, runner, reference):
+        parallel = ParallelRunner(
+            trace_length=runner.trace_length,
+            warmup=runner.warmup,
+            seed=runner.seed,
+            max_workers=2,
+        )
+        points = small_sweep().run(parallel, benchmarks=self.BENCHMARKS)
+        assert rows(points) == reference
+
+    def test_remote_runner_sends_one_request(self, runner, reference):
+        client = CountingClient()
+        remote = RemoteRunner(
+            client,
+            trace_length=runner.trace_length,
+            warmup=runner.warmup,
+            seed=runner.seed,
+        )
+        points = small_sweep().run(remote, benchmarks=self.BENCHMARKS)
+        assert len(client.requests) == 1
+        assert len(client.requests[0].cells) == len(points) == 8
+        assert rows(points) == reference
 
 
 class TestMetricRegistry:
