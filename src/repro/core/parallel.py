@@ -88,6 +88,26 @@ _WorkerReturn = tuple[
 ]
 
 
+#: In a pool worker: the last workload it prepared, as ``((name,
+#: trace_length, seed), program, trace)``, so consecutive cells of one
+#: benchmark skip the load and reuse its memoized lowering and wrong-path
+#: segments.  One workload at most: workers are the peak-RSS processes.
+_held_workload: tuple | None = None
+
+#: Set by :func:`_pool_worker`: only pool workers hold a workload, never
+#: the calling process (``ParallelRunner._run_in_process``).
+_hold_workloads = False
+
+
+def _pool_worker(parent_pid: int | None = None) -> None:
+    """Pool initializer: hold the last workload between cells, and die
+    with *parent_pid* when one is given."""
+    global _hold_workloads
+    _hold_workloads = True
+    if parent_pid is not None:
+        tie_to_parent(parent_pid)
+
+
 def _run_benchmark_jobs(args) -> _WorkerReturn:
     """Worker: one benchmark, many configurations (runs in a subprocess).
 
@@ -101,47 +121,35 @@ def _run_benchmark_jobs(args) -> _WorkerReturn:
     worker memory-maps the stream's ``.npy`` files from the shared
     artifact cache (zero-copy transport) and builds + stores the stream
     itself on a miss.
+
+    A pool worker holds the workload it prepared last (see
+    :data:`_held_workload`); a call with a fault plan neither reads nor
+    fills that memo, so every phase it names still fires.
     """
+    global _held_workload
     (
         name, configs, trace_length, warmup, seed, collect, cache_dir,
         replay, plan,
     ) = args
     from repro.branch.stream import build_stream, replay_eligible, stream_digest
     from repro.core.artifacts import ArtifactCache
-    from repro.core.faults import corrupt_entry
-    from repro.program.workloads import build_workload
-    from repro.trace.generator import generate_trace
 
     observer = Observer(profiler=PhaseProfiler()) if collect else None
     profiler = observer.profiler if observer is not None else PhaseProfiler()
-    # Mirror SimulationRunner exactly: the runner seed perturbs both the
-    # structure and the trace, so serial and parallel sweeps agree; the
-    # shared on-disk artifact cache (atomic writes) lets every worker of
-    # every sweep skip the build/generate phases after the first process.
     artifacts = ArtifactCache(cache_dir)
-    pair = None
-    if artifacts.enabled:
-        if plan is not None:
-            spec = plan.fire("cache_load", name)
-            if spec is not None and spec.kind == "corrupt":
-                corrupt_entry(artifacts.entry_dir(name, trace_length, seed))
-        with profiler.phase("artifact_cache"):
-            pair = artifacts.load(name, trace_length, seed)
-    if pair is not None:
-        program, trace = pair
+    key = (name, trace_length, seed)
+    hold = _hold_workloads and plan is None
+    if hold and _held_workload is not None and _held_workload[0] == key:
+        _, program, trace = _held_workload
     else:
-        if plan is not None:
-            plan.fire("build", name)
-        with profiler.phase("build_program"):
-            program = build_workload(name, seed=seed)
-        if plan is not None:
-            plan.fire("generate", name)
-        with profiler.phase("generate_trace"):
-            trace = generate_trace(program, trace_length, seed=seed)
-        if artifacts.enabled:
-            if plan is not None:
-                plan.fire("cache_store", name)
-            artifacts.store(name, trace_length, seed, program, trace)
+        if hold:
+            # Drop the held workload before loading the next one.
+            _held_workload = None
+        program, trace = _prepare(
+            name, trace_length, seed, artifacts, plan, profiler
+        )
+        if hold:
+            _held_workload = (key, program, trace)
     # Prediction streams, memoized per branch-config digest: every
     # replay-eligible configuration in this batch that shares a digest
     # shares one stream (mmapped from the cache when present, built and
@@ -195,6 +203,44 @@ def _run_benchmark_jobs(args) -> _WorkerReturn:
             )
         return results, observer.registry.as_dict(), profiler.summary()
     return results, None, None
+
+
+def _prepare(name, trace_length, seed, artifacts, plan, profiler):
+    """Worker: the ``(program, trace)`` pair for one benchmark.
+
+    Mirrors ``SimulationRunner.prepared`` exactly: the runner seed
+    perturbs both the structure and the trace, so serial and parallel
+    sweeps agree; the shared on-disk artifact cache (atomic writes) lets
+    every worker of every sweep skip the build/generate phases after
+    the first process.  *plan* fires at every phase boundary.
+    """
+    from repro.core.faults import corrupt_entry
+    from repro.program.workloads import build_workload
+    from repro.trace.generator import generate_trace
+
+    pair = None
+    if artifacts.enabled:
+        if plan is not None:
+            spec = plan.fire("cache_load", name)
+            if spec is not None and spec.kind == "corrupt":
+                corrupt_entry(artifacts.entry_dir(name, trace_length, seed))
+        with profiler.phase("artifact_cache"):
+            pair = artifacts.load(name, trace_length, seed)
+    if pair is not None:
+        return pair
+    if plan is not None:
+        plan.fire("build", name)
+    with profiler.phase("build_program"):
+        program = build_workload(name, seed=seed)
+    if plan is not None:
+        plan.fire("generate", name)
+    with profiler.phase("generate_trace"):
+        trace = generate_trace(program, trace_length, seed=seed)
+    if artifacts.enabled:
+        if plan is not None:
+            plan.fire("cache_store", name)
+        artifacts.store(name, trace_length, seed, program, trace)
+    return program, trace
 
 
 @dataclass
@@ -617,7 +663,7 @@ class ParallelRunner:
         # Workers die with this process, even when it is SIGKILLed.
         return ProcessPoolExecutor(
             max_workers=self.max_workers,
-            initializer=tie_to_parent,
+            initializer=_pool_worker,
             initargs=(os.getpid(),),
         )
 

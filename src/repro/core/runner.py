@@ -695,6 +695,11 @@ class SimulationRunner:
         tasks.sort(key=self._task_cost, reverse=True)
         self._dispatch(tasks, min(cpus, len(tasks)))
 
+    def drop_plan(self) -> None:
+        """Forget held outcomes no request asked for (a planned
+        experiment calls this when it returns)."""
+        self._planned.clear()
+
     def _plan_tasks(
         self, cells: dict[tuple, tuple[str, SimConfig]]
     ) -> list[_PlanTask]:

@@ -20,13 +20,14 @@ from dataclasses import replace
 
 from repro.config import BranchConfig, CacheConfig, FetchPolicy, SimConfig
 from repro.core.runner import SimulationRunner
-from repro.experiments.base import ExperimentResult
+from repro.experiments.base import ExperimentResult, planned
 from repro.report.format import Table, average_label, mean
 
 #: A representative cross-language subset (keeps ablations affordable).
 ABLATION_BENCHMARKS = ("doduc", "gcc", "li", "groff", "lic")
 
 
+@planned
 def run_ablation_btb(
     runner: SimulationRunner, benchmarks: Sequence[str] = ABLATION_BENCHMARKS
 ) -> ExperimentResult:
@@ -61,6 +62,7 @@ def run_ablation_btb(
     )
 
 
+@planned
 def run_ablation_pht(
     runner: SimulationRunner, benchmarks: Sequence[str] = ABLATION_BENCHMARKS
 ) -> ExperimentResult:
@@ -96,6 +98,7 @@ def run_ablation_pht(
     )
 
 
+@planned
 def run_ablation_assoc(
     runner: SimulationRunner, benchmarks: Sequence[str] = ABLATION_BENCHMARKS
 ) -> ExperimentResult:
@@ -132,6 +135,7 @@ def run_ablation_assoc(
     )
 
 
+@planned
 def run_ablation_btbupd(
     runner: SimulationRunner, benchmarks: Sequence[str] = ABLATION_BENCHMARKS
 ) -> ExperimentResult:
@@ -164,6 +168,7 @@ def run_ablation_btbupd(
     )
 
 
+@planned
 def run_ablation_pht_size(
     runner: SimulationRunner, benchmarks: Sequence[str] = ABLATION_BENCHMARKS
 ) -> ExperimentResult:
@@ -209,6 +214,7 @@ def run_ablation_pht_size(
     )
 
 
+@planned
 def run_ablation_linesize(
     runner: SimulationRunner, benchmarks: Sequence[str] = ABLATION_BENCHMARKS
 ) -> ExperimentResult:
@@ -268,6 +274,7 @@ def run_ablation_linesize(
     )
 
 
+@planned
 def run_ablation_ras(
     runner: SimulationRunner, benchmarks: Sequence[str] = ABLATION_BENCHMARKS
 ) -> ExperimentResult:

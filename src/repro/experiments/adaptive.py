@@ -30,7 +30,7 @@ from dataclasses import replace
 
 from repro.config import REALIZABLE_POLICIES, FetchPolicy, SimConfig
 from repro.core.runner import SimulationRunner
-from repro.experiments.base import ExperimentResult
+from repro.experiments.base import ExperimentResult, planned
 from repro.program.workloads import SUITE
 from repro.report.format import Table, average_label, mean
 
@@ -56,6 +56,7 @@ def _static_best(
     return best_policy, best
 
 
+@planned
 def run_adaptive(
     runner: SimulationRunner,
     benchmarks: Sequence[str] = SUITE,

@@ -4,15 +4,24 @@ Every reproduced table/figure is an *experiment*: a function taking a
 :class:`~repro.core.runner.SimulationRunner` and returning an
 :class:`ExperimentResult` holding rendered tables/charts plus the raw data
 (used by tests and by EXPERIMENTS.md generation).
+
+Every experiment whose cells all go through the runner is defined
+*planned* (:func:`planned`), so it hands its cells to the runner as one
+batch wherever it is called: the CLI, the registry, the benchmark, or a
+direct call.
 """
 
 from __future__ import annotations
 
-from collections.abc import Sequence
+import copy
+import functools
+import warnings
+from collections.abc import Callable, Sequence
 from dataclasses import dataclass, field
+from typing import TypeVar
 
 from repro.config import FetchPolicy, SimConfig
-from repro.core.results import SimulationResult
+from repro.core.results import MissingResult, SimulationResult
 from repro.core.runner import SimulationRunner
 from repro.report.figures import StackedBarChart
 from repro.report.format import Table
@@ -44,6 +53,72 @@ class ExperimentResult:
             parts.append("")
             parts.append(chart.render())
         return "\n".join(parts)
+
+
+_Experiment = TypeVar("_Experiment", bound=Callable[..., object])
+
+
+def planned(experiment: _Experiment) -> _Experiment:
+    """*experiment*, with its cells handed to the runner as one plan.
+
+    On a runner that can take a plan (``run_many``) and has no fault
+    plan, the wrapper runs *experiment* three times over: a planning
+    pass against a shallow copy of the runner whose ``run`` and
+    ``run_jobs`` record each ``(benchmark, config)`` and return
+    :class:`MissingResult` placeholders (the copy shares the runner's
+    memos, so programs and traces it builds are reused), then
+    ``runner.run_many(plan)``, then the real pass against the untouched
+    runner, which requests its cells exactly as an unplanned run does.
+    ``runner.drop_plan()`` then frees whatever the plan held.  A
+    :class:`~repro.core.runner.SimulationRunner` simulates the plan on
+    every core; a :class:`~repro.service.client.RemoteRunner` sends it
+    as one request.
+
+    A planning pass that requested no cell is the experiment's result;
+    one that raises is warned about and counted (``sweep.plan_errors``),
+    and the experiment still runs.  Other runners, and fault plans
+    (whose faults must fire in request order), get the plain experiment.
+    """
+
+    @functools.wraps(experiment)
+    def run(runner, *args, **kwargs):
+        if not hasattr(runner, "run_many") or (
+            getattr(runner, "fault_plan", None) is not None
+        ):
+            return experiment(runner, *args, **kwargs)
+        plan = []
+        planner = copy.copy(runner)
+
+        def record(name, config):
+            plan.append((name, config))
+            return MissingResult(program=name, config=config)
+
+        planner.run = record
+        planner.run_jobs = lambda jobs: [record(*job) for job in jobs]
+        try:
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore")
+                dry = experiment(planner, *args, **kwargs)
+        except Exception as exc:
+            warnings.warn(
+                f"planning {experiment.__name__} failed; its cells run one "
+                f"at a time ({type(exc).__name__}: {exc})",
+                RuntimeWarning,
+                stacklevel=2,
+            )
+            observer = getattr(runner, "observer", None)
+            if observer is not None:
+                observer.registry.inc("sweep.plan_errors")
+        else:
+            if not plan:
+                return dry
+            runner.run_many(plan)
+        try:
+            return experiment(runner, *args, **kwargs)
+        finally:
+            runner.drop_plan()
+
+    return run  # type: ignore[return-value]
 
 
 def policy_breakdowns(

@@ -11,7 +11,7 @@ from collections.abc import Sequence
 from repro.config import ALL_POLICIES, FetchPolicy, SimConfig
 from repro.core.results import COMPONENTS
 from repro.core.runner import SimulationRunner
-from repro.experiments.base import ExperimentResult, policy_breakdowns
+from repro.experiments.base import ExperimentResult, planned, policy_breakdowns
 from repro.program.workloads import FIGURE_BENCHMARKS
 from repro.report.figures import breakdown_chart
 from repro.report.format import Table
@@ -58,6 +58,7 @@ def _breakdown_experiment(
     )
 
 
+@planned
 def run_figure1(
     runner: SimulationRunner, benchmarks: Sequence[str] = FIGURE_BENCHMARKS
 ) -> ExperimentResult:

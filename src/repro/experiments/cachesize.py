@@ -13,7 +13,7 @@ from dataclasses import replace
 
 from repro.config import ALL_POLICIES, CacheConfig, SimConfig
 from repro.core.runner import SimulationRunner
-from repro.experiments.base import ExperimentResult
+from repro.experiments.base import ExperimentResult, planned
 from repro.program.workloads import SUITE
 from repro.report.format import Table, average_label, mean
 
@@ -21,6 +21,7 @@ from repro.report.format import Table, average_label, mean
 LARGE_CACHE_BYTES = 32 * 1024
 
 
+@planned
 def run_table6(
     runner: SimulationRunner,
     benchmarks: Sequence[str] = SUITE,

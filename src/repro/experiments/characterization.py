@@ -19,12 +19,13 @@ from dataclasses import replace
 
 from repro.config import CacheConfig, FetchPolicy, SimConfig
 from repro.core.runner import SimulationRunner
-from repro.experiments.base import ExperimentResult
+from repro.experiments.base import ExperimentResult, planned
 from repro.program.workloads import LANGUAGE, PAPER_REFERENCE, SUITE, get_spec
 from repro.report.format import Table, average_label, mean
 from repro.trace.stats import compute_stats
 
 
+@planned
 def run_table2(
     runner: SimulationRunner, benchmarks: Sequence[str] = SUITE
 ) -> ExperimentResult:
@@ -71,6 +72,7 @@ def run_table2(
     )
 
 
+@planned
 def run_table3(
     runner: SimulationRunner, benchmarks: Sequence[str] = SUITE
 ) -> ExperimentResult:

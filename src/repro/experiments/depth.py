@@ -13,7 +13,7 @@ from dataclasses import replace
 
 from repro.config import ALL_POLICIES, SimConfig
 from repro.core.runner import SimulationRunner
-from repro.experiments.base import ExperimentResult
+from repro.experiments.base import ExperimentResult, planned
 from repro.program.workloads import SUITE
 from repro.report.format import Table, average_label, mean
 
@@ -21,6 +21,7 @@ from repro.report.format import Table, average_label, mean
 DEPTHS = (1, 2, 4)
 
 
+@planned
 def run_table5(
     runner: SimulationRunner,
     benchmarks: Sequence[str] = SUITE,

@@ -18,7 +18,7 @@ from dataclasses import replace
 from repro.config import FetchPolicy, SimConfig
 from repro.core.engine import simulate
 from repro.core.runner import SimulationRunner
-from repro.experiments.base import ExperimentResult
+from repro.experiments.base import ExperimentResult, planned
 from repro.program.reorder import function_heat, reorder_program
 from repro.report.format import Table, average_label, mean
 from repro.trace.generator import generate_trace
@@ -27,6 +27,7 @@ from repro.trace.generator import generate_trace
 EXTENSION_BENCHMARKS = ("doduc", "gcc", "li", "groff", "lic")
 
 
+@planned
 def run_extension_nonblocking(
     runner: SimulationRunner,
     benchmarks: Sequence[str] = EXTENSION_BENCHMARKS,
@@ -75,6 +76,7 @@ def run_extension_nonblocking(
     )
 
 
+@planned
 def run_extension_prefetch_variants(
     runner: SimulationRunner,
     benchmarks: Sequence[str] = EXTENSION_BENCHMARKS,
@@ -141,6 +143,7 @@ def run_extension_prefetch_variants(
     )
 
 
+@planned
 def run_extension_streambuffer(
     runner: SimulationRunner,
     benchmarks: Sequence[str] = ("doduc", "fpppp", "gcc", "li", "groff", "lic"),
@@ -222,6 +225,7 @@ def run_extension_streambuffer(
     )
 
 
+@planned
 def run_extension_l2(
     runner: SimulationRunner,
     benchmarks: Sequence[str] = EXTENSION_BENCHMARKS,

@@ -13,7 +13,7 @@ from dataclasses import replace
 
 from repro.config import FetchPolicy, SimConfig
 from repro.core.runner import SimulationRunner
-from repro.experiments.base import ExperimentResult
+from repro.experiments.base import ExperimentResult, planned
 from repro.experiments.baseline import _breakdown_experiment
 from repro.program.workloads import FIGURE_BENCHMARKS
 
@@ -21,6 +21,7 @@ from repro.program.workloads import FIGURE_BENCHMARKS
 LONG_MISS_PENALTY_CYCLES = 20
 
 
+@planned
 def run_figure2(
     runner: SimulationRunner, benchmarks: Sequence[str] = FIGURE_BENCHMARKS
 ) -> ExperimentResult:

@@ -14,11 +14,12 @@ from dataclasses import replace
 from repro.config import FetchPolicy, SimConfig
 from repro.core.runner import SimulationRunner
 from repro.errors import ExperimentError
-from repro.experiments.base import ExperimentResult
+from repro.experiments.base import ExperimentResult, planned
 from repro.program.workloads import SUITE
 from repro.report.format import Table, average_label, mean
 
 
+@planned
 def run_table4(
     runner: SimulationRunner, benchmarks: Sequence[str] = SUITE
 ) -> ExperimentResult:

@@ -16,7 +16,7 @@ from dataclasses import replace
 
 from repro.config import FetchPolicy, SimConfig
 from repro.core.runner import SimulationRunner
-from repro.experiments.base import ExperimentResult
+from repro.experiments.base import ExperimentResult, planned
 from repro.experiments.latency import LONG_MISS_PENALTY_CYCLES
 from repro.program.workloads import FIGURE_BENCHMARKS, SUITE
 from repro.report.figures import breakdown_chart
@@ -82,6 +82,7 @@ def _prefetch_breakdowns(
     )
 
 
+@planned
 def run_figure3(
     runner: SimulationRunner, benchmarks: Sequence[str] = FIGURE_BENCHMARKS
 ) -> ExperimentResult:
@@ -101,6 +102,7 @@ def run_figure3(
     )
 
 
+@planned
 def run_figure4(
     runner: SimulationRunner, benchmarks: Sequence[str] = FIGURE_BENCHMARKS
 ) -> ExperimentResult:
@@ -120,6 +122,7 @@ def run_figure4(
     )
 
 
+@planned
 def run_table7(
     runner: SimulationRunner, benchmarks: Sequence[str] = SUITE
 ) -> ExperimentResult:

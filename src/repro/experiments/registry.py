@@ -4,21 +4,19 @@ The single authoritative map from the paper's artifact ids (``table2`` ..
 ``figure4``) plus the ablation ids to the functions that regenerate them.
 Used by the CLI, the benchmark harness, and the integration tests.
 
-Every experiment whose cells all go through the runner is registered
-*planned* (:func:`planned`): on a :class:`SimulationRunner` it first runs
-against a recording copy of the runner to collect its cells, hands them
-to :meth:`SimulationRunner.run_many` to simulate on every core, then
-runs for real and is served each result in request order.
+Every experiment whose cells all go through the runner is defined
+*planned* (:func:`~repro.experiments.base.planned`, re-exported here):
+it first runs against a recording copy of the runner to collect its
+cells, hands them to the runner's ``run_many``, then runs for real and
+is served each result in request order.  ``robustness`` and
+``extension_reorder`` simulate outside the runner, so a planning pass
+would see none of their cells: they are defined unplanned.
 """
 
 from __future__ import annotations
 
-import copy
-import functools
-import warnings
 from collections.abc import Callable
 
-from repro.core.results import MissingResult
 from repro.core.runner import SimulationRunner
 from repro.errors import ExperimentError
 from repro.experiments.adaptive import run_adaptive
@@ -31,7 +29,7 @@ from repro.experiments.ablations import (
     run_ablation_pht_size,
     run_ablation_ras,
 )
-from repro.experiments.base import ExperimentResult
+from repro.experiments.base import ExperimentResult, planned
 from repro.experiments.baseline import run_figure1
 from repro.experiments.extensions import (
     run_extension_l2,
@@ -57,62 +55,6 @@ def _run_robustness(runner: SimulationRunner) -> ExperimentResult:
 
     return run_robustness(runner)
 
-
-def planned(experiment: ExperimentFn) -> ExperimentFn:
-    """*experiment*, with its cells simulated on every core up front.
-
-    On a :class:`SimulationRunner` without a fault plan, the wrapper
-    runs *experiment* three times over: a planning pass against a
-    shallow copy of the runner whose ``run`` records each ``(benchmark,
-    config)`` and returns a :class:`MissingResult` (the copy shares the
-    runner's memos, so programs and traces it builds are reused), then
-    ``runner.run_many(plan)``, then the real pass against the untouched
-    runner, which requests its cells exactly as a serial run does.  A
-    planning pass that requested no cell is the experiment's result; one
-    that raises is warned about and counted (``sweep.plan_errors``), and
-    the experiment still runs.  Other runners, and fault plans (whose
-    faults must fire in request order), get the plain experiment.
-    """
-
-    @functools.wraps(experiment)
-    def run(runner, *args, **kwargs):
-        if not isinstance(runner, SimulationRunner) or (
-            runner.fault_plan is not None
-        ):
-            return experiment(runner, *args, **kwargs)
-        plan = []
-        planner = copy.copy(runner)
-
-        def record(name, config):
-            plan.append((name, config))
-            return MissingResult(program=name, config=config)
-
-        planner.run = record
-        try:
-            with warnings.catch_warnings():
-                warnings.simplefilter("ignore")
-                dry = experiment(planner, *args, **kwargs)
-        except Exception as exc:
-            warnings.warn(
-                f"planning {experiment.__name__} failed; its cells run one "
-                f"at a time ({type(exc).__name__}: {exc})",
-                RuntimeWarning,
-                stacklevel=2,
-            )
-            if runner.observer is not None:
-                runner.observer.registry.inc("sweep.plan_errors")
-        else:
-            if not plan:
-                return dry
-            runner.run_many(plan)
-        return experiment(runner, *args, **kwargs)
-
-    return run
-
-
-#: Experiments that simulate outside the runner, so a planning pass
-#: would see none of their cells.
-_UNPLANNED = ("extension_reorder", "robustness")
 
 #: All experiments in paper order, then ablations.
 EXPERIMENTS: dict[str, ExperimentFn] = {
@@ -140,10 +82,6 @@ EXPERIMENTS: dict[str, ExperimentFn] = {
     "extension_streambuffer": run_extension_streambuffer,
     "adaptive": run_adaptive,
     "robustness": _run_robustness,
-}
-EXPERIMENTS = {
-    eid: fn if eid in _UNPLANNED else planned(fn)
-    for eid, fn in EXPERIMENTS.items()
 }
 
 #: The experiments reproducing paper artifacts (no ablations, extensions,

@@ -14,23 +14,29 @@ networkx):
   size budgeting of the synthesiser.
 
 `validate_deep` runs everything and returns a report; the workload test
-suite asserts every shipped benchmark passes clean.
+suite asserts every shipped benchmark passes clean.  networkx is
+imported only when a graph is built, so ``import repro`` stays free of
+it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-
-import networkx as nx
+from typing import TYPE_CHECKING
 
 from repro.errors import ProgramError
 from repro.isa import InstrKind
 from repro.program.cfg import ControlFlowGraph, Function
 from repro.program.program import Program
 
+if TYPE_CHECKING:
+    import networkx as nx
+
 
 def build_call_graph(cfg: ControlFlowGraph) -> "nx.DiGraph":
     """Directed call graph: function -> callee (direct and indirect)."""
+    import networkx as nx
+
     graph = nx.DiGraph()
     graph.add_nodes_from(cfg.functions)
     for name, function in cfg.functions.items():
@@ -47,11 +53,15 @@ def build_call_graph(cfg: ControlFlowGraph) -> "nx.DiGraph":
 
 def find_call_cycles(cfg: ControlFlowGraph) -> list[list[str]]:
     """All elementary cycles in the call graph (empty = DAG)."""
+    import networkx as nx
+
     return [list(cycle) for cycle in nx.simple_cycles(build_call_graph(cfg))]
 
 
 def unreachable_functions(cfg: ControlFlowGraph) -> set[str]:
     """Functions not reachable from the entry via the call graph."""
+    import networkx as nx
+
     graph = build_call_graph(cfg)
     reachable = nx.descendants(graph, cfg.entry) | {cfg.entry}
     return set(cfg.functions) - reachable
@@ -64,6 +74,8 @@ def build_block_graph(function: Function) -> "nx.DiGraph":
     to both the target and the fall-through; calls fall through to the
     next block (the callee returns there); returns have no successor.
     """
+    import networkx as nx
+
     graph = nx.DiGraph()
     labels = [block.label for block in function.blocks]
     graph.add_nodes_from(labels)
@@ -89,6 +101,8 @@ def unreachable_blocks(function: Function) -> set[str]:
     """Blocks not reachable from the function's entry block."""
     if not function.blocks:
         return set()
+    import networkx as nx
+
     graph = build_block_graph(function)
     entry = function.blocks[0].label
     reachable = nx.descendants(graph, entry) | {entry}

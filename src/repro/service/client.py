@@ -23,6 +23,7 @@ from __future__ import annotations
 import json
 import socket
 import time
+import warnings
 
 from repro.config import ALL_POLICIES, FetchPolicy, SimConfig
 from repro.core.results import MissingResult, SimulationResult, SweepFailure
@@ -203,7 +204,9 @@ class RemoteRunner:
     Presents the sweep surface of
     :class:`~repro.core.runner.SimulationRunner` — same method names,
     same result shapes, same ``failures`` reporting — but every cell is
-    computed (or cache-hit) server-side.  Experiments that need local
+    computed (or cache-hit) server-side.  A planned experiment
+    (:func:`~repro.experiments.base.planned`) sends all its cells as
+    one request through :meth:`run_many`.  Experiments that need local
     workload access (:meth:`program` / :meth:`trace`) cannot run against
     a server and say so explicitly.
     """
@@ -233,21 +236,23 @@ class RemoteRunner:
         self.on_error = on_error
         self.priority = priority
         self.client_id = client_id
-        #: Structured failure report from the most recent sweep call
-        #: (mirrors ``ParallelRunner.failures``).
+        #: Structured failure report from the most recent request
+        #: (mirrors ``ParallelRunner.failures``); after a plan's request,
+        #: the failures of the planned cells served so far.
         self.failures: list[SweepFailure] = []
         #: Aggregated per-request service stats (store hits etc.).
         self.stats: dict[str, int] = {}
+        #: Plans whose request failed, so their cells went one call at a
+        #: time (see :meth:`run_many`).
+        self.plan_fallbacks = 0
+        #: Planned cells -> (result, its failure or ``None``), served by
+        #: :meth:`run_jobs` without a request until :meth:`drop_plan`.
+        self._held: dict[tuple[str, SimConfig], tuple] = {}
 
     # -- the sweep surface ----------------------------------------------------
 
-    def run_jobs(
-        self, jobs: list[tuple[str, SimConfig]]
-    ) -> list[SimulationResult | MissingResult]:
-        """Run ``(benchmark, config)`` cells server-side, in job order."""
-        self.failures = []
-        if not jobs:
-            return []
+    def _sweep(self, jobs) -> SweepResponse:
+        """One request for *jobs*; its stats join :attr:`stats`."""
         response = self.client.sweep(
             SweepRequest(
                 cells=tuple(jobs),
@@ -259,10 +264,78 @@ class RemoteRunner:
                 on_error=self.on_error,
             )
         )
-        self.failures = list(response.failures)
         for key, value in response.stats.items():
             self.stats[key] = self.stats.get(key, 0) + value
+        return response
+
+    def run_jobs(
+        self, jobs: list[tuple[str, SimConfig]]
+    ) -> list[SimulationResult | MissingResult]:
+        """Run ``(benchmark, config)`` cells server-side, in job order.
+
+        When every cell is held from a plan, they are served with no
+        request.  The plan's request is then the most recent one, so
+        :attr:`failures` gains each held failure the first time its
+        cell is served: once the experiment returns, it lists every
+        dead cell exactly once.
+        """
+        if self._held and all(tuple(job) in self._held for job in jobs):
+            results = []
+            for job in map(tuple, jobs):
+                result, failure = self._held[job]
+                if failure is not None:
+                    self.failures.append(failure)
+                    self._held[job] = (result, None)
+                results.append(result)
+            return results
+        self.failures = []
+        if not jobs:
+            return []
+        response = self._sweep(jobs)
+        self.failures = list(response.failures)
         return list(response.results)
+
+    def run_many(self, plan) -> None:
+        """Send the distinct cells of *plan* as one request and hold
+        each result (and its failure) for :meth:`run_jobs`.
+
+        A request the service refuses (say a 429 that outlasts the
+        client's retries, or dead cells under ``on_error="raise"``)
+        holds nothing: it warns once per runner, counts
+        :attr:`plan_fallbacks`, and the cells go one call at a time, as
+        an unplanned run sends them.
+        """
+        self._held = {}
+        self.failures = []
+        cells = list(dict.fromkeys(tuple(job) for job in plan))
+        if not cells:
+            return
+        try:
+            response = self._sweep(cells)
+        except ServiceError as exc:
+            self.plan_fallbacks += 1
+            if self.plan_fallbacks == 1:
+                warnings.warn(
+                    f"the planned request for {len(cells)} cells failed; "
+                    f"they go one call at a time ({exc})",
+                    RuntimeWarning,
+                    stacklevel=3,
+                )
+            return
+        # The server lists failures in the order of their dead cells.
+        failures = iter(response.failures)
+        self._held = {
+            cell: (
+                result,
+                next(failures) if isinstance(result, MissingResult) else None,
+            )
+            for cell, result in zip(cells, response.results)
+        }
+
+    def drop_plan(self) -> None:
+        """Forget the held results (a planned experiment calls this when
+        it returns)."""
+        self._held = {}
 
     def run(self, name: str, config: SimConfig) -> SimulationResult:
         return self.run_jobs([(name, config)])[0]

@@ -52,7 +52,11 @@ from dataclasses import dataclass, field
 from pathlib import Path
 
 from repro.core.faults import FaultPlan, is_transient
-from repro.core.parallel import ParallelRunner, _run_benchmark_jobs
+from repro.core.parallel import (
+    ParallelRunner,
+    _pool_worker,
+    _run_benchmark_jobs,
+)
 from repro.core.results import MissingResult, SweepFailure
 from repro.core.store import ResultStore, cell_digest
 from repro.errors import InjectedFault, JobTimeoutError, ServiceError
@@ -348,10 +352,12 @@ class SweepService:
             # worker keeps the socket open and the client blocks in
             # ``recv`` forever instead of seeing EOF.  A spawned worker
             # execs a fresh interpreter, so non-inheritable fds never
-            # leak into it.
+            # leak into it.  Each worker holds the workload of its last
+            # cell, so a run of one benchmark's cells loads it once.
             self._pool = ProcessPoolExecutor(
                 max_workers=self.max_workers,
                 mp_context=multiprocessing.get_context("spawn"),
+                initializer=_pool_worker,
             )
         return self._pool
 

@@ -1,5 +1,10 @@
 """Deep program validation (call graph + reachability)."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
 from repro.errors import ProgramError
@@ -137,3 +142,18 @@ class TestValidateDeep:
 def test_every_shipped_workload_validates_clean(name):
     """All 13 benchmarks must be DAG-called with no dead code."""
     assert_valid_deep(build_workload(name))
+
+
+def test_import_repro_leaves_networkx_unloaded():
+    """Only the deep checks need networkx, so they import it themselves."""
+    src = Path(__file__).resolve().parents[2] / "src"
+    env = dict(os.environ, PYTHONPATH=str(src))
+    code = (
+        "import sys, repro, repro.program, repro.experiments.cli; "
+        "print('networkx' in sys.modules)"
+    )
+    out = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True,
+        env=env, timeout=120, check=True,
+    )
+    assert out.stdout.strip() == "False"
