@@ -2,8 +2,9 @@
 
 The paper simulates blocking, direct-mapped I-caches (8K and 32K) with
 32-byte lines.  We implement a general set-associative cache with LRU so
-associativity can be ablated, with a fast path for the direct-mapped
-configuration the paper uses.
+associativity can be ablated; the direct-mapped configuration the paper
+uses is its one-way case, stored in the same way-major layout (see
+:class:`InstructionCache`).
 
 Each resident line carries:
 
@@ -34,12 +35,22 @@ class LineOrigin(enum.Enum):
     PREFETCH = "prefetch"
 
 
-@dataclass(slots=True)
-class _Way:
-    tag: int
-    first_ref: bool
-    origin: LineOrigin
-    pf_fresh: bool = False
+def lower_way_slot(tags: list[int], set_idx: int, tag: int, n_sets: int) -> int:
+    """Slot of *tag* among the non-MRU ways of *set_idx* in a way-major
+    tag column (way *k* at slot ``k * n_sets + set_idx``), or -1."""
+    for slot in range(set_idx + n_sets, len(tags), n_sets):
+        if tags[slot] == tag:
+            return slot
+    return -1
+
+
+def move_to_mru(columns, set_idx: int, slot: int, n_sets: int) -> None:
+    """Move the line at *slot* to the MRU way of *set_idx* in every
+    way-major column, shifting the ways above it down one."""
+    for column in columns:
+        moved = column[slot]
+        column[set_idx + n_sets : slot + 1 : n_sets] = column[set_idx:slot:n_sets]
+        column[set_idx] = moved
 
 
 @dataclass(slots=True)
@@ -65,7 +76,16 @@ class CacheStats:
 
 
 class InstructionCache:
-    """Set-associative I-cache tag store with LRU replacement."""
+    """Set-associative I-cache tag store with LRU replacement.
+
+    Per-line state lives in four flat, **way-major** columns: way *k* of
+    set *s* is slot ``k * n_sets + s``, way 0 is the MRU way and an empty
+    slot holds tag -1.  A direct-mapped cache is the one-way case, and
+    for every associativity slot ``line & set_mask`` is the MRU way, so
+    an MRU hit is one list index (the engine's fast path inlines it) and
+    only an MRU miss scans the lower ways.  Empty ways always trail the
+    resident ones: a fill shifts the set down one way from the MRU end.
+    """
 
     def __init__(
         self,
@@ -93,20 +113,10 @@ class InstructionCache:
         self.n_sets = n_sets
         self.set_mask = n_sets - 1
         self._set_shift = n_sets.bit_length() - 1
-        self.stats = CacheStats()
-        if assoc == 1:
-            # Direct-mapped fast path: flat arrays indexed by set.
-            self._tags: list[int] = [-1] * n_sets
-            self._first_ref: list[bool] = [False] * n_sets
-            self._origins: list[LineOrigin | None] = [None] * n_sets
-            self._pf_fresh: list[bool] = [False] * n_sets
-            self._sets = None
-        else:
-            self._sets: list[list[_Way]] | None = [[] for _ in range(n_sets)]
-            self._tags = []
-            self._first_ref = []
-            self._origins = []
-            self._pf_fresh = []
+        self._n_slots = n_lines
+        #: Offset of a set's LRU way from its MRU way.
+        self._lru_offset = n_lines - n_sets
+        self.reset()
 
     # -- lookup ---------------------------------------------------------------
 
@@ -114,101 +124,89 @@ class InstructionCache:
         """Tag check only — no statistics, no LRU update."""
         set_idx = line & self.set_mask
         tag = line >> self._set_shift
-        if self.assoc == 1:
-            return self._tags[set_idx] == tag
-        return any(way.tag == tag for way in self._sets[set_idx])
+        tags = self._tags
+        if tags[set_idx] == tag:
+            return True
+        return self.assoc > 1 and lower_way_slot(tags, set_idx, tag, self.n_sets) >= 0
 
     def probe(self, line: int) -> bool:
         """Demand access: returns hit?, updates statistics and LRU."""
-        self.stats.probes += 1
+        stats = self.stats
+        stats.probes += 1
         set_idx = line & self.set_mask
         tag = line >> self._set_shift
-        if self.assoc == 1:
-            if self._tags[set_idx] == tag:
-                self.stats.hits += 1
-                origin = self._origins[set_idx]
-                if origin is LineOrigin.PREFETCH:
-                    self.stats.prefetch_hits += 1
-                    if self._pf_fresh[set_idx]:
-                        self._pf_fresh[set_idx] = False
-                        self.stats.prefetch_used += 1
-                elif origin is LineOrigin.DEMAND_WRONG:
-                    self.stats.wrongpath_hits += 1
-                return True
-            self.stats.misses += 1
-            return False
-        ways = self._sets[set_idx]
-        for i, way in enumerate(ways):
-            if way.tag == tag:
-                ways.append(ways.pop(i))
-                self.stats.hits += 1
-                if way.origin is LineOrigin.PREFETCH:
-                    self.stats.prefetch_hits += 1
-                    if way.pf_fresh:
-                        way.pf_fresh = False
-                        self.stats.prefetch_used += 1
-                elif way.origin is LineOrigin.DEMAND_WRONG:
-                    self.stats.wrongpath_hits += 1
-                return True
-        self.stats.misses += 1
-        return False
+        tags = self._tags
+        if tags[set_idx] != tag:
+            slot = (
+                lower_way_slot(tags, set_idx, tag, self.n_sets)
+                if self.assoc > 1
+                else -1
+            )
+            if slot < 0:
+                stats.misses += 1
+                return False
+            move_to_mru(self._columns, set_idx, slot, self.n_sets)
+        stats.hits += 1
+        origin = self._origins[set_idx]
+        if origin is LineOrigin.PREFETCH:
+            stats.prefetch_hits += 1
+            if self._pf_fresh[set_idx]:
+                self._pf_fresh[set_idx] = False
+                stats.prefetch_used += 1
+        elif origin is LineOrigin.DEMAND_WRONG:
+            stats.wrongpath_hits += 1
+        return True
 
     # -- fill -----------------------------------------------------------------
 
     def fill(self, line: int, origin: LineOrigin) -> None:
-        """Install *line*; sets the first-reference bit; evicts LRU."""
+        """Install *line* as MRU; sets the first-reference bit; evicts LRU.
+
+        A refill of a resident line (e.g. a racing prefetch) refreshes it
+        in place of an eviction.
+        """
+        stats = self.stats
+        stats.fills += 1
         set_idx = line & self.set_mask
         tag = line >> self._set_shift
-        self.stats.fills += 1
-        fresh = origin is LineOrigin.PREFETCH
-        if self.assoc == 1:
-            if self._tags[set_idx] != -1 and self._tags[set_idx] != tag:
-                self.stats.evictions += 1
-            if self._pf_fresh[set_idx]:
-                # The displaced (or refilled) frame held a prefetched line
-                # that no demand fetch ever consumed.
-                self.stats.prefetch_evicted_unused += 1
-            self._tags[set_idx] = tag
-            self._first_ref[set_idx] = True
-            self._origins[set_idx] = origin
-            self._pf_fresh[set_idx] = fresh
-            return
-        ways = self._sets[set_idx]
-        for i, way in enumerate(ways):
-            if way.tag == tag:
-                # Refill of a resident line (e.g. racing prefetch): refresh.
-                if way.pf_fresh:
-                    self.stats.prefetch_evicted_unused += 1
-                way.first_ref = True
-                way.origin = origin
-                way.pf_fresh = fresh
-                ways.append(ways.pop(i))
-                return
-        if len(ways) >= self.assoc:
-            victim = ways.pop(0)
-            self.stats.evictions += 1
-            if victim.pf_fresh:
-                self.stats.prefetch_evicted_unused += 1
-        ways.append(_Way(tag=tag, first_ref=True, origin=origin, pf_fresh=fresh))
+        tags = self._tags
+        if tags[set_idx] != tag:
+            slot = (
+                lower_way_slot(tags, set_idx, tag, self.n_sets)
+                if self.assoc > 1
+                else -1
+            )
+            if slot < 0:
+                slot = set_idx + self._lru_offset
+                if tags[slot] != -1:
+                    stats.evictions += 1
+            if slot != set_idx:
+                move_to_mru(self._columns, set_idx, slot, self.n_sets)
+        if self._pf_fresh[set_idx]:
+            # The displaced (or refilled) line was a prefetch that no
+            # demand fetch ever consumed.
+            stats.prefetch_evicted_unused += 1
+        tags[set_idx] = tag
+        self._first_ref[set_idx] = True
+        self._origins[set_idx] = origin
+        self._pf_fresh[set_idx] = origin is LineOrigin.PREFETCH
 
     # -- first-reference bit (prefetch trigger) --------------------------------
 
     def test_and_clear_first_ref(self, line: int) -> bool:
         """If *line* is resident with its first-ref bit set: clear it and
         return True (i.e. "this fetch should trigger a next-line prefetch")."""
-        set_idx = line & self.set_mask
+        slot = line & self.set_mask
         tag = line >> self._set_shift
-        if self.assoc == 1:
-            if self._tags[set_idx] == tag and self._first_ref[set_idx]:
-                self._first_ref[set_idx] = False
-                return True
-            return False
-        for way in self._sets[set_idx]:
-            if way.tag == tag:
-                if way.first_ref:
-                    way.first_ref = False
-                    return True
+        if self._tags[slot] != tag:
+            if self.assoc == 1:
                 return False
+            slot = lower_way_slot(self._tags, slot, tag, self.n_sets)
+            if slot < 0:
+                return False
+        if self._first_ref[slot]:
+            self._first_ref[slot] = False
+            return True
         return False
 
     def consume_prefetch(self, line: int) -> None:
@@ -219,24 +217,19 @@ class InstructionCache:
         buffer install), so the usefulness partition counts it exactly
         once.
         """
-        set_idx = line & self.set_mask
+        slot = line & self.set_mask
         tag = line >> self._set_shift
-        if self.assoc == 1:
-            if self._tags[set_idx] == tag:
-                self._pf_fresh[set_idx] = False
-            return
-        for way in self._sets[set_idx]:
-            if way.tag == tag:
-                way.pf_fresh = False
+        if self._tags[slot] != tag:
+            if self.assoc == 1:
                 return
+            slot = lower_way_slot(self._tags, slot, tag, self.n_sets)
+            if slot < 0:
+                return
+        self._pf_fresh[slot] = False
 
     def fresh_prefetch_count(self) -> int:
         """Resident prefetched lines no demand fetch has consumed yet."""
-        if self.assoc == 1:
-            return sum(self._pf_fresh)
-        return sum(
-            1 for ways in self._sets for way in ways if way.pf_fresh
-        )
+        return sum(self._pf_fresh)
 
     # -- observability ---------------------------------------------------------
 
@@ -257,27 +250,23 @@ class InstructionCache:
 
     def reset(self) -> None:
         """Empty the cache and clear statistics."""
-        if self.assoc == 1:
-            self._tags = [-1] * self.n_sets
-            self._first_ref = [False] * self.n_sets
-            self._origins = [None] * self.n_sets
-            self._pf_fresh = [False] * self.n_sets
-        else:
-            self._sets = [[] for _ in range(self.n_sets)]
+        n_slots = self._n_slots
+        self._tags: list[int] = [-1] * n_slots
+        self._first_ref: list[bool] = [False] * n_slots
+        self._origins: list[LineOrigin | None] = [None] * n_slots
+        self._pf_fresh: list[bool] = [False] * n_slots
+        self._columns = (self._tags, self._first_ref, self._origins, self._pf_fresh)
         self.stats = CacheStats()
 
     def resident_lines(self) -> set[int]:
         """The set of currently resident line numbers (diagnostics)."""
-        lines: set[int] = set()
-        if self.assoc == 1:
-            for set_idx, tag in enumerate(self._tags):
-                if tag != -1:
-                    lines.add((tag << self._set_shift) | set_idx)
-            return lines
-        for set_idx, ways in enumerate(self._sets):
-            for way in ways:
-                lines.add((way.tag << self._set_shift) | set_idx)
-        return lines
+        set_mask = self.set_mask
+        shift = self._set_shift
+        return {
+            (tag << shift) | (slot & set_mask)
+            for slot, tag in enumerate(self._tags)
+            if tag != -1
+        }
 
     def __repr__(self) -> str:
         return (

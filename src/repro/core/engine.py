@@ -266,14 +266,14 @@ class FetchEngine:
             and config.prefetch_variant == "fetchahead"
             else 0
         )
-        # Hot-loop fast path eligibility: the common direct-mapped
-        # configuration with no lockstep classifier and no stream buffers
-        # can inline the all-hits case of _fetch_right_line (see
-        # _run_span).  Purely an optimisation — results are bit-identical
-        # either way (tests/core/test_engine_fast_path.py).
+        # Hot-loop fast path eligibility: any real cache with no lockstep
+        # classifier and no stream buffers can inline the MRU-hit case of
+        # _fetch_right_line (see _run_span); at every associativity slot
+        # ``line & set_mask`` of the way-major tag store is the MRU way,
+        # whose hit moves nothing.  Purely an optimisation — results are
+        # bit-identical either way (tests/core/test_engine_fast_path.py).
         self._fast_path = (
             self.cache is not None
-            and self.cache.assoc == 1
             and self.classifier is None
             and self.streams is None
         )
@@ -503,7 +503,8 @@ class FetchEngine:
         counters = self.counters
         penalties = self.penalties
         prefetcher = self.prefetcher
-        tags = cache._tags if cache.assoc == 1 else None
+        tags = cache._tags
+        multiway = cache.assoc > 1
         set_mask = cache.set_mask
         set_shift = cache._set_shift
         cur = window_start
@@ -528,10 +529,8 @@ class FetchEngine:
             if pending:
                 station.drain(cur, cache)
             counters.wrong_probes += 1
-            if (
-                tags[line & set_mask] == line >> set_shift
-                if tags is not None
-                else cache.contains(line)
+            if tags[line & set_mask] == line >> set_shift or (
+                multiway and cache.contains(line)
             ):
                 if prefetcher is not None:
                     prefetcher.on_line_fetch(line, cur)
@@ -752,13 +751,14 @@ class FetchEngine:
 
         This is the engine hot loop: one pass over each record's
         :class:`~repro.core.lowering.BlockPlan` probes, then its
-        terminator.  Under the fast-path configuration (direct-mapped
-        cache, no classifier, no stream buffers) a hit with an idle fill
-        station is handled inline — replicating the bookkeeping of
-        :meth:`InstructionCache.probe` and :meth:`_fetch_right_line`
-        exactly — so the dominant all-hits case costs a tag compare and
-        a few counter increments per line.  Misses, in-flight fills and
-        every other configuration take :meth:`_fetch_right_line`.
+        terminator.  Under the fast-path configuration (a real cache of
+        any associativity, no classifier, no stream buffers) a hit on
+        the MRU way with an idle fill station is handled inline —
+        replicating the bookkeeping of :meth:`InstructionCache.probe`
+        and :meth:`_fetch_right_line` exactly — so the dominant all-hits
+        case costs a tag compare and a few counter increments per line.
+        Hits on a lower way, misses, in-flight fills and every other
+        configuration take :meth:`_fetch_right_line`.
 
         All mutable component state lives on ``self`` and carries across
         spans; the only span-local state is the cached-locals block below
@@ -817,8 +817,9 @@ class FetchEngine:
                     if len(unresolved) >= max_unresolved:
                         t = self._depth_gate(t)
                 if fast and not pending and tags[line & set_mask] == line >> set_shift:
-                    # Inlined InstructionCache.probe() hit path plus the
-                    # engine-side hit bookkeeping of _fetch_right_line.
+                    # Inlined InstructionCache.probe() MRU-hit path (no
+                    # LRU move) plus the engine-side hit bookkeeping of
+                    # _fetch_right_line.
                     set_idx = line & set_mask
                     stats.probes += 1
                     stats.hits += 1

@@ -23,6 +23,11 @@ scalar mirrors of the event-loop code over the lowered streams:
 * while Resume's single-slot fill station is in flight, probes take
   the full per-probe station mirror (``_probe_scalar``).
 
+The tag mirror uses :class:`~repro.cache.icache.InstructionCache`'s
+way-major layout, so the span and walk loops serve every associativity:
+a hit on a set's MRU way is one list index, and only an MRU miss scans
+the lower ways.
+
 Every counter and every stall slot is reproduced **bit-identically**
 (enforced by tests/core/test_engine_backends.py and the hypothesis
 kernel suite).
@@ -56,6 +61,7 @@ import numpy as np
 
 from repro.branch.stream import replay_eligible
 from repro.branch.unit import BranchStats
+from repro.cache.icache import lower_way_slot, move_to_mru
 from repro.config import FetchPolicy, SimConfig
 from repro.core.results import EngineCounters, PenaltyAccumulator, SimulationResult
 from repro.core.vector_kernels import (  # noqa: F401  (kernel re-exports)
@@ -197,24 +203,19 @@ class VectorEngine:
             else config.bus_interleave_cycles * config.issue_width
         )
         if self.cache is not None:
-            self._assoc = self.cache.assoc
-            self._set_mask = self.cache.set_mask
-            self._set_shift = self.cache._set_shift
-            n_sets = self._set_mask + 1
-            if self._assoc == 1:
-                # Plain lists: list indexing is ~3x faster per probe
-                # than ndarray scalar indexing.
-                self._tags_l = [-1] * n_sets
-                self._orgs_l = [0] * n_sets
-                self._tag_table = None
-                self._origin_table = None
-                self._counts = None
-            else:
-                self._tags_l = None
-                self._orgs_l = None
-                self._tag_table = np.full((n_sets, self._assoc), -1, dtype=np.int64)
-                self._origin_table = np.zeros((n_sets, self._assoc), dtype=np.int8)
-                self._counts = np.zeros(n_sets, dtype=np.int64)
+            # The tag mirror: InstructionCache's way-major layout (way k
+            # of set s at slot k * n_sets + s, way 0 the MRU way, tag -1
+            # empty) in plain lists — list indexing is ~3x faster per
+            # probe than ndarray scalar indexing.
+            cache = self.cache
+            self._assoc = cache.assoc
+            self._set_mask = cache.set_mask
+            self._set_shift = cache._set_shift
+            self._n_sets = cache.n_sets
+            self._lru_offset = cache._lru_offset
+            self._tags_l = [-1] * cache._n_slots
+            self._orgs_l = [0] * cache._n_slots
+            self._columns = (self._tags_l, self._orgs_l)
         # Runtime state.
         self._t = 0
         self._busy_until = 0
@@ -387,14 +388,17 @@ class VectorEngine:
         semantics of ``_fetch_right_line`` with an idle station: probes,
         depth gates, the conservative force-resolve guard, blocking
         fills).  Right-path misses never create a station, so the
-        station-free precondition holds for the whole span."""
-        if self._assoc != 1:
-            while i < end:
-                self._probe_scalar_simple(i)
-                i += 1
-            return
+        station-free precondition holds for the whole span.  Every
+        associativity takes it: a hit on the MRU way (slot ``set``)
+        stays inline, and only an MRU miss pays the strided scan of the
+        lower ways and, on a lower-way hit or a fill, a strided
+        rotation of the set."""
         tags_l = self._tags_l
         orgs_l = self._orgs_l
+        multiway = self._assoc > 1
+        columns = self._columns
+        n_sets = self._n_sets
+        lru_offset = self._lru_offset
         t = self._t
         busy = self._busy_until
         recent = self._recent
@@ -431,6 +435,14 @@ class VectorEngine:
                 n_hits += 1
                 if wrong_lines and orgs_l[set_idx]:
                     n_wrong_hits += 1
+            elif (
+                multiway
+                and (slot := lower_way_slot(tags_l, set_idx, tag, n_sets)) >= 0
+            ):
+                move_to_mru(columns, set_idx, slot, n_sets)
+                n_hits += 1
+                if wrong_lines and orgs_l[set_idx]:
+                    n_wrong_hits += 1
             else:
                 if conservative:
                     guard = t - 1 + decode_slots
@@ -446,8 +458,11 @@ class VectorEngine:
                 if start > t:
                     bus_pen += start - t
                     t = start
-                if tags_l[set_idx] != -1:
+                slot = set_idx + lru_offset
+                if tags_l[slot] != -1:
                     n_evict += 1
+                if multiway:
+                    move_to_mru(columns, set_idx, slot, n_sets)
                 tags_l[set_idx] = tag
                 orgs_l[set_idx] = 0
                 t = done
@@ -479,62 +494,6 @@ class VectorEngine:
         win.rt_icache += n_misses * duration
         win.force_resolve += force_pen
         win.branch_full += full_pen
-
-    def _probe_scalar_simple(self, i: int) -> None:
-        """One right-path probe with no fill station in flight — the
-        per-probe scalar mirror for associative cells (direct-mapped
-        spans take ``_scalar_span``; gated terminator probes have chunk
-        1, so appending ``t - 1 + resolve_slots`` after the chunk equals
-        the pre-chunk resolve time the event loop records)."""
-        win = self._win
-        t = self._t
-        recent = self._recent
-        pa = self._pa
-        gated = pa.gate_l[i]
-        if gated and len(recent) == self._depth and recent[0] > t:
-            win.branch_full += recent[0] - t
-            t = recent[0]
-        line = pa.line_l[i]
-        hit = self._probe_hit_scalar(line)
-        win.right_probes += 1
-        self.probes_scalar += 1
-        if not hit:
-            win.right_misses += 1
-            policy = self._policy
-            if policy is FetchPolicy.PESSIMISTIC or policy is FetchPolicy.DECODE:
-                guard = t - 1 + self._decode_slots
-                if (
-                    policy is FetchPolicy.PESSIMISTIC
-                    and recent
-                    and recent[-1] > guard
-                ):
-                    guard = recent[-1]
-                if guard > t:
-                    win.force_resolve += guard - t
-                    t = guard
-            duration = self._penalty_slots
-            busy = self._busy_until
-            start = busy if busy > t else t
-            done = start + duration
-            self._busy_until = (
-                done if self._interleave is None else start + self._interleave
-            )
-            win.bus_requests += 1
-            win.bus_wait += start - t
-            if start > t:
-                win.bus += start - t
-                t = start
-            win.rt_icache += duration
-            self._miss_fills += 1
-            t = done
-            self._fill(line, _ORG_RIGHT)
-            win.right_fills += 1
-        t += pa.chunk_l[i]
-        if gated:
-            recent.append(t - 1 + self._resolve_slots)
-            if len(recent) > self._depth:
-                del recent[0]
-        self._t = t
 
     def _probe_scalar(self, i: int) -> int:
         """One right-path probe while a wrong-path fill is in flight
@@ -599,10 +558,10 @@ class VectorEngine:
 
         The walk's probes were split at line boundaries once per
         (stream, line size) lowering, so a walk is a slice of flat
-        lists.  On a direct-mapped cache with no fill in flight, the
-        leading all-hit stretch is pure accounting and runs through a
-        tight list loop; the first miss (fills, station traffic) drops
-        to the full scalar mirror.
+        lists.  With no fill in flight, the leading stretch of MRU hits
+        is pure accounting (a wrong-path hit moves no LRU state) and
+        runs through a tight list loop; the first MRU miss (a lower-way
+        hit, fills, station traffic) drops to the full scalar mirror.
         """
         # Decode walks always happen; fills only once the redirect is
         # known to be a mispredict (outcome code 2).
@@ -615,16 +574,15 @@ class VectorEngine:
         wa = self._wa
         idx = wa.ev_off_l[e]
         hi = wa.ev_off_l[e + 1]
-        direct = self._assoc == 1
         n_l = wa.chunk_l
         duration = self._penalty_slots
         n_scalar = 0
         n_instr = 0
-        if direct and not self._has_station:
+        tags_l = self._tags_l
+        if not self._has_station:
             # All-hit fast loop: probes that hit an idle-station cache
             # mutate nothing, so only local accumulators move until the
-            # first miss (or the window closes).
-            tags_l = self._tags_l
+            # first MRU miss (or the window closes).
             for s_idx, wtag, n in self._wtuples[idx:hi]:
                 if cur >= window_end or tags_l[s_idx] != wtag:
                     break
@@ -633,6 +591,10 @@ class VectorEngine:
                 cur += n
                 idx += 1
         line_l = wa.line_l
+        set_mask = self._set_mask
+        set_shift = self._set_shift
+        multiway = self._assoc > 1
+        n_sets = self._n_sets
         while idx < hi:
             if cur >= window_end:
                 break
@@ -642,11 +604,11 @@ class VectorEngine:
             n = n_l[idx]
             idx += 1
             n_scalar += 1
-            if direct:
-                hit = self._tags_l[line & self._set_mask] == line >> self._set_shift
-            else:
-                hit = self._contains(line)
-            if hit:
+            set_idx = line & set_mask
+            tag = line >> set_shift
+            if tags_l[set_idx] == tag or (
+                multiway and lower_way_slot(tags_l, set_idx, tag, n_sets) >= 0
+            ):
                 n_instr += n
                 cur += n
                 continue
@@ -713,84 +675,49 @@ class VectorEngine:
 
     # -- tag-mirror primitives ------------------------------------------------
 
-    def _contains(self, line: int) -> bool:
-        set_idx = line & self._set_mask
-        tag = line >> self._set_shift
-        if self._assoc == 1:
-            return self._tags_l[set_idx] == tag
-        row = self._tag_table[set_idx]
-        cnt = int(self._counts[set_idx])
-        for k in range(cnt):
-            if row[k] == tag:
-                return True
-        return False
-
     def _probe_hit_scalar(self, line: int) -> bool:
         win = self._win
         win.probes += 1
         set_idx = line & self._set_mask
         tag = line >> self._set_shift
-        if self._assoc == 1:
-            if self._tags_l[set_idx] == tag:
-                win.hits += 1
-                if self._orgs_l[set_idx]:
-                    win.wrongpath_hits += 1
-                return True
-            win.misses += 1
-            return False
-        row = self._tag_table[set_idx]
-        orow = self._origin_table[set_idx]
-        cnt = int(self._counts[set_idx])
-        for k in range(cnt):
-            if row[k] == tag:
-                origin = int(orow[k])
-                for j in range(k, cnt - 1):
-                    row[j] = row[j + 1]
-                    orow[j] = orow[j + 1]
-                row[cnt - 1] = tag
-                orow[cnt - 1] = origin
-                win.hits += 1
-                if origin == _ORG_WRONG:
-                    win.wrongpath_hits += 1
-                return True
-        win.misses += 1
-        return False
+        tags_l = self._tags_l
+        if tags_l[set_idx] != tag:
+            slot = (
+                lower_way_slot(tags_l, set_idx, tag, self._n_sets)
+                if self._assoc > 1
+                else -1
+            )
+            if slot < 0:
+                win.misses += 1
+                return False
+            move_to_mru(self._columns, set_idx, slot, self._n_sets)
+        win.hits += 1
+        if self._orgs_l[set_idx]:
+            win.wrongpath_hits += 1
+        return True
 
     def _fill(self, line: int, origin: int) -> None:
         win = self._win
         win.fills += 1
         set_idx = line & self._set_mask
         tag = line >> self._set_shift
-        if self._assoc == 1:
-            resident = self._tags_l[set_idx]
-            if resident != -1 and resident != tag:
-                win.evictions += 1
-            self._tags_l[set_idx] = tag
-            self._orgs_l[set_idx] = origin
-            return
-        row = self._tag_table[set_idx]
-        orow = self._origin_table[set_idx]
-        cnt = int(self._counts[set_idx])
-        for k in range(cnt):
-            if row[k] == tag:
-                # Refill of a resident line: refresh origin, move to MRU.
-                for j in range(k, cnt - 1):
-                    row[j] = row[j + 1]
-                    orow[j] = orow[j + 1]
-                row[cnt - 1] = tag
-                orow[cnt - 1] = origin
-                return
-        if cnt >= self._assoc:
-            win.evictions += 1
-            for j in range(cnt - 1):
-                row[j] = row[j + 1]
-                orow[j] = orow[j + 1]
-            row[cnt - 1] = tag
-            orow[cnt - 1] = origin
-            return
-        row[cnt] = tag
-        orow[cnt] = origin
-        self._counts[set_idx] = cnt + 1
+        tags_l = self._tags_l
+        if tags_l[set_idx] != tag:
+            # A resident lower way is refreshed; otherwise the LRU way
+            # (empty or evicted) is reused.
+            slot = (
+                lower_way_slot(tags_l, set_idx, tag, self._n_sets)
+                if self._assoc > 1
+                else -1
+            )
+            if slot < 0:
+                slot = set_idx + self._lru_offset
+                if tags_l[slot] != -1:
+                    win.evictions += 1
+            if slot != set_idx:
+                move_to_mru(self._columns, set_idx, slot, self._n_sets)
+        tags_l[set_idx] = tag
+        self._orgs_l[set_idx] = origin
 
     # -- result construction ---------------------------------------------------
 

@@ -23,6 +23,7 @@ from typing import TypeVar
 from repro.config import FetchPolicy, SimConfig
 from repro.core.results import MissingResult, SimulationResult
 from repro.core.runner import SimulationRunner
+from repro.errors import ExperimentError
 from repro.report.figures import StackedBarChart
 from repro.report.format import Table
 
@@ -76,9 +77,25 @@ def planned(experiment: _Experiment) -> _Experiment:
 
     A planning pass that requested no cell is the experiment's result;
     one that raises is warned about and counted (``sweep.plan_errors``),
-    and the experiment still runs.  Other runners, and fault plans
-    (whose faults must fire in request order), get the plain experiment.
+    and the experiment still runs.  When it raised an
+    :class:`~repro.errors.ExperimentError` (a deterministic refusal,
+    such as an experiment that needs local traces on a remote runner),
+    the warning waits for the real pass: if that raises too, its error
+    speaks for itself; if it returns, the fallback is reported then.
+    Other runners, and fault plans (whose faults must fire in request
+    order), get the plain experiment.
     """
+
+    def plan_failed(runner, exc: Exception) -> None:
+        warnings.warn(
+            f"planning {experiment.__name__} failed; its cells run one "
+            f"at a time ({type(exc).__name__}: {exc})",
+            RuntimeWarning,
+            stacklevel=3,
+        )
+        observer = getattr(runner, "observer", None)
+        if observer is not None:
+            observer.registry.inc("sweep.plan_errors")
 
     @functools.wraps(experiment)
     def run(runner, *args, **kwargs):
@@ -95,28 +112,26 @@ def planned(experiment: _Experiment) -> _Experiment:
 
         planner.run = record
         planner.run_jobs = lambda jobs: [record(*job) for job in jobs]
+        refusal = None
         try:
             with warnings.catch_warnings():
                 warnings.simplefilter("ignore")
                 dry = experiment(planner, *args, **kwargs)
+        except ExperimentError as exc:
+            refusal = exc
         except Exception as exc:
-            warnings.warn(
-                f"planning {experiment.__name__} failed; its cells run one "
-                f"at a time ({type(exc).__name__}: {exc})",
-                RuntimeWarning,
-                stacklevel=2,
-            )
-            observer = getattr(runner, "observer", None)
-            if observer is not None:
-                observer.registry.inc("sweep.plan_errors")
+            plan_failed(runner, exc)
         else:
             if not plan:
                 return dry
             runner.run_many(plan)
         try:
-            return experiment(runner, *args, **kwargs)
+            result = experiment(runner, *args, **kwargs)
         finally:
             runner.drop_plan()
+        if refusal is not None:
+            plan_failed(runner, refusal)
+        return result
 
     return run  # type: ignore[return-value]
 

@@ -236,9 +236,8 @@ class RemoteRunner:
         self.on_error = on_error
         self.priority = priority
         self.client_id = client_id
-        #: Structured failure report from the most recent request
-        #: (mirrors ``ParallelRunner.failures``); after a plan's request,
-        #: the failures of the planned cells served so far.
+        #: Structured failure report of every dead cell served so far,
+        #: in request order (mirrors ``SimulationRunner.failures``).
         self.failures: list[SweepFailure] = []
         #: Aggregated per-request service stats (store hits etc.).
         self.stats: dict[str, int] = {}
@@ -274,10 +273,10 @@ class RemoteRunner:
         """Run ``(benchmark, config)`` cells server-side, in job order.
 
         When every cell is held from a plan, they are served with no
-        request.  The plan's request is then the most recent one, so
-        :attr:`failures` gains each held failure the first time its
-        cell is served: once the experiment returns, it lists every
-        dead cell exactly once.
+        request, and :attr:`failures` gains each held failure the first
+        time its cell is served; otherwise it gains the request's
+        failures.  Either way it accumulates across calls, so once the
+        experiment returns it lists every dead cell exactly once.
         """
         if self._held and all(tuple(job) in self._held for job in jobs):
             results = []
@@ -288,11 +287,10 @@ class RemoteRunner:
                     self._held[job] = (result, None)
                 results.append(result)
             return results
-        self.failures = []
         if not jobs:
             return []
         response = self._sweep(jobs)
-        self.failures = list(response.failures)
+        self.failures.extend(response.failures)
         return list(response.results)
 
     def run_many(self, plan) -> None:
@@ -306,7 +304,6 @@ class RemoteRunner:
         an unplanned run sends them.
         """
         self._held = {}
-        self.failures = []
         cells = list(dict.fromkeys(tuple(job) for job in plan))
         if not cells:
             return

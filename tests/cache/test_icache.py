@@ -1,8 +1,12 @@
 """Instruction cache tag store."""
 
-import pytest
+from collections import OrderedDict
 
-from repro.cache import InstructionCache, LineOrigin
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from repro.cache import CacheStats, InstructionCache, LineOrigin
 from repro.errors import ConfigError
 
 
@@ -176,3 +180,117 @@ class TestStatsAndReset:
             for line in lines:
                 cache.fill(line, LineOrigin.DEMAND_RIGHT)
             assert cache.resident_lines() == lines
+
+
+class _ReferenceLRU:
+    """Per-set ``OrderedDict`` LRU model (MRU last) of the cache's rules."""
+
+    def __init__(self, n_sets: int, assoc: int) -> None:
+        self.n_sets = n_sets
+        self.assoc = assoc
+        #: set -> tag -> [origin, first_ref, pf_fresh]
+        self.sets = [OrderedDict() for _ in range(n_sets)]
+        self.stats = CacheStats()
+
+    def _way(self, line):
+        ways = self.sets[line % self.n_sets]
+        return ways, line // self.n_sets
+
+    def contains(self, line):
+        ways, tag = self._way(line)
+        return tag in ways
+
+    def probe(self, line):
+        stats = self.stats
+        stats.probes += 1
+        ways, tag = self._way(line)
+        if tag not in ways:
+            stats.misses += 1
+            return False
+        ways.move_to_end(tag)
+        stats.hits += 1
+        state = ways[tag]
+        if state[0] is LineOrigin.PREFETCH:
+            stats.prefetch_hits += 1
+            if state[2]:
+                state[2] = False
+                stats.prefetch_used += 1
+        elif state[0] is LineOrigin.DEMAND_WRONG:
+            stats.wrongpath_hits += 1
+        return True
+
+    def fill(self, line, origin):
+        stats = self.stats
+        stats.fills += 1
+        ways, tag = self._way(line)
+        if tag in ways:
+            displaced = ways.pop(tag)
+        elif len(ways) == self.assoc:
+            _, displaced = ways.popitem(last=False)
+            stats.evictions += 1
+        else:
+            displaced = None
+        if displaced is not None and displaced[2]:
+            stats.prefetch_evicted_unused += 1
+        ways[tag] = [origin, True, origin is LineOrigin.PREFETCH]
+
+    def test_and_clear_first_ref(self, line):
+        ways, tag = self._way(line)
+        state = ways.get(tag)
+        if state is None or not state[1]:
+            return False
+        state[1] = False
+        return True
+
+    def consume_prefetch(self, line):
+        ways, tag = self._way(line)
+        if tag in ways:
+            ways[tag][2] = False
+
+    def resident_lines(self):
+        return {
+            tag * self.n_sets + set_idx
+            for set_idx, ways in enumerate(self.sets)
+            for tag in ways
+        }
+
+    def fresh_prefetch_count(self):
+        return sum(state[2] for ways in self.sets for state in ways.values())
+
+
+_OPS = st.one_of(
+    st.tuples(
+        st.sampled_from(
+            ["probe", "contains", "test_and_clear_first_ref", "consume_prefetch"]
+        ),
+        st.integers(min_value=0, max_value=31),
+    ),
+    st.tuples(
+        st.just("fill"),
+        st.integers(min_value=0, max_value=31),
+        st.sampled_from(list(LineOrigin)),
+    ),
+)
+
+
+class TestReferenceModel:
+    """The way-major tag store against an ``OrderedDict`` LRU, op by op.
+
+    The 4-way L2 (``SecondLevelCache``) is built on the same class, so
+    this covers its tag store too.
+    """
+
+    @given(
+        assoc=st.sampled_from([1, 2, 4]),
+        ops=st.lists(_OPS, min_size=30, max_size=200),
+    )
+    @settings(max_examples=150, deadline=None)
+    def test_matches_ordered_dict_lru(self, assoc, ops):
+        n_sets = 4
+        cache = InstructionCache(n_sets * assoc * 32, line_size=32, assoc=assoc)
+        model = _ReferenceLRU(n_sets, assoc)
+        for op, *args in ops:
+            assert getattr(cache, op)(*args) == getattr(model, op)(*args)
+            assert cache.stats == model.stats
+            assert cache.resident_lines() == model.resident_lines()
+            assert cache.fresh_prefetch_count() == model.fresh_prefetch_count()

@@ -1,8 +1,8 @@
-"""Differential tests for the engine's direct-mapped hot-loop fast path.
+"""Differential tests for the engine's hot-loop fast path.
 
-The fast path in ``FetchEngine._run_span``'s probe loop inlines
-cache-hit bookkeeping for direct-mapped, unclassified, stream-buffer-free
-configurations.  These tests force the general path
+The fast path in ``FetchEngine._run_span``'s probe loop inlines the
+MRU-hit bookkeeping of unclassified, stream-buffer-free configurations
+at every associativity.  These tests force the general path
 (``_fetch_right_line`` for every probe) on an otherwise identical engine
 and assert the results are bit-identical, so the fast path can never
 drift from the reference semantics.
@@ -37,29 +37,46 @@ def _run(program, trace, config, *, fast: bool, warmup: int = 0):
     return engine.run(trace, warmup_instructions=warmup)
 
 
-@pytest.mark.parametrize("policy", ALL_POLICIES)
-def test_fast_path_bit_identical_per_policy(workload, policy):
+def _with_assocs(values, name):
+    """*values* crossed with associativity 1, 2 and 4 (lower-way hits
+    leave the inline path); the direct-mapped case keeps the bare id."""
+    return [
+        pytest.param(
+            value, assoc,
+            id=name(value) if assoc == 1 else f"{name(value)}-{assoc}way",
+        )
+        for value in values
+        for assoc in (1, 2, 4)
+    ]
+
+
+@pytest.mark.parametrize("policy,assoc", _with_assocs(ALL_POLICIES, str))
+def test_fast_path_bit_identical_per_policy(workload, policy, assoc):
     program, trace = workload
-    config = SimConfig(policy=policy)
+    config = SimConfig(policy=policy, cache=CacheConfig(assoc=assoc))
     assert _run(program, trace, config, fast=True) == _run(
         program, trace, config, fast=False
     )
 
 
 @pytest.mark.parametrize(
-    "kwargs",
-    [
-        {"prefetch": True},
-        {"prefetch": True, "prefetch_variant": "always"},
-        {"prefetch": True, "target_prefetch": True},
-        {"fill_buffers": 2},
-        {"bus_interleave_cycles": 3},
-    ],
-    ids=lambda kw: ",".join(sorted(kw)),
+    "kwargs,assoc",
+    _with_assocs(
+        [
+            {"prefetch": True},
+            {"prefetch": True, "prefetch_variant": "always"},
+            {"prefetch": True, "target_prefetch": True},
+            {"fill_buffers": 2},
+            {"bus_interleave_cycles": 3},
+        ],
+        lambda kw: ",".join(sorted(kw)),
+    ),
 )
-def test_fast_path_bit_identical_variants(workload, kwargs):
+def test_fast_path_bit_identical_variants(workload, kwargs, assoc):
     program, trace = workload
-    config = SimConfig(policy=FetchPolicy.RESUME, **kwargs)
+    config = SimConfig(
+        policy=FetchPolicy.RESUME, cache=CacheConfig(assoc=assoc), **kwargs
+    )
     assert _run(program, trace, config, fast=True) == _run(
         program, trace, config, fast=False
     )
@@ -76,7 +93,6 @@ def test_fast_path_bit_identical_with_warmup(workload):
 @pytest.mark.parametrize(
     "kwargs",
     [
-        {"cache": CacheConfig(assoc=4)},
         {"classify": True},
         {"stream_buffers": 2},
         {"perfect_cache": True},
@@ -84,7 +100,7 @@ def test_fast_path_bit_identical_with_warmup(workload):
     ids=lambda kw: ",".join(sorted(kw)),
 )
 def test_general_configs_stay_off_fast_path(workload, kwargs):
-    """Associative / classified / stream / perfect configs must not take it."""
+    """Classified / stream / perfect configs must not take it."""
     program, _ = workload
     policy = FetchPolicy.OPTIMISTIC if "classify" in kwargs else FetchPolicy.RESUME
     config = SimConfig(policy=policy, **kwargs)

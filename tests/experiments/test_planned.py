@@ -14,6 +14,7 @@ import importlib.util
 import io
 import multiprocessing
 import os
+import warnings
 from dataclasses import asdict
 from pathlib import Path
 
@@ -23,6 +24,7 @@ import repro.core.runner as runner_module
 from repro.config import ALL_POLICIES, FetchPolicy, SimConfig
 from repro.core.faults import FaultPlan, FaultSpec
 from repro.core.runner import SimulationRunner
+from repro.errors import ExperimentError
 from repro.experiments.registry import EXPERIMENTS, PAPER_EXPERIMENTS, planned
 from repro.experiments.sweeps import Sweep
 from repro.obs import Observer, PhaseProfiler, RingBufferSink
@@ -227,6 +229,40 @@ class TestFailures:
         assert ispi == _runner().run("gcc", SimConfig()).total_ispi
         assert runner.observer.registry.value("sweep.plan_errors") == 1
         assert runner.cells_simulated == 1
+
+    def test_refusal_raised_again_by_the_real_pass_is_not_warned(self, recwarn):
+        def refusing(runner):
+            raise ExperimentError("needs local traces")
+
+        runner = _runner(observer=Observer())
+        with pytest.raises(ExperimentError, match="needs local traces"):
+            planned(refusing)(runner)
+        assert not [w for w in recwarn if issubclass(w.category, RuntimeWarning)]
+        assert runner.observer.registry.value("sweep.plan_errors") == 0
+
+    def test_refusal_only_while_planning_warns_after_the_real_pass(self):
+        events = []
+
+        def refuses_placeholders(runner):
+            result = runner.run("gcc", SimConfig())
+            if getattr(result, "missing", False):
+                raise ExperimentError("cannot plan around a missing cell")
+            # The real pass runs before anything is warned or counted.
+            events.append((len(caught), registry.value("sweep.plan_errors")))
+            return result.total_ispi
+
+        runner = _runner(observer=Observer())
+        registry = runner.observer.registry
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            ispi = planned(refuses_placeholders)(runner)
+        assert events == [(0, 0)]
+        assert [str(w.message) for w in caught] == [
+            "planning refuses_placeholders failed; its cells run one at a "
+            "time (ExperimentError: cannot plan around a missing cell)"
+        ]
+        assert ispi == _runner().run("gcc", SimConfig()).total_ispi
+        assert registry.value("sweep.plan_errors") == 1
 
 
 def _stream_sweep() -> Sweep:
