@@ -22,8 +22,9 @@ every policy and cache geometry**.  This module exploits that:
 
 Wrong-path walks are recorded as line-size-independent ``(pc, n)``
 straight-line segments (the walk depends only on the code image and
-predictor state) and re-split at each cell's line size at replay time
-(:func:`~repro.core.wrongpath.iter_lines_from_runs`).
+predictor state) and split once per (stream, line size) into
+:class:`RecordedWalks` (:func:`~repro.core.wrongpath.iter_lines_from_runs`,
+the live walker's splitter), which both engines read.
 
 Replay is *bypassed* for timing-schedule runs with a real cache (the
 historical default), where cache stalls reorder resolutions against
@@ -472,13 +473,62 @@ def _lowered_lists(stream: PredictionStream) -> _LoweredStream:
     )
 
 
+class RecordedWalks:
+    """Every recorded wrong-path walk of one stream, split at one line
+    size.
+
+    ``lines[ev_off[e]:ev_off[e + 1]]`` is stream event *e*'s walk as
+    ``(line, n)`` chunks, split by
+    :func:`~repro.core.wrongpath.iter_lines_from_runs` exactly as a live
+    walk is.  Equal chunks share one interned tuple, so the list costs
+    about one slot per walk probe.
+    """
+
+    __slots__ = ("line_size", "lines", "ev_off")
+
+    def __init__(self, lowered: _LoweredStream, line_size: int) -> None:
+        # Deferred import: repro.core imports this module.
+        from repro.core.wrongpath import iter_lines_from_runs
+
+        wp_off, wp_pc, wp_n = lowered.wp_off, lowered.wp_pc, lowered.wp_n
+        interned: dict[tuple[int, int], tuple[int, int]] = {}
+        lines: list[tuple[int, int]] = []
+        ev_off = [0]
+        for e in range(len(wp_off) - 1):
+            lo = wp_off[e]
+            hi = wp_off[e + 1]
+            if lo < hi:
+                for chunk in iter_lines_from_runs(
+                    zip(wp_pc[lo:hi], wp_n[lo:hi]), line_size
+                ):
+                    lines.append(interned.setdefault(chunk, chunk))
+            ev_off.append(len(lines))
+        self.line_size = line_size
+        self.lines = lines
+        self.ev_off = ev_off
+
+
+_walk_memo: dict[tuple, RecordedWalks] = {}
+
+
+def recorded_walks(stream: PredictionStream, line_size: int) -> RecordedWalks:
+    """The (memoized) wrong-path walks of *stream* split at *line_size*."""
+    from repro.core.lowering import memo_get
+
+    return memo_get(
+        _walk_memo, (stream,), (id(stream), line_size), "walk",
+        lambda: RecordedWalks(_lowered_lists(stream), line_size),
+    )
+
+
 class ReplayBranchUnit:
     """Drop-in :class:`BranchUnit` facade that replays a recorded stream.
 
     Consumed by the engine through the ``build_branch_unit`` seam: it
     reconstructs each :class:`PredictionResult` from the stream arrays,
     keeps :class:`BranchStats` exactly as the live unit would, and serves
-    recorded wrong-path walks re-split at the engine's line size.
+    recorded wrong-path walks split at the engine's line size
+    (:func:`recorded_walks`).
     ``resolve`` / ``notify_call`` are no-ops — the training they would do
     is already baked into the recorded outcomes.
     """
@@ -501,7 +551,7 @@ class ReplayBranchUnit:
         "_wp_off",
         "_wp_pc",
         "_wp_n",
-        "_split_lines",
+        "_walks",
     )
 
     def __init__(self, stream: PredictionStream, config: SimConfig) -> None:
@@ -524,11 +574,7 @@ class ReplayBranchUnit:
         self._wp_off = lowered.wp_off
         self._wp_pc = lowered.wp_pc
         self._wp_n = lowered.wp_n
-        # Deferred import (cycle: repro.core imports this module); bound
-        # once per facade, not per wrong-path walk.
-        from repro.core.wrongpath import iter_lines_from_runs
-
-        self._split_lines = iter_lines_from_runs
+        self._walks: RecordedWalks | None = None
 
     def __deepcopy__(self, memo: dict) -> ReplayBranchUnit:
         """Fork-friendly copy: the stream and its lowered lists are
@@ -602,13 +648,13 @@ class ReplayBranchUnit:
 
     def iter_last_wrong_path_lines(self, line_size: int):
         """Recorded wrong-path walk of the last non-correct prediction,
-        re-split at *line_size* boundaries (``(line, n)`` chunks)."""
+        split at *line_size* boundaries (``(line, n)`` chunks): a slice
+        of the stream's shared :class:`RecordedWalks`."""
+        walks = self._walks
+        if walks is None or walks.line_size != line_size:
+            walks = self._walks = recorded_walks(self.stream, line_size)
         i = self._last
-        lo = self._wp_off[i]
-        hi = self._wp_off[i + 1]
-        return self._split_lines(
-            zip(self._wp_pc[lo:hi], self._wp_n[lo:hi]), line_size
-        )
+        return walks.lines[walks.ev_off[i] : walks.ev_off[i + 1]]
 
     # -- trained-state no-ops ---------------------------------------------
 

@@ -510,8 +510,9 @@ class FetchEngine:
         cur = window_start
         if self._replay:
             # The recorded walk was bounded by the same window length and
-            # depends only on the image + predictor state, so re-splitting
-            # it at this cell's line size reproduces the live walk exactly.
+            # depends only on the image + predictor state, so its split at
+            # this cell's line size (done once per stream and line size)
+            # reproduces the live walk exactly.
             lines = self.unit.iter_last_wrong_path_lines(
                 self.config.cache.line_size
             )

@@ -8,13 +8,20 @@ once and memoized:
 * :class:`FetchProgram` — the event loop's view of one trace at one
   line size: per record, an interned :class:`BlockPlan` with the
   record's per-line probes and its terminator's static fields;
+* :class:`FlatProbes` — the same probes in one flat trace-order list
+  (the plans' own tuples), which the vector backend's real-cache mirror
+  walks segment by segment;
 * the identity-keyed memo (:func:`memo_get`) that
-  :mod:`repro.core.vector_kernels` (the vector backend's arrays),
+  :mod:`repro.core.vector_kernels` (the per-record arrays),
   :mod:`repro.core.wrongpath` (static wrong-path segments) and
-  :mod:`repro.branch.stream` (replayed streams' list forms) share.
+  :mod:`repro.branch.stream` (replayed streams' list forms and their
+  line-split walks) share.
 
 Lowered state is pure read-only data, so one lowering serves every
-engine (and every ``AdaptiveEngine`` fork) simulating the same trace;
+engine (and every ``AdaptiveEngine`` fork) simulating the same trace.
+None of it depends on the cache geometry: both engines find a probe's
+set from its line number inline, so a sweep over cache sizes and
+associativities at one line size shares one lowering.
 simlint SIM011 flags direct constructions outside the factories.
 """
 
@@ -22,6 +29,8 @@ from __future__ import annotations
 
 import weakref
 from typing import NamedTuple
+
+import numpy as np
 
 from repro.isa import INSTRUCTION_SIZE, InstrKind
 from repro.program.image import CodeImage
@@ -54,8 +63,6 @@ LOWERING_COUNTS = {
     "trace": 0,
     "probe": 0,
     "walk": 0,
-    "probe_split": 0,
-    "walk_split": 0,
 }
 
 
@@ -173,4 +180,42 @@ def fetch_program(trace: Trace, image: CodeImage, line_size: int) -> FetchProgra
         (id(trace), id(image), line_size),
         "fetch",
         lambda: FetchProgram(trace, image, line_size),
+    )
+
+
+class FlatProbes:
+    """The right-path probes of one :class:`FetchProgram` in trace order.
+
+    ``probes`` concatenates every record's ``BlockPlan.probes``: the
+    entries are the plans' own interned ``(line, chunk, gate, tail)``
+    tuples, so the list costs one slot per probe.  ``last_probe[i]`` is
+    record *i*'s last probe index (every record has at least one).
+    """
+
+    __slots__ = ("probes", "last_probe")
+
+    def __init__(self, program: FetchProgram) -> None:
+        plans = program.plans
+        probes: list[tuple[int, int, bool, int]] = []
+        for plan in plans:
+            probes += plan.probes
+        self.probes = probes
+        counts = np.fromiter(
+            (len(plan.probes) for plan in plans), np.int64, len(plans)
+        )
+        self.last_probe = np.cumsum(counts) - 1
+
+
+_probe_memo: dict[tuple, FlatProbes] = {}
+
+
+def flat_probes(trace: Trace, image: CodeImage, line_size: int) -> FlatProbes:
+    """The (memoized) flat probe list of *trace* through *image* at
+    *line_size*, built from its :func:`fetch_program`."""
+    return memo_get(
+        _probe_memo,
+        (trace, image),
+        (id(trace), id(image), line_size),
+        "probe",
+        lambda: FlatProbes(fetch_program(trace, image, line_size)),
     )

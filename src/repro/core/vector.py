@@ -4,29 +4,34 @@ The event-loop engine (:mod:`repro.core.engine`) dispatches one Python
 bytecode sequence per basic block; with prediction-stream replay (PR 5)
 the branch outcomes are already materialized as NumPy arrays, so for
 replay-eligible cells the remaining interpreter overhead is pure
-bookkeeping.  This module removes it: the trace is lowered once into a
-flat *probe stream* (one entry per cache-line access the event loop
-would make), segmented at the replayed redirect boundaries.
+bookkeeping.  This module removes it.
 
 Perfect-cache cells have no cache-timing feedback, so their whole
 timeline is computed with the array kernels of
 :mod:`repro.core.vector_kernels` (latency accumulation over whole runs
 plus the speculation-depth gate).  Real-cache cells run through exact
-scalar mirrors of the event-loop code over the lowered streams:
+scalar mirrors of the event-loop code over the lowering the event loop
+itself uses, so no state here depends on the cache geometry:
 
-* each redirect-free segment is one tight pass over prezipped
-  ``(set, tag, chunk, gate)`` tuples (``_scalar_span``) — the paper's
-  workloads redirect every dozen or so probes, far too often for a
-  batch hit path to pay for its per-call array overhead;
-* every recorded wrong-path walk is lowered to flat per-redirect line
-  arrays once per (stream, line size), so a walk is a list slice;
+* the right path is the :class:`~repro.core.lowering.FlatProbes` list
+  (the ``FetchProgram`` plans' own ``(line, chunk, gate, tail)`` probe
+  tuples in trace order), segmented at the replayed redirects; each
+  redirect-free segment is one tight pass (``_scalar_span``) that
+  finds a line's set inline — the paper's workloads
+  redirect every dozen or so probes, far too often for a batch hit
+  path to pay for its per-call array overhead;
+* a recorded wrong-path walk is a slice of the stream's
+  :class:`~repro.branch.stream.RecordedWalks`, the ``(line, n)`` chunks
+  the event loop's replay unit serves too;
 * while Resume's single-slot fill station is in flight, probes take
   the full per-probe station mirror (``_probe_scalar``).
 
 The tag mirror uses :class:`~repro.cache.icache.InstructionCache`'s
 way-major layout, so the span and walk loops serve every associativity:
 a hit on a set's MRU way is one list index, and only an MRU miss scans
-the lower ways.
+the lower ways.  Each slot holds the resident line number rather than
+its tag: a line's set is ``line & set_mask``, so within a set equal
+lines mean equal tags, and a probe needs no shift.
 
 Every counter and every stall slot is reproduced **bit-identically**
 (enforced by tests/core/test_engine_backends.py and the hypothesis
@@ -59,29 +64,22 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.branch.stream import replay_eligible
+from repro.branch.stream import recorded_walks, replay_eligible
 from repro.branch.unit import BranchStats
 from repro.cache.icache import lower_way_slot, move_to_mru
 from repro.config import FetchPolicy, SimConfig
+from repro.core.lowering import flat_probes
 from repro.core.results import EngineCounters, PenaltyAccumulator, SimulationResult
 from repro.core.vector_kernels import (  # noqa: F401  (kernel re-exports)
-    ProbeArrays,
     TraceArrays,
     accumulate_positions,
     depth_gate_positions,
-    expand_runs,
-    probe_arrays,
-    probe_split,
-    split_sets,
     trace_arrays,
-    walk_arrays,
-    walk_split,
 )
 from repro.errors import SimulationError
 from repro.isa import InstrKind
 from repro.trace.event import Trace
 
-_PLAIN = int(InstrKind.PLAIN)
 _COND = int(InstrKind.COND_BRANCH)
 
 #: Line-origin codes in the tag mirrors (the eligible cells never
@@ -204,18 +202,18 @@ class VectorEngine:
         )
         if self.cache is not None:
             # The tag mirror: InstructionCache's way-major layout (way k
-            # of set s at slot k * n_sets + s, way 0 the MRU way, tag -1
+            # of set s at slot k * n_sets + s, way 0 the MRU way, -1
             # empty) in plain lists — list indexing is ~3x faster per
-            # probe than ndarray scalar indexing.
+            # probe than ndarray scalar indexing.  Slots hold whole line
+            # numbers, which stand in for tags within a set.
             cache = self.cache
             self._assoc = cache.assoc
             self._set_mask = cache.set_mask
-            self._set_shift = cache._set_shift
             self._n_sets = cache.n_sets
             self._lru_offset = cache._lru_offset
-            self._tags_l = [-1] * cache._n_slots
+            self._lines_l = [-1] * cache._n_slots
             self._orgs_l = [0] * cache._n_slots
-            self._columns = (self._tags_l, self._orgs_l)
+            self._columns = (self._lines_l, self._orgs_l)
         # Runtime state.
         self._t = 0
         self._busy_until = 0
@@ -292,9 +290,7 @@ class VectorEngine:
         if self.cache is None:
             self._run_perfect(ta, boundary_rec)
         else:
-            self._trace = trace
-            pa = probe_arrays(trace, self._line_size)
-            self._run_cached(ta, pa, boundary_rec)
+            self._run_cached(trace, ta, boundary_rec)
         return self._finish(trace, ta, boundary_rec)
 
     # -- perfect cache --------------------------------------------------------
@@ -317,17 +313,13 @@ class VectorEngine:
 
     # -- real cache -----------------------------------------------------------
 
-    def _run_cached(self, ta: TraceArrays, pa: ProbeArrays, boundary_rec: int) -> None:
-        self._pa = pa
-        self._ptuples = probe_split(
-            self._trace, self._line_size, self._set_mask, self._set_shift
-        ).tuples
-        self._wa = walk_arrays(self._stream, self._line_size)
-        self._wtuples = walk_split(
-            self._stream, self._line_size, self._set_mask, self._set_shift
-        ).tuples
+    def _run_cached(self, trace: Trace, ta: TraceArrays, boundary_rec: int) -> None:
+        fp = flat_probes(trace, self.program.image, self._line_size)
+        self._probes = fp.probes
+        last_probe = fp.last_probe
+        self._walks = recorded_walks(self._stream, self._line_size)
         red_ev = np.flatnonzero(self._ev_outcome != 0)
-        red_probe = pa.last_probe[ta.ev_rec[red_ev]]
+        red_probe = last_probe[ta.ev_rec[red_ev]]
         # Scalar-access copies of the per-event stream fields (list
         # indexing is ~3x faster than ndarray scalar indexing here).
         ev_penalty_l = self._ev_penalty_l = self.unit._penalty
@@ -335,14 +327,14 @@ class VectorEngine:
         ev_outcome_l = self._ev_outcome_l = self.unit._outcome
         ev_wstart_l = self._ev_wstart_l = self.unit._wstart
         boundary_probe = (
-            int(pa.last_probe[boundary_rec - 1]) + 1 if boundary_rec > 0 else 0
+            int(last_probe[boundary_rec - 1]) + 1 if boundary_rec > 0 else 0
         )
         pending_boundary = boundary_probe > 0
         self._win = self._warm if pending_boundary else self._meas
         red_probe_l = red_probe.tolist()
         red_ev_l = red_ev.tolist()
         n_red = len(red_probe_l)
-        n_probes = pa.n_probes
+        n_probes = len(self._probes)
         i = 0
         r = 0
         while i < n_probes:
@@ -393,8 +385,9 @@ class VectorEngine:
         stays inline, and only an MRU miss pays the strided scan of the
         lower ways and, on a lower-way hit or a fill, a strided
         rotation of the set."""
-        tags_l = self._tags_l
+        lines_l = self._lines_l
         orgs_l = self._orgs_l
+        set_mask = self._set_mask
         multiway = self._assoc > 1
         columns = self._columns
         n_sets = self._n_sets
@@ -422,22 +415,22 @@ class VectorEngine:
         force_pen = 0
         full_pen = 0
         full = len(recent) == depth
-        # One slice of prebuilt (set, tag, chunk, gate) tuples instead
-        # of four list subscripts per probe — the single biggest lever
-        # in this loop (the span always runs to *end*, so no index is
+        # One slice of the shared probe tuples instead of per-field list
+        # subscripts (the span always runs to *end*, so no index is
         # needed, and `full` tracks the resolve window's saturation so
         # len() drops out of the steady state).
-        for set_idx, tag, chunk, gated in self._ptuples[i:end]:
+        for line, chunk, gated, _ in self._probes[i:end]:
+            set_idx = line & set_mask
             if gated and full and recent[0] > t:
                 full_pen += recent[0] - t
                 t = recent[0]
-            if tags_l[set_idx] == tag:
+            if lines_l[set_idx] == line:
                 n_hits += 1
                 if wrong_lines and orgs_l[set_idx]:
                     n_wrong_hits += 1
             elif (
                 multiway
-                and (slot := lower_way_slot(tags_l, set_idx, tag, n_sets)) >= 0
+                and (slot := lower_way_slot(lines_l, set_idx, line, n_sets)) >= 0
             ):
                 move_to_mru(columns, set_idx, slot, n_sets)
                 n_hits += 1
@@ -459,11 +452,11 @@ class VectorEngine:
                     bus_pen += start - t
                     t = start
                 slot = set_idx + lru_offset
-                if tags_l[slot] != -1:
+                if lines_l[slot] != -1:
                     n_evict += 1
                 if multiway:
                     move_to_mru(columns, set_idx, slot, n_sets)
-                tags_l[set_idx] = tag
+                lines_l[set_idx] = line
                 orgs_l[set_idx] = 0
                 t = done
             t += chunk
@@ -502,14 +495,12 @@ class VectorEngine:
         win = self._win
         t = self._t
         recent = self._recent
-        pa = self._pa
-        gated = pa.gate_l[i]
+        line, chunk, gated, _ = self._probes[i]
         if gated and len(recent) == self._depth and recent[0] > t:
             win.branch_full += recent[0] - t
             t = recent[0]
         if self._has_station and self._station_done <= t:
             self._install_station()
-        line = pa.line_l[i]
         hit = self._probe_hit_scalar(line)
         win.right_probes += 1
         self.probes_scalar += 1
@@ -542,7 +533,7 @@ class VectorEngine:
                     self._install_station()
                 self._fill(line, _ORG_RIGHT)
                 win.right_fills += 1
-        t += pa.chunk_l[i]
+        t += chunk
         if gated:
             recent.append(t - 1 + self._resolve_slots)
             if len(recent) > self._depth:
@@ -553,15 +544,15 @@ class VectorEngine:
     # -- redirects and wrong paths --------------------------------------------
 
     def _walk(self, e: int, window_start: int, window_end: int, outcome: int) -> int:
-        """Mirror of ``_walk_wrong_path`` over the pre-lowered line
-        probes of stream event *e*; returns the right-path resume slot.
+        """Mirror of ``_walk_wrong_path`` over the recorded walk of
+        stream event *e*; returns the right-path resume slot.
 
-        The walk's probes were split at line boundaries once per
-        (stream, line size) lowering, so a walk is a slice of flat
-        lists.  With no fill in flight, the leading stretch of MRU hits
-        is pure accounting (a wrong-path hit moves no LRU state) and
-        runs through a tight list loop; the first MRU miss (a lower-way
-        hit, fills, station traffic) drops to the full scalar mirror.
+        The walk's ``(line, n)`` chunks were split once per (stream,
+        line size) lowering, so a walk is a slice of one shared list.
+        With no fill in flight, the leading stretch of MRU hits is pure
+        accounting (a wrong-path hit moves no LRU state) and runs
+        through a tight list loop; the first MRU miss (a lower-way hit,
+        fills, station traffic) drops to the full scalar mirror.
         """
         # Decode walks always happen; fills only once the redirect is
         # known to be a mispredict (outcome code 2).
@@ -571,28 +562,26 @@ class VectorEngine:
         blocking = self._walk_blocking
         win = self._win
         cur = window_start
-        wa = self._wa
-        idx = wa.ev_off_l[e]
-        hi = wa.ev_off_l[e + 1]
-        n_l = wa.chunk_l
+        walks = self._walks
+        lines = walks.lines
+        idx = walks.ev_off[e]
+        hi = walks.ev_off[e + 1]
         duration = self._penalty_slots
         n_scalar = 0
         n_instr = 0
-        tags_l = self._tags_l
+        lines_l = self._lines_l
+        set_mask = self._set_mask
         if not self._has_station:
             # All-hit fast loop: probes that hit an idle-station cache
             # mutate nothing, so only local accumulators move until the
             # first MRU miss (or the window closes).
-            for s_idx, wtag, n in self._wtuples[idx:hi]:
-                if cur >= window_end or tags_l[s_idx] != wtag:
+            for line, n in lines[idx:hi]:
+                if cur >= window_end or lines_l[line & set_mask] != line:
                     break
                 n_scalar += 1
                 n_instr += n
                 cur += n
                 idx += 1
-        line_l = wa.line_l
-        set_mask = self._set_mask
-        set_shift = self._set_shift
         multiway = self._assoc > 1
         n_sets = self._n_sets
         while idx < hi:
@@ -600,14 +589,12 @@ class VectorEngine:
                 break
             if self._has_station and self._station_done <= cur:
                 self._install_station()
-            line = line_l[idx]
-            n = n_l[idx]
+            line, n = lines[idx]
             idx += 1
             n_scalar += 1
             set_idx = line & set_mask
-            tag = line >> set_shift
-            if tags_l[set_idx] == tag or (
-                multiway and lower_way_slot(tags_l, set_idx, tag, n_sets) >= 0
+            if lines_l[set_idx] == line or (
+                multiway and lower_way_slot(lines_l, set_idx, line, n_sets) >= 0
             ):
                 n_instr += n
                 cur += n
@@ -679,11 +666,10 @@ class VectorEngine:
         win = self._win
         win.probes += 1
         set_idx = line & self._set_mask
-        tag = line >> self._set_shift
-        tags_l = self._tags_l
-        if tags_l[set_idx] != tag:
+        lines_l = self._lines_l
+        if lines_l[set_idx] != line:
             slot = (
-                lower_way_slot(tags_l, set_idx, tag, self._n_sets)
+                lower_way_slot(lines_l, set_idx, line, self._n_sets)
                 if self._assoc > 1
                 else -1
             )
@@ -700,23 +686,22 @@ class VectorEngine:
         win = self._win
         win.fills += 1
         set_idx = line & self._set_mask
-        tag = line >> self._set_shift
-        tags_l = self._tags_l
-        if tags_l[set_idx] != tag:
+        lines_l = self._lines_l
+        if lines_l[set_idx] != line:
             # A resident lower way is refreshed; otherwise the LRU way
             # (empty or evicted) is reused.
             slot = (
-                lower_way_slot(tags_l, set_idx, tag, self._n_sets)
+                lower_way_slot(lines_l, set_idx, line, self._n_sets)
                 if self._assoc > 1
                 else -1
             )
             if slot < 0:
                 slot = set_idx + self._lru_offset
-                if tags_l[slot] != -1:
+                if lines_l[slot] != -1:
                     win.evictions += 1
             if slot != set_idx:
                 move_to_mru(self._columns, set_idx, slot, self._n_sets)
-        tags_l[set_idx] = tag
+        lines_l[set_idx] = line
         self._orgs_l[set_idx] = origin
 
     # -- result construction ---------------------------------------------------

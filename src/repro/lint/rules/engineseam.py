@@ -8,16 +8,17 @@ constraints are all checked.  A ``FetchEngine(...)`` (or
 bypasses that seam: the cell pins one backend regardless of the
 ``engine_backend`` knob, and the cross-backend differential guarantees
 quietly erode.  The same seam discipline covers the lowered state the
-engines run on: the event loop's ``FetchProgram``
-(``repro.core.lowering``) and the vector backend's ``TraceArrays`` /
-``ProbeArrays`` / ``WalkArrays`` and their geometry splits
+engines run on: the ``FetchProgram`` and its ``FlatProbes``
+(``repro.core.lowering``), a stream's ``RecordedWalks``
+(``repro.branch.stream``) and the vector backend's ``TraceArrays``
 (``repro.core.vector_kernels``) are memoized read-only data shared
 across engines and ``AdaptiveEngine`` forks, and a direct construction
 launders a private un-memoized copy past that sharing (and past the
 identity keying that makes it correct).  This rule flags direct
 constructions in the determinism modules outside the sanctioned
-factories (``build_engine``, ``fetch_program`` and the ``*_arrays`` /
-``*_split`` lowering factories).
+factories (``build_engine`` and the lowering factories
+``fetch_program``, ``flat_probes``, ``recorded_walks`` and
+``trace_arrays``).
 """
 
 from __future__ import annotations
@@ -35,11 +36,9 @@ _ENGINE_CLASSES = frozenset(
         "FetchEngine",
         "VectorEngine",
         "FetchProgram",
+        "FlatProbes",
+        "RecordedWalks",
         "TraceArrays",
-        "ProbeArrays",
-        "WalkArrays",
-        "ProbeSplit",
-        "WalkSplit",
     }
 )
 
@@ -49,11 +48,9 @@ _ALLOWED_FACTORIES = frozenset(
     {
         "build_engine",
         "fetch_program",
+        "flat_probes",
+        "recorded_walks",
         "trace_arrays",
-        "probe_arrays",
-        "walk_arrays",
-        "probe_split",
-        "walk_split",
     }
 )
 

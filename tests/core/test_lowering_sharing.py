@@ -1,32 +1,49 @@
 """Lowered-state sharing: one lowering per object, across engines and forks.
 
-Replay, vector and event-loop state lowering (stream record lists,
-trace/probe/walk arrays, the event loop's fetch program) is pure
-read-only data, so a policy sweep over one trace and the
-``AdaptiveEngine`` shadow/oracle forks of one engine must pay for each
-lowering exactly once.  These tests pin that with the module test hooks
+Replay, vector and event-loop state lowering (stream record lists and
+their line-split walks, per-record trace arrays, the event loop's fetch
+program and its flat probe list) is pure read-only data, so a policy
+sweep over one trace and the ``AdaptiveEngine`` shadow/oracle forks of
+one engine must pay for each lowering exactly once, and a sweep over
+cache geometries at one line size must pay for no per-geometry state.
+These tests pin that with the module test hooks
 (:func:`repro.branch.stream.stream_lowerings`,
-:data:`repro.core.lowering.LOWERING_COUNTS`) — a regression here
-silently multiplies sweep setup cost by the fork/engine count.
+:data:`repro.core.lowering.LOWERING_COUNTS`) and with ``tracemalloc`` —
+a regression here silently multiplies sweep setup cost and memory by
+the fork/engine/geometry count.
 """
 
 from __future__ import annotations
 
 import gc
+import tracemalloc
 import weakref
 from dataclasses import replace
 
 import pytest
 
-from repro.branch.stream import build_stream, stream_lowerings
+from repro.branch.stream import (
+    ReplayBranchUnit,
+    build_stream,
+    recorded_walks,
+    stream_lowerings,
+)
 from repro.config import ALL_POLICIES, CacheConfig, FetchPolicy, SimConfig
-from repro.core import lowering, vector_kernels
+from repro.core import lowering
 from repro.core.engine import build_engine, simulate
 from repro.program.workloads import build_workload
 from repro.trace.generator import generate_trace
 
 TRACE_LENGTH = 4_000
 INTERVAL = 1_000
+
+#: The paper's cache-geometry sweep: {4K, 8K, 32K} x {1, 2}-way, one
+#: line size.  Five distinct set counts (8K/2-way shares 4K/1-way's).
+GEOMETRIES = tuple(
+    CacheConfig(size_bytes=size, assoc=assoc)
+    for size in (4096, 8192, 32768)
+    for assoc in (1, 2)
+)
 
 
 def arch(**kwargs) -> SimConfig:
@@ -113,10 +130,10 @@ def test_distinct_trace_objects_are_not_conflated(workload):
     program, _ = workload
     a = generate_trace(program, 2_000, seed=5)
     b = generate_trace(program, 2_000, seed=5)
-    pa = vector_kernels.probe_arrays(a, 32)
-    pb = vector_kernels.probe_arrays(b, 32)
+    pa = lowering.flat_probes(a, program.image, 32)
+    pb = lowering.flat_probes(b, program.image, 32)
     assert pa is not pb
-    assert vector_kernels.probe_arrays(a, 32) is pa
+    assert lowering.flat_probes(a, program.image, 32) is pa
 
 
 def _fetch_lowerings() -> int:
@@ -186,7 +203,7 @@ def test_lowerings_die_with_their_trace(workload):
     program, _ = workload
     trace = generate_trace(program, 2_000, seed=31)
     simulate(program, trace, SimConfig())
-    vector_kernels.probe_arrays(trace, 32)
+    lowering.flat_probes(trace, program.image, 32)
     fetch_key = (id(trace), id(program.image), 32)
     assert fetch_key in lowering._fetch_memo
     dead = weakref.ref(trace)
@@ -194,4 +211,96 @@ def test_lowerings_die_with_their_trace(workload):
     gc.collect()
     assert dead() is None
     assert fetch_key not in lowering._fetch_memo
-    assert all(key[0] != fetch_key[0] for key in vector_kernels._probe_memo)
+    assert all(key[0] != fetch_key[0] for key in lowering._probe_memo)
+
+
+def _vector_sweep(program, trace, stream, geometries) -> None:
+    for cache in geometries:
+        for policy in ALL_POLICIES:
+            engine = build_engine(
+                program,
+                arch(cache=cache, policy=policy, engine_backend="vector"),
+                stream=stream,
+            )
+            assert engine.backend == "vector"
+            engine.run(trace)
+
+
+def test_geometry_sweep_shares_one_lowering_per_line_size(
+    workload, monkeypatch
+):
+    """The vector mirror and the event loop read one probe lowering and
+    one walk lowering per line size, whatever the cache geometry."""
+    program, _ = workload
+    trace = generate_trace(program, TRACE_LENGTH, seed=24)
+    stream = build_stream(program, trace, arch())
+    counts = lowering.LOWERING_COUNTS
+    before = dict(counts)
+    _vector_sweep(program, trace, stream, GEOMETRIES)
+    assert counts["probe"] == before["probe"] + 1
+    assert counts["walk"] == before["walk"] + 1
+
+    # The mirror's probe entries are the fetch program's own tuples.
+    engine = build_engine(program, arch(engine_backend="vector"), stream=stream)
+    engine.run(trace)
+    flat = lowering.flat_probes(trace, program.image, 32)
+    assert engine._probes is flat.probes
+    planned = [probe for plan in engine.inner.plans(trace) for probe in plan.probes]
+    assert len(flat.probes) == len(planned)
+    assert all(a is b for a, b in zip(flat.probes, planned))
+    walks = recorded_walks(stream, 32)
+    assert engine._walks is walks
+
+    # An event-loop replay cell reads the same walk chunk objects.
+    served = []
+    serve = ReplayBranchUnit.iter_last_wrong_path_lines
+
+    def spy(unit, line_size):
+        lines = serve(unit, line_size)
+        served.extend(lines)
+        return lines
+
+    monkeypatch.setattr(ReplayBranchUnit, "iter_last_wrong_path_lines", spy)
+    simulate(program, trace, arch(engine_backend="event"), stream=stream)
+    shared = {id(chunk) for chunk in walks.lines}
+    assert served
+    assert all(id(chunk) in shared for chunk in served)
+    assert counts["probe"] == before["probe"] + 1
+    assert counts["walk"] == before["walk"] + 1
+
+    # Another line size is exactly one more lowering of each.
+    wide = [replace(cache, line_size=64) for cache in GEOMETRIES[:2]]
+    _vector_sweep(program, trace, stream, wide)
+    assert counts["probe"] == before["probe"] + 2
+    assert counts["walk"] == before["walk"] + 2
+
+
+#: Long enough that one geometry's private split of the probes and walks
+#: (~55 bytes per instruction) would clear the 1 MB bound several times.
+MEMORY_TRACE_LENGTH = 20_000
+
+
+def _retained_lowering(program, geometries) -> int:
+    """Bytes still allocated after a replayed vector sweep over a fresh
+    trace and stream: the lowerings the memos keep for them."""
+    trace = generate_trace(program, MEMORY_TRACE_LENGTH, seed=41)
+    stream = build_stream(program, trace, arch())
+    gc.collect()
+    tracemalloc.start()
+    try:
+        _vector_sweep(program, trace, stream, geometries)
+        gc.collect()
+        retained, _ = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    return retained
+
+
+def test_geometry_sweep_retains_no_per_geometry_lowering(workload):
+    """Retained lowering is per (trace, line size), not per geometry:
+    six geometries keep what one keeps, within 1 MB."""
+    program, _ = workload
+    one = _retained_lowering(program, GEOMETRIES[:1])
+    six = _retained_lowering(program, GEOMETRIES)
+    assert one > 0
+    assert six - one < 1_000_000, (one, six)

@@ -35,26 +35,20 @@ POSITIVE = [
         id="method",
     ),
     pytest.param(
-        "def lower(trace, line_size):\n"
-        "    return ProbeArrays(trace_arrays(trace), line_size)\n",
-        id="kernel-state-probe-arrays",
+        "def lower(trace, image, line_size):\n"
+        "    return FlatProbes(fetch_program(trace, image, line_size))\n",
+        id="flat-probes",
     ),
     pytest.param(
         "from repro.core import vector_kernels as vk\n"
-        "def lower(stream, line_size):\n"
-        "    return vk.WalkArrays(stream.wp_pc, stream.wp_n,\n"
-        "                         stream.wp_off, line_size)\n",
+        "def lower(trace):\n"
+        "    return vk.TraceArrays(trace)\n",
         id="kernel-state-attribute",
     ),
     pytest.param(
-        "def split(pa, mask, shift):\n"
-        "    return ProbeSplit(pa, mask, shift)\n",
-        id="kernel-state-probe-split",
-    ),
-    pytest.param(
-        "def split(wa, mask, shift):\n"
-        "    return WalkSplit(wa, mask, shift)\n",
-        id="kernel-state-walk-split",
+        "def lower(stream, line_size):\n"
+        "    return RecordedWalks(_lowered_lists(stream), line_size)\n",
+        id="recorded-walks",
     ),
     pytest.param(
         "arrays = TraceArrays(trace)\n",
@@ -94,22 +88,29 @@ NEGATIVE = [
         id="nested-inside-factory",
     ),
     pytest.param(
-        "def probe_arrays(trace, line_size):\n"
-        "    ta = trace_arrays(trace)\n"
-        "    return _memo_get(_probe_memo, trace, (id(trace), line_size),\n"
-        "                     'probe', lambda: ProbeArrays(ta, line_size))\n",
+        "def flat_probes(trace, image, line_size):\n"
+        "    return memo_get(_probe_memo, (trace, image),\n"
+        "                    (id(trace), id(image), line_size), 'probe',\n"
+        "                    lambda: FlatProbes(\n"
+        "                        fetch_program(trace, image, line_size)))\n",
         id="lowering-factory-itself",
     ),
     pytest.param(
-        "def run(trace, config):\n"
-        "    return probe_split(trace, 32, 0xFF, 8)\n",
+        "def run(trace, image):\n"
+        "    return flat_probes(trace, image, 32).probes\n",
         id="calls-through-lowering-factory",
     ),
     pytest.param(
-        "def walk_split(stream, line_size, set_mask, set_shift):\n"
-        "    wa = walk_arrays(stream, line_size)\n"
-        "    return WalkSplit(wa, set_mask, set_shift)\n",
+        "def recorded_walks(stream, line_size):\n"
+        "    return memo_get(_walk_memo, (stream,), (id(stream), line_size),\n"
+        "                    'walk', lambda: RecordedWalks(\n"
+        "                        _lowered_lists(stream), line_size))\n",
         id="split-factory-itself",
+    ),
+    pytest.param(
+        "def run(stream):\n"
+        "    return recorded_walks(stream, 32).lines\n",
+        id="calls-through-walk-factory",
     ),
     pytest.param(
         "def fetch_program(trace, image, line_size):\n"
