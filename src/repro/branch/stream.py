@@ -548,9 +548,6 @@ class ReplayBranchUnit:
         "_wstart",
         "_pht_index",
         "_pred_taken",
-        "_wp_off",
-        "_wp_pc",
-        "_wp_n",
         "_walks",
     )
 
@@ -571,9 +568,6 @@ class ReplayBranchUnit:
         self._wstart = lowered.wstart
         self._pht_index = lowered.pht_index
         self._pred_taken = lowered.pred_taken
-        self._wp_off = lowered.wp_off
-        self._wp_pc = lowered.wp_pc
-        self._wp_n = lowered.wp_n
         self._walks: RecordedWalks | None = None
 
     def __deepcopy__(self, memo: dict) -> ReplayBranchUnit:

@@ -130,10 +130,13 @@ def _line_probes(
 class FetchProgram:
     """One trace lowered for the event loop at one line size.
 
-    ``plans[i]`` is record *i*'s :class:`BlockPlan`.  Plans are interned
-    per distinct record value (a 200k-instruction gcc trace has 37,934
-    records but 1,318 distinct ones), so the lowering costs one list
-    slot per record plus one small plan per distinct record.
+    ``plans[i]`` is record *i*'s :class:`BlockPlan`.  A trace built by
+    the library already holds one record object per distinct block (a
+    200k-instruction gcc trace has 37,934 records but 1,318 distinct
+    ones), and the plans mirror it: one small plan per distinct record,
+    one list slot per record.  Plans are keyed by record value, not
+    identity, so a hand-built trace of equal but distinct records
+    lowers to the same plans.
     """
 
     __slots__ = ("plans",)

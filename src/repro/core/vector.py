@@ -322,10 +322,10 @@ class VectorEngine:
         red_probe = last_probe[ta.ev_rec[red_ev]]
         # Scalar-access copies of the per-event stream fields (list
         # indexing is ~3x faster than ndarray scalar indexing here).
-        ev_penalty_l = self._ev_penalty_l = self.unit._penalty
-        ev_delay_l = self._ev_delay_l = self.unit._delay
-        ev_outcome_l = self._ev_outcome_l = self.unit._outcome
-        ev_wstart_l = self._ev_wstart_l = self.unit._wstart
+        ev_penalty_l = self.unit._penalty
+        ev_delay_l = self.unit._delay
+        ev_outcome_l = self.unit._outcome
+        ev_wstart_l = self.unit._wstart
         boundary_probe = (
             int(last_probe[boundary_rec - 1]) + 1 if boundary_rec > 0 else 0
         )

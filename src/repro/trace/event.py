@@ -63,9 +63,33 @@ class BlockRecord(NamedTuple):
             raise TraceError(f"PLAIN-terminated block at {self.start:#x} taken")
 
 
+class RecordInterner(dict[tuple, BlockRecord]):
+    """``interner[key]`` is the one :class:`BlockRecord` equal to the
+    plain ``(start, length, kind, taken, next_pc)`` tuple *key*.
+
+    A hit is a C-level dict lookup of the key tuple; a record is built
+    only for a key not seen before, so a duplicate is never allocated.
+    Keys compare by value, so callers must pass ``taken`` as a bool
+    (``1 == True``).
+    """
+
+    __slots__ = ()
+
+    def __missing__(self, key: tuple) -> BlockRecord:
+        record = self[key] = BlockRecord._make(key)
+        return record
+
+
 @dataclass(slots=True, weakref_slot=True)
 class Trace:
-    """An ordered sequence of correct-path block records."""
+    """An ordered sequence of correct-path block records.
+
+    ``records`` holds one slot per dynamic block.  The trace generator,
+    :func:`~repro.trace.io.load_trace` and the text-format reader fill
+    it through one :class:`RecordInterner` each, so equal slots point
+    at one shared :class:`BlockRecord`.  A hand-built list need not
+    share: nothing downstream relies on record identity.
+    """
 
     program_name: str
     records: list[BlockRecord] = field(default_factory=list)

@@ -19,7 +19,7 @@ from repro.errors import TraceError
 from repro.isa import INSTRUCTION_SIZE, InstrKind
 from repro.program.behaviour import IndirectBehaviour
 from repro.program.program import Program
-from repro.trace.event import BlockRecord, Trace
+from repro.trace.event import BlockRecord, RecordInterner, Trace
 
 #: Version of the generation algorithm.  Bump whenever a change here (or
 #: in the behaviour models / workload definitions) can alter the trace a
@@ -70,6 +70,7 @@ class TraceGenerator:
         icall = int(InstrKind.INDIRECT_CALL)
         plain = int(InstrKind.PLAIN)
 
+        interned = RecordInterner()
         records: list[BlockRecord] = []
         stack: list[int] = []
         history = 0
@@ -85,7 +86,7 @@ class TraceGenerator:
                 # the entry point (models the driver restarting the
                 # workload; only reachable through padding at the tail).
                 length = n_image - idx
-                records.append(BlockRecord(pc, length, plain, False, entry))
+                records.append(interned[(pc, length, plain, False, entry)])
                 emitted += length
                 pc = entry
                 continue
@@ -128,7 +129,7 @@ class TraceGenerator:
                 next_pc = indirect_targets[ctrl_addr][choice]
             else:  # pragma: no cover - image construction forbids this
                 raise TraceError(f"unknown instruction kind {kind} at {ctrl_addr:#x}")
-            records.append(BlockRecord(pc, length, kind, taken, next_pc))
+            records.append(interned[(pc, length, kind, taken, next_pc)])
             emitted += length
             pc = next_pc
         return Trace(program_name=program.name, records=records, seed=seed)

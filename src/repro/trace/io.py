@@ -20,7 +20,7 @@ import zipfile
 import numpy as np
 
 from repro.errors import TraceError
-from repro.trace.event import BlockRecord, Trace
+from repro.trace.event import RecordInterner, Trace
 
 _FORMAT_VERSION = 1
 
@@ -75,11 +75,11 @@ def load_trace(path: str | os.PathLike[str]) -> Trace:
     lengths = {name: len(col) for name, col in zip(_FIELDS, columns)}
     if len(set(lengths.values())) > 1:
         raise TraceError(f"trace archive {path} has ragged columns: {lengths}")
-    # Single C-level conversion per column, then one BlockRecord per row;
-    # ~3x faster than per-element int()/bool() casts on long traces.
+    # Single C-level conversion per column, then one interned BlockRecord
+    # per distinct row: a repeated row is a dict hit on its plain tuple.
     rows = zip(*(col.tolist() for col in columns))
     return Trace(
         program_name=program_name,
-        records=list(map(BlockRecord._make, rows)),
+        records=list(map(RecordInterner().__getitem__, rows)),
         seed=None if seed_raw < 0 else seed_raw,
     )

@@ -27,7 +27,7 @@ from collections.abc import Iterable
 
 from repro.errors import TraceError
 from repro.isa import InstrKind
-from repro.trace.event import BlockRecord, Trace
+from repro.trace.event import BlockRecord, RecordInterner, Trace
 
 _HEADER = "# repro-trace v1"
 _KIND_NAMES = {kind.name: int(kind) for kind in InstrKind}
@@ -49,7 +49,9 @@ def save_text_trace(trace: Trace, path: str | os.PathLike[str]) -> None:
             )
 
 
-def _parse_line(line: str, lineno: int) -> BlockRecord:
+def _parse_line(
+    line: str, lineno: int, interned: RecordInterner
+) -> BlockRecord:
     fields = line.split()
     if len(fields) != 5:
         raise TraceError(
@@ -73,7 +75,7 @@ def _parse_line(line: str, lineno: int) -> BlockRecord:
         raise TraceError(
             f"line {lineno}: direction must be T or N, got {direction!r}"
         )
-    record = BlockRecord(start, length, kind, direction == "T", next_pc)
+    record = interned[(start, length, kind, direction == "T", next_pc)]
     try:
         record.validate()
     except TraceError as exc:
@@ -89,6 +91,7 @@ def parse_text_trace(
     The header line is required; ``program:`` and ``seed:`` comments are
     honoured when present.
     """
+    interned = RecordInterner()
     records: list[BlockRecord] = []
     seed: int | None = None
     saw_header = False
@@ -115,7 +118,7 @@ def parse_text_trace(
             continue
         if not saw_header:
             raise TraceError(f"missing header; the first line must be {_HEADER!r}")
-        records.append(_parse_line(line, lineno))
+        records.append(_parse_line(line, lineno, interned))
     if not records:
         raise TraceError("trace contains no records")
     trace = Trace(program_name=program_name, records=records, seed=seed)

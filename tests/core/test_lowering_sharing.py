@@ -98,12 +98,16 @@ def test_adaptive_forks_share_stream_lowering(workload, stream):
 
 def test_fork_shares_lowered_lists_copies_stats(workload, stream):
     program, _ = workload
-    engine = build_engine(program, arch(engine_backend="event"), stream=stream)
+    config = arch(engine_backend="event")
+    engine = build_engine(program, config, stream=stream)
+    line_size = config.cache.line_size
+    engine.unit.iter_last_wrong_path_lines(line_size)  # split the walks
+    assert engine.unit._walks is recorded_walks(stream, line_size)
     fork = engine.fork()
     assert fork.unit is not engine.unit
     assert fork.unit.stats is not engine.unit.stats
     assert fork.unit.stream is engine.unit.stream
-    for name in ("_outcome", "_penalty", "_wp_pc", "_wp_off"):
+    for name in ("_outcome", "_penalty", "_walks"):
         assert getattr(fork.unit, name) is getattr(engine.unit, name)
 
 
