@@ -63,28 +63,48 @@ class BranchTargetBuffer:
         self.counter_max = (1 << counter_bits) - 1
         self.counter_threshold = 1 << (counter_bits - 1)
         self.counter_init = self.counter_threshold  # weakly taken: it was taken once
-        # Each set is a list of BTBEntry in LRU order (index 0 = LRU).
+        # Each set is a list of BTBEntry in LRU order (index 0 = LRU),
+        # with the entries' instruction words (pc // INSTRUCTION_SIZE,
+        # which identify a branch as well as set + tag) in a parallel
+        # list, so finding a branch is one C-level list search.
         self._sets: list[list[BTBEntry]] = [[] for _ in range(n_sets)]
+        self._words: list[list[int]] = [[] for _ in range(n_sets)]
         # Statistics.
         self.hits = 0
         self.misses = 0
         self.insertions = 0
         self.evictions = 0
 
-    def _locate(self, pc: int) -> tuple[list[BTBEntry], int]:
+    def _locate(self, pc: int) -> tuple[int, int]:
+        """``(set index, instruction word)`` of the branch at *pc*."""
         word = pc // INSTRUCTION_SIZE
-        return self._sets[word & self.set_mask], word >> self._tag_shift
+        return word & self.set_mask, word
+
+    def touch(self, set_idx: int, word: int) -> BTBEntry | None:
+        """The entry for instruction *word* in set *set_idx*, moved to
+        the MRU end of its set, or None; counts nothing (the lookup rule
+        without its statistics)."""
+        words = self._words[set_idx]
+        if word not in words:
+            return None
+        ways = self._sets[set_idx]
+        i = words.index(word)
+        entry = ways[i]
+        if words[-1] != word:
+            del words[i]
+            words.append(word)
+            del ways[i]
+            ways.append(entry)
+        return entry
 
     def lookup(self, pc: int) -> BTBEntry | None:
         """Probe for *pc*; a hit refreshes LRU and returns the entry."""
-        ways, tag = self._locate(pc)
-        for i, entry in enumerate(ways):
-            if entry.tag == tag:
-                ways.append(ways.pop(i))  # move to MRU position
-                self.hits += 1
-                return entry
-        self.misses += 1
-        return None
+        entry = self.touch(*self._locate(pc))
+        if entry is None:
+            self.misses += 1
+        else:
+            self.hits += 1
+        return entry
 
     def peek(self, pc: int) -> BTBEntry | None:
         """Probe without touching LRU state or statistics.
@@ -93,39 +113,46 @@ class BranchTargetBuffer:
         perturb the predictor (the paper's machine reads the BTB on the
         wrong path too, but modelling that second-order effect would make
         runs non-reproducible across policies; see DESIGN.md)."""
-        ways, tag = self._locate(pc)
-        for entry in ways:
-            if entry.tag == tag:
-                return entry
+        set_idx, word = self._locate(pc)
+        words = self._words[set_idx]
+        if word in words:
+            return self._sets[set_idx][words.index(word)]
         return None
 
     def insert(self, pc: int, target: int) -> BTBEntry:
         """Insert/refresh the entry for a taken branch (decode-time update)."""
-        ways, tag = self._locate(pc)
-        for i, entry in enumerate(ways):
-            if entry.tag == tag:
-                entry.target = target
-                ways.append(ways.pop(i))
-                return entry
-        entry = BTBEntry(tag=tag, target=target, counter=self.counter_init)
+        set_idx, word = self._locate(pc)
+        entry = self.touch(set_idx, word)
+        if entry is None:
+            return self.install(set_idx, word, target)
+        entry.target = target
+        return entry
+
+    def install(self, set_idx: int, word: int, target: int) -> BTBEntry:
+        """Add a new MRU entry for instruction *word*, which must be
+        absent from set *set_idx*, evicting the set's LRU entry when the
+        set is full."""
+        ways = self._sets[set_idx]
+        words = self._words[set_idx]
         if len(ways) >= self.assoc:
-            ways.pop(0)  # evict LRU
+            del ways[0]  # evict LRU
+            del words[0]
             self.evictions += 1
+        entry = BTBEntry(word >> self._tag_shift, target, self.counter_init)
         ways.append(entry)
+        words.append(word)
         self.insertions += 1
         return entry
 
     def update_counter(self, pc: int, taken: bool) -> None:
         """Resolve-time direction update for *coupled* designs."""
-        ways, tag = self._locate(pc)
-        for entry in ways:
-            if entry.tag == tag:
-                if taken:
-                    if entry.counter < self.counter_max:
-                        entry.counter += 1
-                elif entry.counter > 0:
-                    entry.counter -= 1
-                return
+        entry = self.peek(pc)
+        if entry is not None:
+            if taken:
+                if entry.counter < self.counter_max:
+                    entry.counter += 1
+            elif entry.counter > 0:
+                entry.counter -= 1
 
     def counter_predicts_taken(self, entry: BTBEntry) -> bool:
         """Direction prediction from a coupled entry's counter."""
@@ -134,6 +161,7 @@ class BranchTargetBuffer:
     def reset(self) -> None:
         """Empty the BTB and clear statistics."""
         self._sets = [[] for _ in range(self.n_sets)]
+        self._words = [[] for _ in range(self.n_sets)]
         self.hits = 0
         self.misses = 0
         self.insertions = 0

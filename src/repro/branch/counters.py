@@ -54,9 +54,13 @@ class CounterTable:
 
     Stored as a plain list of ints for speed (the PHT is exercised once or
     twice per dynamic branch).  All counters start weakly-not-taken.
+    ``step[taken][value]`` is a counter's next value after an outcome,
+    the saturating update as two lookup tables.  ``values`` is one list
+    for the table's lifetime (:meth:`reset` refills it in place), so a
+    reference to it stays valid.
     """
 
-    __slots__ = ("bits", "entries", "max_value", "threshold", "values")
+    __slots__ = ("bits", "entries", "max_value", "threshold", "values", "step")
 
     def __init__(self, entries: int, bits: int = 2) -> None:
         if entries < 1 or entries & (entries - 1):
@@ -68,6 +72,11 @@ class CounterTable:
         self.max_value = (1 << bits) - 1
         self.threshold = 1 << (bits - 1)
         self.values = [self.threshold - 1] * entries
+        levels = range(self.max_value + 1)
+        self.step = (
+            tuple(max(value - 1, 0) for value in levels),
+            tuple(min(value + 1, self.max_value) for value in levels),
+        )
 
     def predict(self, index: int) -> bool:
         """Prediction of the counter at *index* (True = taken)."""
@@ -75,16 +84,12 @@ class CounterTable:
 
     def update(self, index: int, taken: bool) -> None:
         """Saturating update of the counter at *index*."""
-        value = self.values[index]
-        if taken:
-            if value < self.max_value:
-                self.values[index] = value + 1
-        elif value > 0:
-            self.values[index] = value - 1
+        values = self.values
+        values[index] = self.step[bool(taken)][values[index]]
 
     def reset(self) -> None:
         """Return every counter to weakly-not-taken."""
-        self.values = [self.threshold - 1] * self.entries
+        self.values[:] = [self.threshold - 1] * self.entries
 
     def __len__(self) -> int:
         return self.entries

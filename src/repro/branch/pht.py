@@ -18,28 +18,43 @@ caller, which carries it through the unresolved-branch queue.
 
 from __future__ import annotations
 
-import abc
-
 from repro.branch.counters import CounterTable
 from repro.errors import ConfigError
 from repro.isa import INSTRUCTION_SIZE
 
 
-class PatternHistoryTable(abc.ABC):
-    """Common interface of all direction predictors."""
+class PatternHistoryTable:
+    """Common interface of all direction predictors.
+
+    Every scheme indexes its counters with one rule: the branch's
+    instruction word (``pc // INSTRUCTION_SIZE``) masked by
+    :attr:`pc_bits`, XOR the history masked by :attr:`history_bits`,
+    masked to the table size.  A scheme keeps an input with an
+    all-ones mask (-1) and drops it with 0.
+    """
+
+    #: Mask applied to the branch's instruction word (-1 keeps it).
+    pc_bits = 0
+    #: Mask applied to the global history (-1 keeps it).
+    history_bits = 0
 
     def __init__(self, entries: int, counter_bits: int = 2) -> None:
         self.table = CounterTable(entries, bits=counter_bits)
         self.index_mask = entries - 1
 
-    @abc.abstractmethod
     def index(self, pc: int, history: int) -> int:
         """Table index for branch at *pc* given a history snapshot."""
+        return (
+            ((pc // INSTRUCTION_SIZE) & self.pc_bits)
+            ^ (history & self.history_bits)
+        ) & self.index_mask
 
     def predict(self, pc: int, history: int) -> tuple[bool, int]:
         """Return ``(taken?, index)``; the index is needed for the update."""
         idx = self.index(pc, history)
-        return self.table.predict(idx), idx
+        table = self.table
+        # CounterTable.predict, inlined.
+        return table.values[idx] >= table.threshold, idx
 
     def update(self, index: int, taken: bool) -> None:
         """Resolve-time counter update at the prediction-time index."""
@@ -55,38 +70,23 @@ class PatternHistoryTable(abc.ABC):
         return self.table.entries
 
 
-def _pc_bits(pc: int) -> int:
-    """Branch address with the constant low (alignment) bits stripped."""
-    return pc // INSTRUCTION_SIZE
-
-
 class BimodalPHT(PatternHistoryTable):
     """Per-branch 2-bit counters, indexed by low PC bits."""
 
-    def index(self, pc: int, history: int) -> int:
-        return _pc_bits(pc) & self.index_mask
+    pc_bits = -1
 
 
 class GAgPHT(PatternHistoryTable):
     """Counters indexed purely by global history (two-level, degenerate)."""
 
-    def index(self, pc: int, history: int) -> int:
-        return history & self.index_mask
+    history_bits = -1
 
 
 class GsharePHT(PatternHistoryTable):
     """McFarling gshare: history XOR branch address (the paper's PHT)."""
 
-    def index(self, pc: int, history: int) -> int:
-        return (_pc_bits(pc) ^ history) & self.index_mask
-
-    def predict(self, pc: int, history: int) -> tuple[bool, int]:
-        # Hot path: one dynamic branch per prediction.  Inlines index()
-        # and CounterTable.predict() (identical arithmetic) to skip two
-        # method calls per fetched conditional.
-        idx = ((pc // INSTRUCTION_SIZE) ^ history) & self.index_mask
-        table = self.table
-        return table.values[idx] >= table.threshold, idx
+    pc_bits = -1
+    history_bits = -1
 
 
 _PHT_KINDS = {

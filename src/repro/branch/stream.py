@@ -598,6 +598,34 @@ class ReplayBranchUnit:
         fall_through: int,
     ) -> PredictionResult:
         """Replay the recorded outcome for the next control transfer."""
+        stats = self.stats
+        if kind is InstrKind.COND_BRANCH:
+            stats.conditional += 1
+        else:
+            stats.unconditional += 1
+        stats.correct += 1
+        return self.predict_conditional(
+            pc, static_target, actual_taken, fall_through
+        )
+
+    def count_conditionals(self, n: int) -> None:
+        """Count *n* conditional predictions ahead of replaying them, as
+        correct (see :meth:`BranchUnit.count_conditionals`)."""
+        stats = self.stats
+        stats.conditional += n
+        stats.correct += n
+
+    def predict_conditional(
+        self,
+        pc: int,
+        static_target: int | None,
+        actual_taken: bool,
+        fall_through: int,
+    ) -> PredictionResult:
+        """Replay the next recorded outcome, already counted as a correct
+        prediction (by :meth:`predict` or :meth:`count_conditionals`);
+        the outcome is recorded per transfer, so this serves every
+        kind."""
         i = self._cursor
         if i >= len(self._outcome):
             raise SimulationError(
@@ -605,20 +633,16 @@ class ReplayBranchUnit:
                 f"(trace/stream mismatch for {self.stream.program_name!r})"
             )
         self._cursor = i + 1
-        stats = self.stats
-        if kind is InstrKind.COND_BRANCH:
-            stats.conditional += 1
-        else:
-            stats.unconditional += 1
         raw_pht = self._pht_index[i]
         pht_index = None if raw_pht < 0 else raw_pht
         raw_pred = self._pred_taken[i]
         predicted_taken = None if raw_pred < 0 else raw_pred == 1
         outcome_code = self._outcome[i]
         if outcome_code == 0:
-            stats.correct += 1
             return correct_result(pht_index, predicted_taken)
         self._last = i
+        stats = self.stats
+        stats.correct -= 1
         cause_code = self._cause[i]
         penalty = self._penalty[i]
         stats.penalty_slots_by_cause[_CAUSE_NAMES[cause_code]] += penalty

@@ -19,12 +19,15 @@ This module encodes the paper's front-end branch semantics (§4.1):
 The unit is purely about branches; all I-cache/bus timing lives in
 :mod:`repro.core.engine`.
 
-The conditional-branch path (:meth:`BranchUnit.predict` on a
-``COND_BRANCH``) and :meth:`BranchUnit.resolve` run once per dynamic
-branch, so they apply the BTB lookup/insert, counter-table and history
-rules inline rather than through the component methods; the components
+The conditional-branch path (:meth:`BranchUnit.predict_conditional`)
+and :meth:`BranchUnit.resolve` run once per dynamic branch, so they
+apply the BTB lookup, PHT index, counter-table and history rules inline
+rather than through the component methods; the components
 (:mod:`repro.branch.btb`, :mod:`repro.branch.pht`,
 :mod:`repro.branch.history`) keep the same rules as their public API.
+The counts every conditional branch adds (``conditional``, ``correct``,
+``btb.hits``) are credited up front by :meth:`BranchUnit.count_conditionals`,
+so the hot path counts only the exceptions.
 """
 
 from __future__ import annotations
@@ -176,6 +179,16 @@ class BranchUnit:
         self.misfetch_penalty_slots = misfetch_penalty_slots
         self.mispredict_penalty_slots = mispredict_penalty_slots
         self.stats = BranchStats()
+        # What the inline PHT index, read and update use: the index
+        # masks and the counter table's list (one list for the table's
+        # lifetime) and step tables.
+        table = pht.table
+        self._pht_pc_bits = pht.pc_bits
+        self._pht_history_bits = pht.history_bits
+        self._pht_mask = pht.index_mask
+        self._pht_values = table.values
+        self._pht_threshold = table.threshold
+        self._pht_step = table.step
 
     # -- the main classification entry point ---------------------------------
 
@@ -195,7 +208,8 @@ class BranchUnit:
         for returns / indirect calls).
         """
         if kind is _COND:
-            return self._predict_conditional(
+            self.count_conditionals(1)
+            return self.predict_conditional(
                 pc, static_target, actual_taken, fall_through
             )
         if kind is InstrKind.JUMP or kind is InstrKind.CALL:
@@ -205,6 +219,17 @@ class BranchUnit:
         if kind is InstrKind.INDIRECT_CALL:
             return self._predict_indirect(pc, actual_target, fall_through)
         raise SimulationError(f"non-control kind {kind} reached the branch unit")
+
+    def count_conditionals(self, n: int) -> None:
+        """Count *n* conditional predictions ahead of
+        :meth:`predict_conditional` making them, as correct and as BTB
+        hits: each prediction that turns out otherwise moves itself out
+        of those counts.  The event loop counts a whole span's
+        conditionals here at once, from its lowering."""
+        stats = self.stats
+        stats.conditional += n
+        stats.correct += n
+        self.btb.hits += n
 
     def _misfetch(
         self,
@@ -223,33 +248,36 @@ class BranchUnit:
             wrong_start, 0, slots, pht_index, predicted_taken,
         )
 
-    def _predict_conditional(
+    def predict_conditional(
         self,
         pc: int,
         static_target: int | None,
         actual_taken: bool,
         fall_through: int,
     ) -> PredictionResult:
+        """:meth:`predict` for a conditional branch already counted
+        through :meth:`count_conditionals`."""
         if static_target is None:
             raise SimulationError(f"conditional at {pc:#x} lacks a static target")
-        stats = self.stats
-        stats.conditional += 1
-        # BTB lookup (BranchTargetBuffer.lookup): a hit moves the entry
+        # BTB lookup (BranchTargetBuffer.touch): a hit moves the entry
         # to the MRU end of its set.
         btb = self.btb
         word = pc // INSTRUCTION_SIZE
-        ways = btb._sets[word & btb.set_mask]
-        tag = word >> btb._tag_shift
-        entry = None
-        for i, way in enumerate(ways):
-            if way.tag == tag:
-                entry = way
-                ways.append(ways.pop(i))
-                break
-        if entry is None:
-            btb.misses += 1
+        set_idx = word & btb.set_mask
+        words = btb._words[set_idx]
+        if word in words:
+            ways = btb._sets[set_idx]
+            i = words.index(word)
+            entry = ways[i]
+            if words[-1] != word:
+                del words[i]
+                words.append(word)
+                del ways[i]
+                ways.append(entry)
         else:
-            btb.hits += 1
+            entry = None
+            btb.hits -= 1
+            btb.misses += 1
         # Direction: the PHT at the (stale) resolved history, or for
         # coupled designs the BTB entry's counter / the static fallback.
         if self.coupled:
@@ -259,7 +287,12 @@ class BranchUnit:
             else:
                 predicted_taken = self.static_fallback.predict(pc, static_target)
         else:
-            predicted_taken, pht_index = self.pht.predict(pc, self.history.value)
+            # PatternHistoryTable.predict at the resolved history.
+            pht_index = (
+                (word & self._pht_pc_bits)
+                ^ (self.history.value & self._pht_history_bits)
+            ) & self._pht_mask
+            predicted_taken = self._pht_values[pht_index] >= self._pht_threshold
         # BTB insert: at decode when predicted taken (speculative update,
         # with the decode-computed static target), else once the branch
         # resolves taken.  On a lookup hit the entry is already MRU, so
@@ -268,19 +301,21 @@ class BranchUnit:
             if entry is not None:
                 entry.target = static_target
             else:
-                btb.insert(pc, static_target)
+                btb.install(set_idx, word, static_target)
 
         if predicted_taken == actual_taken:
             if not predicted_taken or entry is not None:
                 # Not taken, or taken with the target from the BTB: clean.
-                stats.correct += 1
                 return correct_result(pht_index, predicted_taken)
             # Predicted taken but the target had to be computed at decode:
             # misfetch.  The two pre-decode cycles fetched the fall-through,
             # which is wrong because the branch is taken.
+            self.stats.correct -= 1
             return self._misfetch(fall_through, pht_index, predicted_taken)
         # Direction mispredict (PHT's fault in the decoupled design).
         slots = self.mispredict_penalty_slots
+        stats = self.stats
+        stats.correct -= 1
         stats.pht_mispredicts += 1
         stats.penalty_slots_by_cause[_PHT_MISPREDICT] += slots
         if predicted_taken:
@@ -373,18 +408,12 @@ class BranchUnit:
             if pc is not None:
                 self.btb.update_counter(pc, taken)
         elif pht_index is not None:
-            # CounterTable.update: saturating step towards the outcome.
-            table = self.pht.table
-            values = table.values
-            value = values[pht_index]
-            if taken:
-                if value < table.max_value:
-                    values[pht_index] = value + 1
-            elif value > 0:
-                values[pht_index] = value - 1
+            # CounterTable.update: the saturating step towards the outcome.
+            values = self._pht_values
+            values[pht_index] = self._pht_step[taken][values[pht_index]]
         # GlobalHistory.shift_in: the outcome enters at bit 0.
         history = self.history
-        history.value = ((history.value << 1) | (1 if taken else 0)) & history.mask
+        history.value = ((history.value << 1) | taken) & history.mask
 
     # -- wrong-path (speculative, read-only) probes ---------------------------
 

@@ -35,6 +35,9 @@ class LineOrigin(enum.Enum):
     PREFETCH = "prefetch"
 
 
+_PREFETCH = LineOrigin.PREFETCH
+
+
 def lower_way_slot(tags: list[int], set_idx: int, tag: int, n_sets: int) -> int:
     """Slot of *tag* among the non-MRU ways of *set_idx* in a way-major
     tag column (way *k* at slot ``k * n_sets + set_idx``), or -1."""
@@ -133,6 +136,14 @@ class InstructionCache:
         """Demand access: returns hit?, updates statistics and LRU."""
         stats = self.stats
         stats.probes += 1
+        stats.hits += 1
+        return self.probe_credited(line)
+
+    def probe_credited(self, line: int) -> bool:
+        """:meth:`probe` for a caller that has already counted this probe
+        in ``stats.probes`` and ``stats.hits`` (the event loop credits a
+        whole span's probes at once): a miss moves it from hits to
+        misses."""
         set_idx = line & self.set_mask
         tag = line >> self._set_shift
         tags = self._tags
@@ -143,18 +154,20 @@ class InstructionCache:
                 else -1
             )
             if slot < 0:
+                stats = self.stats
+                stats.hits -= 1
                 stats.misses += 1
                 return False
             move_to_mru(self._columns, set_idx, slot, self.n_sets)
-        stats.hits += 1
         origin = self._origins[set_idx]
         if origin is LineOrigin.PREFETCH:
+            stats = self.stats
             stats.prefetch_hits += 1
             if self._pf_fresh[set_idx]:
                 self._pf_fresh[set_idx] = False
                 stats.prefetch_used += 1
         elif origin is LineOrigin.DEMAND_WRONG:
-            stats.wrongpath_hits += 1
+            self.stats.wrongpath_hits += 1
         return True
 
     # -- fill -----------------------------------------------------------------
@@ -170,26 +183,27 @@ class InstructionCache:
         set_idx = line & self.set_mask
         tag = line >> self._set_shift
         tags = self._tags
-        if tags[set_idx] != tag:
-            slot = (
-                lower_way_slot(tags, set_idx, tag, self.n_sets)
-                if self.assoc > 1
-                else -1
-            )
-            if slot < 0:
-                slot = set_idx + self._lru_offset
-                if tags[slot] != -1:
+        resident = tags[set_idx]
+        if resident != tag:
+            if self.assoc == 1:
+                if resident != -1:
                     stats.evictions += 1
-            if slot != set_idx:
+            else:
+                slot = lower_way_slot(tags, set_idx, tag, self.n_sets)
+                if slot < 0:
+                    slot = set_idx + self._lru_offset
+                    if tags[slot] != -1:
+                        stats.evictions += 1
                 move_to_mru(self._columns, set_idx, slot, self.n_sets)
-        if self._pf_fresh[set_idx]:
+        pf_fresh = self._pf_fresh
+        if pf_fresh[set_idx]:
             # The displaced (or refilled) line was a prefetch that no
             # demand fetch ever consumed.
             stats.prefetch_evicted_unused += 1
         tags[set_idx] = tag
         self._first_ref[set_idx] = True
         self._origins[set_idx] = origin
-        self._pf_fresh[set_idx] = origin is LineOrigin.PREFETCH
+        pf_fresh[set_idx] = origin is _PREFETCH
 
     # -- first-reference bit (prefetch trigger) --------------------------------
 

@@ -32,6 +32,7 @@ are discarded after their interval.  Construct only through
 from __future__ import annotations
 
 from repro.config import FetchPolicy
+from repro.core.lowering import span_counts
 from repro.core.results import SimulationResult
 from repro.core.schedule import (
     OracleSchedule,
@@ -183,9 +184,10 @@ class AdaptiveEngine:
             # it on the first candidate's stats via the shared warm path.
             best = None
             best_slots = None
-            reset = warm_before > 0 and warm_before - _span_instructions(
-                plans, lo, hi
-            ) <= 0
+            reset = (
+                warm_before > 0
+                and warm_before - span_counts(plans[lo:hi])[0] <= 0
+            )
             for policy in candidates:
                 fork = inner.fork()
                 stats, end_t, end_warm = self._shadow_interval(
@@ -206,8 +208,3 @@ class AdaptiveEngine:
             inner.commit_interval(stats, reset=reset)
             self.schedule.observe(stats)
         return t
-
-
-def _span_instructions(plans, lo: int, hi: int) -> int:
-    """Instruction count of the record span [lo, hi)."""
-    return sum(plans[i].length for i in range(lo, hi))

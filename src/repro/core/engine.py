@@ -39,7 +39,13 @@ from repro.cache.classify import MissClassifier
 from repro.cache.icache import InstructionCache, LineOrigin
 from repro.cache.l2 import SecondLevelCache
 from repro.config import FetchPolicy, SimConfig
-from repro.core.lowering import BlockPlan, fetch_program
+from repro.core.lowering import (
+    LENGTH_SHIFT,
+    BlockPlan,
+    fetch_program,
+    span_counts,
+    warmup_split,
+)
 from repro.core.results import (
     COMPONENTS,
     EngineCounters,
@@ -48,7 +54,7 @@ from repro.core.results import (
     SimulationResult,
 )
 from repro.core.schedule import build_schedule, interval_spans
-from repro.core.wrongpath import iter_wrong_path_lines
+from repro.core.wrongpath import segment_memo, walk_segments
 from repro.errors import SimulationError
 from repro.isa import InstrKind
 from repro.memory.bus import MemoryBus
@@ -72,8 +78,27 @@ _COND = int(InstrKind.COND_BRANCH)
 _CALL = int(InstrKind.CALL)
 
 _CORRECT = FetchOutcome.CORRECT
+_MISPREDICT = FetchOutcome.MISPREDICT
 _ORIGIN_RIGHT = LineOrigin.DEMAND_RIGHT
 _ORIGIN_PREFETCH = LineOrigin.PREFETCH
+
+#: Stands in for the tag store off the fast path: slot 0 (set mask 0)
+#: matches no line, so every probe takes ``_fetch_right_line``.
+_NO_TAGS = (None,)
+
+
+def _wrong_path_modes(policy: FetchPolicy) -> tuple[tuple[bool, bool], ...]:
+    """``(fills, blocking)`` of a wrong-path walk under *policy*, indexed
+    by whether the redirect is a mispredict (else a misfetch)."""
+    if policy is FetchPolicy.OPTIMISTIC:
+        return ((True, True),) * 2
+    if policy is FetchPolicy.RESUME:
+        return ((True, False),) * 2
+    if policy is FetchPolicy.DECODE:
+        # Decode's guard catches misfetches (the redirect arrives with
+        # the decode it was waiting for) but not mispredicts.
+        return ((False, True), (True, True))
+    return ((False, False),) * 2  # ORACLE, PESSIMISTIC
 
 
 def _resolve_noop(
@@ -138,6 +163,7 @@ class FetchEngine:
         # the paper's regime bit-identical.
         self.schedule = build_schedule(config)
         self.policy = self.schedule.policy_for(0)
+        self._wrong_path_modes = _wrong_path_modes(self.policy)
         self.policy_switches = 0
         #: Shadow simulations run on forks of this engine (set by the
         #: adaptive driver; published under ``adaptive.shadow_runs``).
@@ -335,14 +361,19 @@ class FetchEngine:
 
     def _fetch_right_line(self, line: int, t: int) -> int:
         """Probe *line* on the correct path at slot *t*; return the slot at
-        which instructions from it can issue (>= t after any stalls)."""
+        which instructions from it can issue (>= t after any stalls).
+
+        The probe itself is already counted (``right_probes`` and the
+        cache's ``probes`` / ``hits``, credited per span by
+        :meth:`_run_blocks`); a miss moves it from hits to misses."""
         cache = self.cache
         if cache is None:
             return t
         station = self.station
-        station.drain(t, cache)
-        hit = cache.probe(line)
-        self.counters.right_probes += 1
+        pending = station._pending  # identity-stable (pending.py)
+        if pending:
+            station.drain(t, cache)
+        hit = cache.probe_credited(line)
         if self.classifier is not None:
             self.classifier.right_path_access(line, hit)
         if hit:
@@ -355,7 +386,7 @@ class FetchEngine:
             return t
         self.counters.right_misses += 1
         penalties = self.penalties
-        inflight = station.lookup(line)
+        inflight = station.lookup(line) if pending else None
         if inflight is not None:
             # The very line is already in flight (wrong-path fill or
             # prefetch): wait for it instead of issuing a duplicate
@@ -451,8 +482,9 @@ class FetchEngine:
                 FetchStall(t=start, cause="rt_icache", slots=duration, line=line)
             )
         t = done
-        station.drain(t, cache)
-        cache.fill(line, LineOrigin.DEMAND_RIGHT)
+        if pending:
+            station.drain(t, cache)
+        cache.fill(line, _ORIGIN_RIGHT)
         self.counters.right_fills += 1
         if self.classifier is not None:
             self.classifier.optimistic_fill()
@@ -474,101 +506,87 @@ class FetchEngine:
         window_start: int,
         window_end: int,
         outcome: FetchOutcome,
+        segments: dict | None,
     ) -> int:
         """Fetch down the wrong path during a redirect window.
 
-        Returns the slot at which correct-path fetch resumes — the window
-        end, or later when a blocking policy is still waiting on a
-        wrong-path fill (that overshoot is the ``wrong_icache`` component).
+        A live walk follows the predictor through *segments*, the
+        image's wrong-path segment memo at this line size
+        (:func:`~repro.core.wrongpath.segment_memo`); with ``None`` the
+        replayed stream supplies the recorded walk.  Returns the slot at
+        which correct-path fetch resumes — the window end, or later when
+        a blocking policy is still waiting on a wrong-path fill (that
+        overshoot is the ``wrong_icache`` component).
         """
         if start_pc is None or window_start >= window_end:
             return window_end
         cache = self.cache
         if cache is None:
             return window_end
+        if segments is None:
+            # The recorded walk was bounded by the same window length and
+            # depends only on the image + predictor state, so its split at
+            # this cell's line size (done once per stream and line size)
+            # reproduces the live walk exactly.
+            lines = self.unit.iter_last_wrong_path_lines(cache.line_size)
+        else:
+            lines = walk_segments(
+                segments,
+                self.program.image,
+                self.unit,
+                start_pc,
+                window_end - window_start,
+                cache.line_size,
+            )
+        fills, blocking = self._wrong_path_modes[outcome is _MISPREDICT]
         policy = self.policy
-        if policy is FetchPolicy.OPTIMISTIC:
-            fills, blocking = True, True
-        elif policy is FetchPolicy.RESUME:
-            fills, blocking = True, False
-        elif policy is FetchPolicy.DECODE:
-            # Decode's guard catches misfetches (the redirect arrives with
-            # the decode it was waiting for) but not mispredicts.
-            fills, blocking = outcome is FetchOutcome.MISPREDICT, True
-        else:  # ORACLE, PESSIMISTIC
-            fills, blocking = False, False
-
         station = self.station
         pending = station._pending  # identity-stable (pending.py)
-        counters = self.counters
-        penalties = self.penalties
         prefetcher = self.prefetcher
         tags = cache._tags
         multiway = cache.assoc > 1
         set_mask = cache.set_mask
         set_shift = cache._set_shift
         cur = window_start
-        if self._replay:
-            # The recorded walk was bounded by the same window length and
-            # depends only on the image + predictor state, so its split at
-            # this cell's line size (done once per stream and line size)
-            # reproduces the live walk exactly.
-            lines = self.unit.iter_last_wrong_path_lines(
-                self.config.cache.line_size
-            )
-        else:
-            lines = iter_wrong_path_lines(
-                self.program.image,
-                self.unit,
-                start_pc,
-                window_end - window_start,
-                self.config.cache.line_size,
-            )
+        resume = window_end
+        # Probes and fetched instructions are counted in locals and
+        # added to the counters once, at the single exit below.
+        probes = 0
+        fetched = 0
         for line, n in lines:
             if cur >= window_end:
                 break
             if pending:
                 station.drain(cur, cache)
-            counters.wrong_probes += 1
+            probes += 1
             if tags[line & set_mask] == line >> set_shift or (
                 multiway and cache.contains(line)
             ):
                 if prefetcher is not None:
                     prefetcher.on_line_fetch(line, cur)
-                counters.wrong_instructions += n
+                fetched += n
                 cur += n
                 continue
-            counters.wrong_misses += 1
+            self.counters.wrong_misses += 1
             if self.classifier is not None:
                 self.classifier.wrong_path_miss()
-            inflight_done = station.done_at(line)
+            inflight_done = station.done_at(line) if pending else None
             if inflight_done is not None:
                 # This very line is already in flight (e.g. a prefetch).
                 if blocking and fills:
                     if inflight_done >= window_end:
-                        penalties.wrong_icache += inflight_done - window_end
-                        if self._sink is not None and inflight_done > window_end:
-                            self._sink.emit(
-                                FetchStall(
-                                    t=window_end,
-                                    cause="wrong_icache",
-                                    slots=inflight_done - window_end,
-                                    line=line,
-                                )
-                            )
-                        return inflight_done
-                    cur = inflight_done
-                    station.drain(cur, cache)
-                    counters.wrong_instructions += n
-                    cur += n
-                    continue
-                if policy is FetchPolicy.RESUME and inflight_done < window_end:
-                    cur = inflight_done
-                    station.drain(cur, cache)
-                    counters.wrong_instructions += n
-                    cur += n
-                    continue
-                break  # redirect (or idle) until the window ends
+                        self._charge_wrong_icache(inflight_done, window_end, line)
+                        resume = inflight_done
+                        break
+                elif not (
+                    policy is FetchPolicy.RESUME and inflight_done < window_end
+                ):
+                    break  # redirect (or idle) until the window ends
+                cur = inflight_done
+                station.drain(cur, cache)
+                fetched += n
+                cur += n
+                continue
             if not fills:
                 break  # conservative policies idle out the window
             if policy is FetchPolicy.RESUME and station.busy(cur):
@@ -578,7 +596,7 @@ class FetchEngine:
             request_at = cur + (self._decode_slots if policy is FetchPolicy.DECODE else 0)
             duration = self._fill_duration(line)
             start, done = self.bus.request(request_at, duration)
-            counters.wrong_fills += 1
+            self.counters.wrong_fills += 1
             if self._miss_durations is not None:
                 self._miss_durations.append(duration)
             if self._sink is not None:
@@ -592,35 +610,38 @@ class FetchEngine:
             if blocking:
                 cache.fill(line, LineOrigin.DEMAND_WRONG)
                 if done >= window_end:
-                    penalties.wrong_icache += done - window_end
-                    if self._sink is not None and done > window_end:
-                        self._sink.emit(
-                            FetchStall(
-                                t=window_end,
-                                cause="wrong_icache",
-                                slots=done - window_end,
-                                line=line,
-                            )
-                        )
-                    return done
-                cur = done
-                if prefetcher is not None:
-                    prefetcher.on_line_fetch(line, cur)
-                counters.wrong_instructions += n
-                cur += n
-                continue
-            # Resume: never stall past the window.
-            if done <= window_end:
+                    self._charge_wrong_icache(done, window_end, line)
+                    resume = done
+                    break
+            elif done <= window_end:
+                # Resume: never stall past the window.
                 cache.fill(line, LineOrigin.DEMAND_WRONG)
-                cur = done
-                if prefetcher is not None:
-                    prefetcher.on_line_fetch(line, cur)
-                counters.wrong_instructions += n
-                cur += n
-                continue
-            station.start(line, done, FillOrigin.WRONG_PATH)
-            break
-        return window_end
+            else:
+                station.start(line, done, FillOrigin.WRONG_PATH)
+                break
+            cur = done
+            if prefetcher is not None:
+                prefetcher.on_line_fetch(line, cur)
+            fetched += n
+            cur += n
+        counters = self.counters
+        counters.wrong_probes += probes
+        counters.wrong_instructions += fetched
+        return resume
+
+    def _charge_wrong_icache(self, ready: int, window_end: int, line: int) -> None:
+        """Charge a blocking wrong-path wait for *line* (ready at slot
+        *ready*) beyond the window end as ``wrong_icache``."""
+        self.penalties.wrong_icache += ready - window_end
+        if self._sink is not None and ready > window_end:
+            self._sink.emit(
+                FetchStall(
+                    t=window_end,
+                    cause="wrong_icache",
+                    slots=ready - window_end,
+                    line=line,
+                )
+            )
 
     # -- measurement warmup ---------------------------------------------------------
 
@@ -750,44 +771,96 @@ class FetchEngine:
     ) -> tuple[int, int]:
         """Run one span of lowered trace records starting at slot *t*.
 
+        With *warm_left* warmup instructions still to go, the measurement
+        restarts (:meth:`_reset_measurement`) just before the first
+        record at which the span's running instruction count reaches
+        *warm_left*: that index comes from the lowering before anything
+        runs (:func:`~repro.core.lowering.warmup_split`), so the span
+        runs as two :meth:`_run_blocks` passes around the reset and no
+        record tests the warmup.  Returns the advanced ``(t,
+        warm_left)``.
+        """
+        if warm_left > 0:
+            split, warm_instructions = warmup_split(plans, warm_left)
+            if split < len(plans):
+                t = self._run_blocks(plans[:split], t)
+                self._reset_measurement()
+                plans = plans[split:]
+            warm_left -= warm_instructions
+        return self._run_blocks(plans, t), warm_left
+
+    def _run_blocks(self, plans: list[BlockPlan], t: int) -> int:
+        """Run lowered trace records from slot *t*; return the advanced
+        slot.
+
         This is the engine hot loop: one pass over each record's
         :class:`~repro.core.lowering.BlockPlan` probes, then its
-        terminator.  Under the fast-path configuration (a real cache of
-        any associativity, no classifier, no stream buffers) a hit on
-        the MRU way with an idle fill station is handled inline —
-        replicating the bookkeeping of :meth:`InstructionCache.probe`
-        and :meth:`_fetch_right_line` exactly — so the dominant all-hits
-        case costs a tag compare and a few counter increments per line.
-        Hits on a lower way, misses, in-flight fills and every other
-        configuration take :meth:`_fetch_right_line`.
+        terminator.  It counts nothing the lowering already knows: the
+        blocks, instructions, right-path probes and conditional branches
+        of the whole pass are added up front from the plans' packed
+        counts (:func:`~repro.core.lowering.span_counts`), with every
+        probe counted as a cache hit and every conditional as a correct
+        prediction and a BTB hit; the rare miss, misprediction or BTB
+        miss moves itself out of those counts.  Under the fast-path
+        configuration (a real cache of any associativity, no classifier,
+        no stream buffers) a hit on the MRU way is handled inline, after
+        the same fill-station drain — replicating the bookkeeping of
+        :meth:`InstructionCache.probe_credited` and
+        :meth:`_fetch_right_line` exactly — so the dominant all-hits
+        case costs a tag compare and an origin check per line.  Hits on
+        a lower way, misses and every other configuration take
+        :meth:`_fetch_right_line`.  A conditional
+        branch goes to the branch unit's ``predict_conditional``, every
+        other transfer to its ``predict``.
 
         All mutable component state lives on ``self`` and carries across
-        spans; the only span-local state is the cached-locals block below
-        (rebound per span, and after a warmup reset).  Returns the
-        advanced ``(t, warm_left)``.
+        passes; the only pass-local state is the cached-locals block
+        below.
         """
+        instructions, n_probes, conditionals = span_counts(plans)
         counters = self.counters
+        counters.blocks += len(plans)
+        counters.instructions += instructions
         penalties = self.penalties
         unit = self.unit
+        unit.count_conditionals(conditionals)
         predict = unit.predict
+        predict_conditional = unit.predict_conditional
         fetch_line = self._fetch_right_line
         resolve = self._timing_resolve
         resolve_slots = self._resolve_slots
+        # A branch fetched at slot t - 1 resolves at t + resolve_lag.
+        resolve_lag = resolve_slots - 1
         unresolved = self._unresolved
         max_unresolved = self._max_unresolved
         prefetcher = self.prefetcher
         fetchahead = self._fetchahead
         target_prefetch = self.config.target_prefetch and prefetcher is not None
         cache = self.cache
-        fast = self._fast_path
-        if fast:
+        segments = (
+            None
+            if self._replay or cache is None
+            else segment_memo(self.program.image, cache.line_size)
+        )
+        if cache is not None:
+            counters.right_probes += n_probes
             stats = cache.stats
+            stats.probes += n_probes
+            stats.hits += n_probes
+        if self._fast_path:
             tags = cache._tags
             origins = cache._origins
             pf_fresh = cache._pf_fresh
             set_mask = cache.set_mask
             set_shift = cache._set_shift
-            pending = self.station._pending  # identity-stable (pending.py)
+            station = self.station
+            pending = station._pending  # identity-stable (pending.py)
+        else:
+            # No tag matches, so every probe takes _fetch_right_line.
+            tags = _NO_TAGS
+            origins = pf_fresh = station = None
+            set_mask = set_shift = 0
+            pending = ()
         # Architectural-clock state (arch-live runs only): tau is the
         # perfect-cache fetch clock; predictor training follows it instead
         # of t, making the outcome stream cache/policy-independent.
@@ -795,19 +868,9 @@ class FetchEngine:
         arch_unresolved = self._arch_unresolved
         tau = self._tau
         for (
-            length, probes, kind, term_addr, kind_enum,
+            counts, probes, kind, term_addr, kind_enum,
             static_target, fall, taken, next_pc,
         ) in plans:
-            if warm_left > 0:
-                warm_left -= length
-                if warm_left <= 0:
-                    self._reset_measurement()
-                    counters = self.counters
-                    penalties = self.penalties
-                    if fast:
-                        stats = cache.stats
-            counters.blocks += 1
-            counters.instructions += length
             for line, chunk, gate, tail in probes:
                 if gate and unresolved:
                     # A conditional's terminator: the speculation-depth
@@ -817,17 +880,14 @@ class FetchEngine:
                         resolve(pht_index, q_taken, pc)
                     if len(unresolved) >= max_unresolved:
                         t = self._depth_gate(t)
-                if fast and not pending and tags[line & set_mask] == line >> set_shift:
-                    # Inlined InstructionCache.probe() MRU-hit path (no
-                    # LRU move) plus the engine-side hit bookkeeping of
-                    # _fetch_right_line.
-                    set_idx = line & set_mask
-                    stats.probes += 1
-                    stats.hits += 1
-                    counters.right_probes += 1
-                    origin = origins[set_idx]
-                    if origin is not _ORIGIN_RIGHT:
-                        if origin is _ORIGIN_PREFETCH:
+                if pending:
+                    station.drain(t, cache)
+                if tags[set_idx := line & set_mask] == line >> set_shift:
+                    # Inlined probe_credited() MRU-hit path (no LRU
+                    # move) plus the engine-side hit bookkeeping of
+                    # _fetch_right_line, after the same station drain.
+                    if origins[set_idx] is not _ORIGIN_RIGHT:
+                        if origins[set_idx] is _ORIGIN_PREFETCH:
                             stats.prefetch_hits += 1
                             if pf_fresh[set_idx]:
                                 pf_fresh[set_idx] = False
@@ -836,18 +896,29 @@ class FetchEngine:
                             stats.wrongpath_hits += 1
                     if prefetcher is not None:
                         prefetcher.on_line_fetch(line, t)
+                        if tail < fetchahead:
+                            # Smith & Hsu trigger: fetch reached within
+                            # the fetchahead distance of the line's end.
+                            prefetcher.on_line_end_near(line, t)
                 else:
                     t = fetch_line(line, t)
-                if tail < fetchahead:
-                    # Smith & Hsu trigger: fetch reached within the
-                    # fetchahead distance of the line's end.
-                    prefetcher.on_line_end_near(line, t)
+                    if tail < fetchahead:
+                        prefetcher.on_line_end_near(line, t)
+                    if gate:
+                        # The terminator issues at the slot the miss
+                        # returned: resolutions due by then train the
+                        # predictor first.  (After a hit the slot is the
+                        # one the depth gate just drained to.)
+                        while unresolved and unresolved[0][0] <= t:
+                            _, pht_index, q_taken, pc = unresolved.popleft()
+                            resolve(pht_index, q_taken, pc)
                 t += chunk
             if arch:
                 # The architectural clock mirrors the perfect-cache
                 # timeline: block issue plus the same depth gate, but
                 # without charging any penalty (timing stays on t).  It
                 # never reads the cache, so it can trail the probes.
+                length = counts >> LENGTH_SHIFT
                 if kind == _COND:
                     tau += length - 1
                     if arch_unresolved:
@@ -861,24 +932,19 @@ class FetchEngine:
                     tau += 1
                 else:
                     tau += length
-            if kind == _PLAIN:
-                continue
-            t_br = t - 1
-            while unresolved and unresolved[0][0] <= t_br:
-                _, pht_index, q_taken, pc = unresolved.popleft()
-                resolve(pht_index, q_taken, pc)
-            if arch:
                 tau_br = tau - 1
-                if arch_unresolved and arch_unresolved[0][0] <= tau_br:
+                if (
+                    kind != _PLAIN
+                    and arch_unresolved
+                    and arch_unresolved[0][0] <= tau_br
+                ):
                     self._apply_arch_resolutions(tau_br)
-            result = predict(
-                term_addr, kind_enum, static_target, taken, next_pc, fall
-            )
-            if kind == _CALL:
-                unit.notify_call(fall)
             if kind == _COND:
+                # The terminator was the gated last probe, so every
+                # resolution due by its slot (t - 1) is applied.
+                result = predict_conditional(term_addr, static_target, taken, fall)
                 unresolved.append(
-                    (t_br + resolve_slots, result.pht_index, taken, term_addr)
+                    (t + resolve_lag, result.pht_index, taken, term_addr)
                 )
                 if arch:
                     arch_unresolved.append(
@@ -893,11 +959,22 @@ class FetchEngine:
                     # prediction did NOT follow (the predicted arm is
                     # being fetched anyway).
                     alt = fall if result.predicted_taken else static_target
-                    prefetcher.prefetch_target(
-                        alt >> self._line_shift, t_br + 1
-                    )
+                    prefetcher.prefetch_target(alt >> self._line_shift, t)
+            elif kind == _PLAIN:
+                continue
+            else:
+                t_br = t - 1
+                while unresolved and unresolved[0][0] <= t_br:
+                    _, pht_index, q_taken, pc = unresolved.popleft()
+                    resolve(pht_index, q_taken, pc)
+                result = predict(
+                    term_addr, kind_enum, static_target, taken, next_pc, fall
+                )
+                if kind == _CALL:
+                    unit.notify_call(fall)
             if result.outcome is _CORRECT:
                 continue
+            t_br = t - 1
             if arch:
                 tau = tau_br + 1 + result.penalty_slots
             penalties.branch += result.penalty_slots
@@ -921,10 +998,11 @@ class FetchEngine:
             window_start = t_br + 1 + result.wrong_path_delay
             window_end = t_br + 1 + result.penalty_slots
             t = self._walk_wrong_path(
-                result.wrong_path_start, window_start, window_end, result.outcome
+                result.wrong_path_start, window_start, window_end,
+                result.outcome, segments,
             )
         self._tau = tau
-        return t, warm_left
+        return t
 
     # -- per-interval policy machinery -----------------------------------------
 
@@ -943,6 +1021,7 @@ class FetchEngine:
             return
         previous = self.policy
         self.policy = policy
+        self._wrong_path_modes = _wrong_path_modes(policy)
         self.policy_switches += 1
         if self._sink is not None:
             self._sink.emit(

@@ -7,7 +7,8 @@ once and memoized:
 
 * :class:`FetchProgram` — the event loop's view of one trace at one
   line size: per record, an interned :class:`BlockPlan` with the
-  record's per-line probes and its terminator's static fields;
+  record's per-line probes, its terminator's static fields and the
+  counts it adds to a span (:func:`span_counts`, :func:`warmup_split`);
 * :class:`FlatProbes` — the same probes in one flat trace-order list
   (the plans' own tuples), which the vector backend's real-cache mirror
   walks segment by segment;
@@ -28,6 +29,8 @@ simlint SIM011 flags direct constructions outside the factories.
 from __future__ import annotations
 
 import weakref
+from itertools import accumulate, compress, count, islice, repeat
+from operator import itemgetter, le
 from typing import NamedTuple
 
 import numpy as np
@@ -88,6 +91,12 @@ def memo_get(memo: dict, sources: tuple, key, kind: str, build):
 # -- the event loop's fetch program -------------------------------------------
 
 
+#: Bit offsets of the fields packed into :attr:`BlockPlan.counts`.
+PROBES_SHIFT = 32
+LENGTH_SHIFT = 64
+_FIELD_MASK = (1 << PROBES_SHIFT) - 1
+
+
 class BlockPlan(NamedTuple):
     """One trace record, lowered for the event loop.
 
@@ -98,9 +107,17 @@ class BlockPlan(NamedTuple):
     its own last probe with *gate* set: the speculation-depth gate runs
     just before it.  The remaining fields describe the terminator, the
     inputs of the branch unit's ``predict``.
+
+    ``counts`` packs what the record adds to a span's totals into one
+    int: its length at :data:`LENGTH_SHIFT`, its probe count at
+    :data:`PROBES_SHIFT` and 1 in the low field for a conditional
+    branch.  A span's totals are therefore one C-level ``sum`` of its
+    plans' counts (see :func:`span_counts`), and because the length is
+    the top field, running sums order by instruction count, which is
+    how :func:`warmup_split` finds the warmup boundary.
     """
 
-    length: int
+    counts: int
     probes: tuple[tuple[int, int, bool, int], ...]
     kind: int
     term_addr: int
@@ -109,6 +126,37 @@ class BlockPlan(NamedTuple):
     fall: int
     taken: bool
     next_pc: int
+
+
+_COUNTS = itemgetter(0)
+
+
+def span_counts(plans: list[BlockPlan]) -> tuple[int, int, int]:
+    """``(instructions, probes, conditionals)`` of a span of plans (the
+    probe and conditional totals of one span must stay below 2**32)."""
+    counts = sum(map(_COUNTS, plans))
+    return (
+        counts >> LENGTH_SHIFT,
+        (counts >> PROBES_SHIFT) & _FIELD_MASK,
+        counts & _FIELD_MASK,
+    )
+
+
+def warmup_split(plans: list[BlockPlan], warm_left: int) -> tuple[int, int]:
+    """Where *warm_left* (> 0) more warmup instructions end in *plans*.
+
+    Returns ``(index, instructions)``: the index of the first plan
+    whose running instruction count reaches *warm_left* (the
+    measurement restarts just before it), or ``len(plans)`` when the
+    span ends first, and the span's instruction count up to and
+    including that plan.  Both come from C-level iterators over the
+    plans' counts, with no per-plan list built.
+    """
+    reached = map(
+        le, repeat(warm_left << LENGTH_SHIFT), accumulate(map(_COUNTS, plans))
+    )
+    index = next(compress(count(), reached), len(plans))
+    return index, sum(map(_COUNTS, islice(plans, index + 1))) >> LENGTH_SHIFT
 
 
 def _line_probes(
@@ -163,8 +211,13 @@ class FetchProgram:
                 if kind != _PLAIN:
                     raw = targets[(term_addr - base) // INSTRUCTION_SIZE]
                     static_target = None if raw < 0 else raw
+                counts = (
+                    length << LENGTH_SHIFT
+                    | len(probes) << PROBES_SHIFT
+                    | (kind == _COND)
+                )
                 plan = interned[record] = BlockPlan(
-                    length, tuple(probes), kind, term_addr, InstrKind(kind),
+                    counts, tuple(probes), kind, term_addr, InstrKind(kind),
                     static_target, term_addr + INSTRUCTION_SIZE, taken, next_pc,
                 )
             plans.append(plan)

@@ -17,7 +17,9 @@ form and re-split them for each swept cache geometry.
 All three return lists, built eagerly: nothing mutates the predictor
 while the engine consumes a walk.  Walks are assembled from memoized
 static segments (:func:`_walk`), so a live walk consults the predictor
-only at the transfers it picks.
+only at the transfers it picks.  The engine walks through
+:func:`walk_segments` with the segment memo in hand, and takes a
+one-segment walk's memoized tuple instead of a copy.
 
 Modelling notes (see DESIGN.md §4):
 
@@ -34,7 +36,7 @@ Modelling notes (see DESIGN.md §4):
 
 from __future__ import annotations
 
-from collections.abc import Iterable
+from collections.abc import Iterable, Sequence
 
 from repro.branch.unit import BranchUnit
 from repro.core.lowering import memo_get
@@ -94,30 +96,60 @@ _segment_memos: dict[tuple, dict] = {}
 
 def _walk(
     image: CodeImage, unit: BranchUnit, pc: int, remaining: int, line_size: int | None
-) -> list[tuple[int, int]]:
-    """The one loop that follows wrong-path transfers.
-
-    The code between predictor-picked transfers comes from the segment
-    memo of *image* at *line_size*; the loop only asks the predictor
-    (read-only ``peek_*``) where each such transfer goes.  The memo
-    holds only what the image alone decides, because predictor state
-    changes between walks.
-    """
-    walk: list[tuple[int, int]] = []
+) -> Sequence[tuple[int, int]]:
+    """A wrong-path walk from *pc* with a *remaining* instruction budget,
+    through *image*'s segment memo at *line_size* (see
+    :func:`walk_segments`)."""
     if remaining <= 0:
-        return walk
-    segments = memo_get(
+        return ()
+    return walk_segments(
+        segment_memo(image, line_size), image, unit, pc, remaining, line_size
+    )
+
+
+def segment_memo(image: CodeImage, line_size: int | None) -> dict:
+    """The memo of *image*'s static wrong-path segments at *line_size*
+    (``None``: unsplit ``(start_addr, n)`` runs), keyed by ``(pc,
+    remaining budget)``."""
+    return memo_get(
         _segment_memos, (image,), (id(image), line_size), "segments", dict
     )
+
+
+def walk_segments(
+    segments: dict,
+    image: CodeImage,
+    unit: BranchUnit,
+    pc: int,
+    remaining: int,
+    line_size: int | None,
+) -> Sequence[tuple[int, int]]:
+    """The one loop that follows wrong-path transfers.
+
+    The code between predictor-picked transfers comes from *segments*,
+    the :func:`segment_memo` of *image* at *line_size* (the engine holds
+    it across a run's walks); the loop only asks the predictor
+    (read-only ``peek_*``) where each such transfer goes.  The memo
+    holds only what the image alone decides, because predictor state
+    changes between walks.  A walk that crosses no such transfer is its
+    one segment's memoized tuple, shared and read-only; a longer walk is
+    a new list.  *remaining* must be positive.
+    """
+    walk: list[tuple[int, int]] | None = None
     while True:
         segment = segments.get((pc, remaining))
         if segment is None:
             segment = _segment(image, pc, remaining, line_size)
             segments[pc, remaining] = segment
         pieces, kind, ctrl_addr, target, remaining = segment
-        walk += pieces
-        if kind == _END:
-            return walk
+        if walk is None:
+            if kind == _END:
+                return pieces
+            walk = list(pieces)
+        else:
+            walk += pieces
+            if kind == _END:
+                return walk
         fall = ctrl_addr + INSTRUCTION_SIZE
         if kind == _COND:
             pc = target if unit.peek_direction(ctrl_addr) else fall
@@ -144,7 +176,7 @@ def iter_wrong_path_runs(
     the instruction budget.  Runs are independent of any cache geometry —
     split them with :func:`iter_lines_from_runs`.
     """
-    return _walk(image, unit, start_pc, max_instructions, None)
+    return list(_walk(image, unit, start_pc, max_instructions, None))
 
 
 def iter_lines_from_runs(
@@ -183,7 +215,7 @@ def iter_wrong_path_lines(
     """List the ``(line_number, n_instructions)`` chunks of a wrong-path
     walk: :func:`iter_wrong_path_runs` split at cache-line boundaries.
 
-    The caller (engine) decides how many of the listed instructions
-    actually fit in its redirect window.
+    The caller decides how many of the listed instructions actually fit
+    in its redirect window.
     """
-    return _walk(image, unit, start_pc, max_instructions, line_size)
+    return list(_walk(image, unit, start_pc, max_instructions, line_size))

@@ -126,15 +126,20 @@ class PendingFillStation:
         the cache"; draining lazily before every cache interaction is
         equivalent.  Returns the fills installed.
         """
-        if not self._pending:
-            return []
-        done = [p for p in self._pending if p.done_at <= now]
-        if not done:
-            return []
-        # Slice-assign so the list object is stable: the engine's fast
+        pending = self._pending
+        for fill in pending:
+            if fill.done_at <= now:
+                break
+        else:
+            return []  # nothing pending, or all still in flight
+        done = [p for p in pending if p.done_at <= now]
+        # Mutate in place so the list object is stable: the engine's fast
         # path holds a reference to it as its cheap "anything in flight?"
         # emptiness probe.
-        self._pending[:] = [p for p in self._pending if p.done_at > now]
+        if len(done) == len(pending):
+            pending.clear()
+        else:
+            pending[:] = [p for p in pending if p.done_at > now]
         sink = self.sink
         for fill in done:
             origin = (

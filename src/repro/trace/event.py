@@ -80,6 +80,20 @@ class RecordInterner(dict[tuple, BlockRecord]):
         return record
 
 
+class ValidatingInterner(RecordInterner):
+    """A :class:`RecordInterner` that validates each record when it first
+    builds it, so a trace of repeated blocks checks each distinct record
+    once; an invalid record raises :class:`TraceError` and is not kept."""
+
+    __slots__ = ()
+
+    def __missing__(self, key: tuple) -> BlockRecord:
+        record = BlockRecord._make(key)
+        record.validate()
+        self[key] = record
+        return record
+
+
 @dataclass(slots=True, weakref_slot=True)
 class Trace:
     """An ordered sequence of correct-path block records.
@@ -119,6 +133,11 @@ class Trace:
         """Check every record plus inter-record continuity."""
         for record in self.records:
             record.validate()
+        self.check_continuity()
+
+    def check_continuity(self) -> None:
+        """Raise :class:`TraceError` unless every record starts where the
+        previous one continues."""
         for prev, nxt in zip(self.records, self.records[1:]):
             if prev.next_pc != nxt.start:
                 raise TraceError(

@@ -27,7 +27,7 @@ from collections.abc import Iterable
 
 from repro.errors import TraceError
 from repro.isa import InstrKind
-from repro.trace.event import BlockRecord, RecordInterner, Trace
+from repro.trace.event import BlockRecord, Trace, ValidatingInterner
 
 _HEADER = "# repro-trace v1"
 _KIND_NAMES = {kind.name: int(kind) for kind in InstrKind}
@@ -50,7 +50,7 @@ def save_text_trace(trace: Trace, path: str | os.PathLike[str]) -> None:
 
 
 def _parse_line(
-    line: str, lineno: int, interned: RecordInterner
+    line: str, lineno: int, interned: ValidatingInterner
 ) -> BlockRecord:
     fields = line.split()
     if len(fields) != 5:
@@ -75,12 +75,11 @@ def _parse_line(
         raise TraceError(
             f"line {lineno}: direction must be T or N, got {direction!r}"
         )
-    record = interned[(start, length, kind, direction == "T", next_pc)]
     try:
-        record.validate()
+        # Validated when first seen: a repeated block is a dict hit.
+        return interned[(start, length, kind, direction == "T", next_pc)]
     except TraceError as exc:
         raise TraceError(f"line {lineno}: {exc}") from None
-    return record
 
 
 def parse_text_trace(
@@ -89,9 +88,11 @@ def parse_text_trace(
     """Parse text-format lines into a :class:`Trace`.
 
     The header line is required; ``program:`` and ``seed:`` comments are
-    honoured when present.
+    honoured when present.  Each distinct record is validated once, on
+    the line where it first appears (which the error names), then the
+    trace's continuity is checked.
     """
-    interned = RecordInterner()
+    interned = ValidatingInterner()
     records: list[BlockRecord] = []
     seed: int | None = None
     saw_header = False
@@ -122,7 +123,7 @@ def parse_text_trace(
     if not records:
         raise TraceError("trace contains no records")
     trace = Trace(program_name=program_name, records=records, seed=seed)
-    trace.validate()
+    trace.check_continuity()
     return trace
 
 

@@ -211,6 +211,19 @@ class TestStats:
         assert unit.stats.btb_misfetches == 0
         assert unit.btb.peek(PC) is None
 
+    def test_reset_predicts_like_a_fresh_unit(self, unit):
+        """Resetting the PHT (also directly) must reach the counters the
+        unit's inline predict and resolve read."""
+        train_taken(unit)
+        unit.reset()
+        fresh = make_paper_branch_unit()
+        for other in (unit, fresh):
+            train_taken(other, times=3)
+        assert unit.pht.table.values == fresh.pht.table.values
+        unit.pht.reset()
+        args = (PC, InstrKind.COND_BRANCH, TARGET, True, TARGET, FALL)
+        assert not unit.predict(*args).predicted_taken
+
 
 class TestResultObjects:
     def test_correct_result_is_interned(self, unit):

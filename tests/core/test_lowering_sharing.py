@@ -308,3 +308,31 @@ def test_geometry_sweep_retains_no_per_geometry_lowering(workload):
     six = _retained_lowering(program, GEOMETRIES)
     assert one > 0
     assert six - one < 1_000_000, (one, six)
+
+
+def test_span_counts_and_warmup_split_match_the_records(workload):
+    """The plans' packed counts add up to the records' own totals, and
+    the warmup split lands where a record-by-record count reaches the
+    warmup."""
+    program, trace = workload
+    engine = build_engine(program, SimConfig())
+    plans = engine.plans(trace)
+    for lo, hi in ((0, len(plans)), (7, 300), (50, 51), (9, 9)):
+        span = plans[lo:hi]
+        instructions, probes, conditionals = lowering.span_counts(span)
+        assert instructions == sum(r.length for r in trace.records[lo:hi])
+        assert probes == sum(len(plan.probes) for plan in span)
+        assert conditionals == sum(
+            plan.kind == lowering._COND for plan in span
+        )
+    for warm in (1, 2, 999, 1_000, 1_001, trace.n_instructions - 1,
+                 trace.n_instructions + 5):
+        running = 0
+        expected = (len(plans), trace.n_instructions)
+        for i, record in enumerate(trace.records):
+            running += record.length
+            if running >= warm:
+                expected = (i, running)
+                break
+        assert lowering.warmup_split(plans, warm) == expected
+    assert lowering.warmup_split([], 10) == (0, 0)

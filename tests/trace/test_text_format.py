@@ -3,7 +3,7 @@
 import pytest
 
 from repro.errors import TraceError
-from repro.trace import generate_trace
+from repro.trace import BlockRecord, generate_trace
 from repro.trace.text_format import (
     load_text_trace,
     parse_text_trace,
@@ -92,6 +92,37 @@ class TestParsing:
             parse_text_trace(
                 [HEADER, "0x00001000 2 COND_BRANCH N 0x00009000"]
             )
+
+    def test_bad_record_names_its_first_line(self):
+        lines = [
+            HEADER,
+            "0x00001000 1 JUMP T 0x00002000",
+            "0x00002000 2 COND_BRANCH N 0x00009000",  # not the fall-through
+            "0x00009000 1 JUMP T 0x00001000",
+            "0x00002000 2 COND_BRANCH N 0x00009000",
+        ]
+        with pytest.raises(TraceError, match=r"^line 3: not-taken branch"):
+            parse_text_trace(lines)
+
+    def test_each_distinct_record_validated_once(self, monkeypatch):
+        calls = []
+        original = BlockRecord.validate
+
+        def counting(record):
+            calls.append(record)
+            original(record)
+
+        monkeypatch.setattr(BlockRecord, "validate", counting)
+        loop = [
+            "0x00001000 2 COND_BRANCH T 0x00001000",
+        ] * 5 + [
+            "0x00001000 2 COND_BRANCH N 0x00001008",
+            "0x00001008 1 JUMP T 0x00001000",
+        ]
+        trace = parse_text_trace([HEADER, *loop, *loop])
+        assert trace.n_blocks == 14
+        assert sorted(calls) == sorted(set(trace.records))
+        assert len(calls) == 3
 
     def test_continuity_enforced(self):
         with pytest.raises(TraceError):
