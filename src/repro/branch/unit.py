@@ -342,10 +342,16 @@ class BranchUnit:
         self, pc: int, actual_target: int, fall_through: int
     ) -> PredictionResult:
         self.stats.unconditional += 1
-        if self.btb.lookup(pc) is not None:
+        # One BTB locate serves the lookup and, on a miss, the install.
+        btb = self.btb
+        word = pc // INSTRUCTION_SIZE
+        set_idx = word & btb.set_mask
+        if btb.touch(set_idx, word) is not None:
+            btb.hits += 1
             self.stats.correct += 1
             return correct_result(None, None)
-        self.btb.insert(pc, actual_target)
+        btb.misses += 1
+        btb.install(set_idx, word, actual_target)
         return self._misfetch(fall_through, None, None)
 
     def _predict_dynamic_target(
@@ -355,10 +361,22 @@ class BranchUnit:
         predicted: int | None = None
         if via_ras and self.ras is not None:
             predicted = self.ras.pop()
+        # One BTB locate serves the lookup (counted only when the RAS
+        # had no prediction) and the update to the actual target.
+        btb = self.btb
+        word = pc // INSTRUCTION_SIZE
+        set_idx = word & btb.set_mask
+        entry = btb.touch(set_idx, word)
         if predicted is None:
-            entry = self.btb.lookup(pc)
-            predicted = entry.target if entry is not None else None
-        self.btb.insert(pc, actual_target)
+            if entry is None:
+                btb.misses += 1
+            else:
+                btb.hits += 1
+                predicted = entry.target
+        if entry is None:
+            btb.install(set_idx, word, actual_target)
+        else:
+            entry.target = actual_target
         if predicted is None:
             return self._misfetch(fall_through, None, None)
         if predicted == actual_target:

@@ -154,6 +154,7 @@ class FetchEngine:
         config: SimConfig,
         observer: Observer | None = None,
         stream=None,
+        unit: BranchUnit | None = None,
     ) -> None:
         self.program = program
         self.config = config
@@ -180,18 +181,20 @@ class FetchEngine:
                     f"(config: {config.describe()})"
                 )
             stream.require_compatible(program.name, config)
-        self.unit = build_branch_unit(config, stream)
+        # A given *unit* is the stream recorder's (see build_stream).
+        self.unit = unit if unit is not None else build_branch_unit(config, stream)
         self._replay = stream is not None
-        # Architectural-schedule *live* runs keep predictor training on a
-        # separate cache-independent clock (the tau timeline in run());
-        # timing-schedule runs train on the fetch clock as always.
+        # Architectural-schedule *live* runs with a real cache keep
+        # predictor training on a separate cache-independent clock (the
+        # tau timeline in run()); everything else live trains on the
+        # fetch clock, which with a perfect cache *is* that clock.
         self._arch_live = (
-            config.branch_schedule == "architectural" and stream is None
+            config.branch_schedule == "architectural"
+            and stream is None
+            and not config.perfect_cache
         )
         self._timing_resolve = (
-            self.unit.resolve
-            if config.branch_schedule == "timing" and stream is None
-            else _resolve_noop
+            _resolve_noop if self._replay or self._arch_live else self.unit.resolve
         )
         # Unresolved branches on the architectural clock (arch-live only):
         # same tuple shape as _unresolved.
@@ -250,6 +253,10 @@ class FetchEngine:
                 if config.prefetch or config.target_prefetch
                 else None
             )
+        # The prefetcher's per-fetch hook (None: its variant has none).
+        self._on_line_fetch = (
+            None if self.prefetcher is None else self.prefetcher.on_line_fetch
+        )
         self.streams = (
             StreamBufferUnit(
                 self.bus,
@@ -287,9 +294,7 @@ class FetchEngine:
         self._max_unresolved = config.max_unresolved
         self._fetchahead = (
             config.fetchahead_distance
-            if self.prefetcher is not None
-            and config.prefetch
-            and config.prefetch_variant == "fetchahead"
+            if self.prefetcher is not None and self.prefetcher.on_line_end_near
             else 0
         )
         # Hot-loop fast path eligibility: any real cache with no lockstep
@@ -377,8 +382,8 @@ class FetchEngine:
         if self.classifier is not None:
             self.classifier.right_path_access(line, hit)
         if hit:
-            if self.prefetcher is not None:
-                self.prefetcher.on_line_fetch(line, t)
+            if self._on_line_fetch is not None:
+                self._on_line_fetch(line, t)
             if self.streams is not None:
                 # Demand accesses take priority on the channel; streams
                 # refill their FIFOs during hit cycles.
@@ -408,8 +413,8 @@ class FetchEngine:
                 # partition from also counting a later demand hit.
                 cache.consume_prefetch(line)
             self.counters.inflight_merges += 1
-            if self.prefetcher is not None:
-                self.prefetcher.on_line_fetch(line, t)
+            if self._on_line_fetch is not None:
+                self._on_line_fetch(line, t)
             return t
         if self.streams is not None:
             # Jouppi stream buffers: a head hit supplies the line without
@@ -436,8 +441,8 @@ class FetchEngine:
                 if self.classifier is not None:
                     self.classifier.optimistic_fill()
                 self.streams.pump(t)
-                if self.prefetcher is not None:
-                    self.prefetcher.on_line_fetch(line, t)
+                if self._on_line_fetch is not None:
+                    self._on_line_fetch(line, t)
                 return t
         policy = self.policy
         if policy is FetchPolicy.PESSIMISTIC or policy is FetchPolicy.DECODE:
@@ -494,8 +499,10 @@ class FetchEngine:
             self.streams.allocate(line, t)
             self.streams.pump(t)
         if self.prefetcher is not None:
-            self.prefetcher.on_demand_fill(line, t)
-            self.prefetcher.on_line_fetch(line, t)
+            if self.prefetcher.on_demand_fill is not None:
+                self.prefetcher.on_demand_fill(line, t)
+            if self._on_line_fetch is not None:
+                self._on_line_fetch(line, t)
         return t
 
     # -- wrong-path fetch ----------------------------------------------------------
@@ -542,7 +549,7 @@ class FetchEngine:
         policy = self.policy
         station = self.station
         pending = station._pending  # identity-stable (pending.py)
-        prefetcher = self.prefetcher
+        on_fetch = self._on_line_fetch
         tags = cache._tags
         multiway = cache.assoc > 1
         set_mask = cache.set_mask
@@ -562,8 +569,8 @@ class FetchEngine:
             if tags[line & set_mask] == line >> set_shift or (
                 multiway and cache.contains(line)
             ):
-                if prefetcher is not None:
-                    prefetcher.on_line_fetch(line, cur)
+                if on_fetch is not None:
+                    on_fetch(line, cur)
                 fetched += n
                 cur += n
                 continue
@@ -620,8 +627,8 @@ class FetchEngine:
                 station.start(line, done, FillOrigin.WRONG_PATH)
                 break
             cur = done
-            if prefetcher is not None:
-                prefetcher.on_line_fetch(line, cur)
+            if on_fetch is not None:
+                on_fetch(line, cur)
             fetched += n
             cur += n
         counters = self.counters
@@ -834,6 +841,7 @@ class FetchEngine:
         unresolved = self._unresolved
         max_unresolved = self._max_unresolved
         prefetcher = self.prefetcher
+        on_fetch = self._on_line_fetch
         fetchahead = self._fetchahead
         target_prefetch = self.config.target_prefetch and prefetcher is not None
         cache = self.cache
@@ -895,7 +903,8 @@ class FetchEngine:
                         else:
                             stats.wrongpath_hits += 1
                     if prefetcher is not None:
-                        prefetcher.on_line_fetch(line, t)
+                        if on_fetch is not None:
+                            on_fetch(line, t)
                         if tail < fetchahead:
                             # Smith & Hsu trigger: fetch reached within
                             # the fetchahead distance of the line's end.
@@ -1300,6 +1309,7 @@ def build_engine(
     config: SimConfig,
     observer: Observer | None = None,
     stream=None,
+    unit: BranchUnit | None = None,
 ):
     """Construct the engine backend for one cell.
 
@@ -1330,6 +1340,9 @@ def build_engine(
     Controller-driven schedules (``tournament`` / ``oracle``) need
     warm-state forks per interval, so the built event-loop engine is
     wrapped in :class:`~repro.core.adaptive.AdaptiveEngine`.
+
+    *unit* is a live branch unit for the event loop to run behind (how
+    :func:`~repro.branch.stream.build_stream` records a stream).
     """
     fallback_reason = None
     if config.engine_backend != "event":
@@ -1357,7 +1370,9 @@ def build_engine(
                 )
     if fallback_reason is not None and observer is not None:
         _record_fallback(observer, program.name, config, fallback_reason)
-    engine = FetchEngine(program, config, observer=observer, stream=stream)
+    engine = FetchEngine(
+        program, config, observer=observer, stream=stream, unit=unit
+    )
     if engine.schedule.driver_required:
         # Deferred import: repro.core.adaptive imports this module's types.
         from repro.core.adaptive import AdaptiveEngine

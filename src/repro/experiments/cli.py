@@ -66,12 +66,13 @@ def build_parser() -> argparse.ArgumentParser:
         "--replay",
         choices=("auto", "off"),
         default="auto",
-        help="prediction-stream replay: 'auto' records the branch "
-        "predictor's outcome stream once per workload and replays it "
-        "across every replay-eligible configuration (architectural "
-        "branch schedule or perfect cache), 'off' always runs the live "
-        "predictor (results are bit-identical either way; default "
-        "%(default)s)",
+        help="prediction-stream replay: 'auto' replays streams that "
+        "planned cells share (a stream is the branch predictor's outcome "
+        "sequence, recorded once per workload and branch configuration "
+        "and valid for every replay-eligible cell: architectural branch "
+        "schedule or perfect cache; a cell with a stream of its own runs "
+        "live), 'off' always runs the live predictor (results are "
+        "bit-identical either way; default %(default)s)",
     )
     parser.add_argument(
         "--engine",

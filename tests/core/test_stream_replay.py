@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import errno
 import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -116,6 +117,30 @@ def test_perfect_cache_timing_replay(workload):
     assert simulate(program, trace, config) == simulate(
         program, trace, config, stream=stream
     )
+
+
+@pytest.mark.parametrize("name", ("gcc", "li"))
+def test_perfect_cache_schedules_coincide(name):
+    # With a perfect cache the fetch clock is the architectural clock, so
+    # an architectural-schedule cell trains the predictor on it (no side
+    # clock) and matches the timing-schedule cell, registry and all.
+    # build_stream records on that clock.
+    program = build_workload(name, seed=SEED)
+    trace = generate_trace(program, n_instructions=60_000, seed=SEED)
+    for policy in ALL_POLICIES:
+        runs = []
+        for schedule in ("timing", "architectural"):
+            config = SimConfig(
+                policy=policy, perfect_cache=True, branch_schedule=schedule
+            )
+            observer = Observer()
+            result = simulate(
+                program, trace, config, warmup=10_000, observer=observer
+            )
+            runs.append((result, observer.metrics_dict()))
+        (timing, timing_metrics), (arch_result, arch_metrics) = runs
+        assert replace(arch_result, config=timing.config) == timing, policy
+        assert arch_metrics == timing_metrics, policy
 
 
 def test_one_stream_reused_across_cells(workload, stream):
