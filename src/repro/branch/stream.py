@@ -31,8 +31,11 @@ the live walker's splitter), which both engines read.
 Replay is *bypassed* for timing-schedule runs with a real cache (the
 historical default), where cache stalls reorder resolutions against
 predictions and the stream is not shareable; see
-:func:`replay_eligible`.  A stream pays only when cells share it, so a
-planned run replays only streams two planned cells use
+:func:`replay_eligible`.  A real-cache architectural cell always
+replays: given no stream, its engine records one
+(:func:`~repro.core.engine.build_engine`).  A perfect-cache cell runs
+live on the same clock unless its stream is shared: a planned run
+replays only streams two planned cells use
 (:meth:`~repro.core.runner.SimulationRunner.run_many`); see
 docs/performance.md.
 """

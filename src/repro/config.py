@@ -186,10 +186,11 @@ class SimConfig:
     #: When the branch predictor trains: ``"timing"`` (the historical
     #: default — PHT/history updates land on the fetch-engine clock, so
     #: cache stalls can reorder resolutions against predictions) or
-    #: ``"architectural"`` (updates land on a cache-independent clock
-    #: equal to the perfect-cache fetch clock, making the per-branch
-    #: outcome stream identical across every policy and cache geometry —
-    #: the property prediction-stream replay relies on; see
+    #: ``"architectural"`` (updates land on the perfect-cache fetch
+    #: clock, making the per-branch outcome stream identical across
+    #: every policy and cache geometry).  A real-cache architectural
+    #: cell therefore always replays a recorded prediction stream,
+    #: recording its own when it is given none (see
     #: docs/performance.md).  With a perfect cache the two schedules
     #: coincide.
     branch_schedule: str = "timing"

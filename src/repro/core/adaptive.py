@@ -77,11 +77,7 @@ class AdaptiveEngine:
                 f"warmup {warmup_instructions} consumes the whole trace "
                 f"({trace.n_instructions} instructions)"
             )
-        if inner._replay:
-            inner.unit.rewind()
-            inner.unit.stream.require_trace(trace)
-        inner._tau = 0
-        inner.interval_log = []
+        inner._start_run(trace)
         plans = inner.plans(trace)
         spans = interval_spans(trace.records, self.config.adaptive_interval)
         if isinstance(self.schedule, TournamentController):

@@ -40,7 +40,6 @@ from repro.cache.icache import InstructionCache, LineOrigin
 from repro.cache.l2 import SecondLevelCache
 from repro.config import FetchPolicy, SimConfig
 from repro.core.lowering import (
-    LENGTH_SHIFT,
     BlockPlan,
     fetch_program,
     span_counts,
@@ -106,7 +105,7 @@ def _resolve_noop(
 ) -> None:
     """Stand-in for BranchUnit.resolve when the fetch-clock queue must
     keep gating (branch_full, force_resolve) without training the
-    predictor — architectural-schedule and replay runs."""
+    predictor — replay runs."""
 
 
 def build_branch_unit(config: SimConfig, stream=None):
@@ -170,7 +169,6 @@ class FetchEngine:
         #: adaptive driver; published under ``adaptive.shadow_runs``).
         self.shadow_runs = 0
         self.interval_log: list[IntervalStats] = []
-        self._tau = 0
         if stream is not None:
             from repro.branch.stream import replay_eligible
 
@@ -181,24 +179,23 @@ class FetchEngine:
                     f"(config: {config.describe()})"
                 )
             stream.require_compatible(program.name, config)
-        # A given *unit* is the stream recorder's (see build_stream).
-        self.unit = unit if unit is not None else build_branch_unit(config, stream)
-        self._replay = stream is not None
-        # Architectural-schedule *live* runs with a real cache keep
-        # predictor training on a separate cache-independent clock (the
-        # tau timeline in run()); everything else live trains on the
-        # fetch clock, which with a perfect cache *is* that clock.
-        self._arch_live = (
-            config.branch_schedule == "architectural"
-            and stream is None
+        # A real-cache architectural cell trains the predictor on the
+        # perfect-cache clock, which only a recorded stream carries: given
+        # none, the engine records one from the trace it runs (see
+        # _start_run).  A live cell trains on its fetch clock, which with
+        # a perfect cache *is* that clock.
+        self._records = (
+            stream is None
+            and unit is None
+            and config.branch_schedule == "architectural"
             and not config.perfect_cache
         )
-        self._timing_resolve = (
-            _resolve_noop if self._replay or self._arch_live else self.unit.resolve
-        )
-        # Unresolved branches on the architectural clock (arch-live only):
-        # same tuple shape as _unresolved.
-        self._arch_unresolved: deque[tuple[int, int | None, bool, int]] = deque()
+        self._replay = stream is not None or self._records
+        # A given *unit* is the stream recorder's (see build_stream).
+        if unit is None and not self._records:
+            unit = build_branch_unit(config, stream)
+        self.unit = unit
+        self._timing_resolve = _resolve_noop if self._replay else self.unit.resolve
         self.observer = observer
         if observer is not None:
             self._sink = observer.sink if observer.sink.enabled else None
@@ -326,21 +323,12 @@ class FetchEngine:
     def _apply_resolutions(self, now: int) -> None:
         """Resolve every queued branch whose resolve time has passed.
 
-        Under the timing schedule this trains the predictor; under the
-        architectural schedule (or replay) training happens elsewhere and
-        this only drains the queue that gates fetch.
+        A live run trains the predictor here; a replay run trained it
+        when the stream was recorded, so this only drains the queue that
+        gates fetch.
         """
         queue = self._unresolved
         resolve = self._timing_resolve
-        while queue and queue[0][0] <= now:
-            _, pht_index, taken, pc = queue.popleft()
-            resolve(pht_index, taken, pc)
-
-    def _apply_arch_resolutions(self, now: int) -> None:
-        """Train the predictor for every architectural-clock resolution
-        whose time has passed (arch-live runs only)."""
-        queue = self._arch_unresolved
-        resolve = self.unit.resolve
         while queue and queue[0][0] <= now:
             _, pht_index, taken, pc = queue.popleft()
             resolve(pht_index, taken, pc)
@@ -727,17 +715,28 @@ class FetchEngine:
                 "the adaptive driver (shadow/oracle forks); build the "
                 "engine through build_engine"
             )
-        if self._replay:
-            self.unit.rewind()
-            self.unit.stream.require_trace(trace)
-        self._tau = 0
-        self.interval_log = []
+        self._start_run(trace)
         if self.config.adaptive_interval is None:
             t, _ = self._run_span(self.plans(trace), 0, warmup_instructions)
         else:
             t = self._run_intervals(trace, warmup_instructions)
         self._finish_run(t)
         return self._build_result(trace)
+
+    def _start_run(self, trace: Trace) -> None:
+        """Reset per-run state; a replaying engine rewinds its stream,
+        recording it from *trace* first if it was given none."""
+        if self._records:
+            # Deferred import: repro.branch.stream imports this module.
+            from repro.branch.stream import build_stream
+
+            self.unit = build_branch_unit(
+                self.config, build_stream(self.program, trace, self.config)
+            )
+        if self._replay:
+            self.unit.rewind()
+            self.unit.stream.require_trace(trace)
+        self.interval_log = []
 
     def plans(self, trace: Trace) -> list[BlockPlan]:
         """*trace* lowered for this engine's line size, one shared
@@ -768,10 +767,8 @@ class FetchEngine:
         return t
 
     def _finish_run(self, t: int) -> None:
-        """Drain the resolution queues after the last span."""
+        """Drain the resolution queue after the last span."""
         self._apply_resolutions(t + self._resolve_slots)
-        if self._arch_live:
-            self._apply_arch_resolutions(self._tau + self._resolve_slots)
 
     def _run_span(
         self, plans: list[BlockPlan], t: int, warm_left: int
@@ -835,9 +832,8 @@ class FetchEngine:
         predict_conditional = unit.predict_conditional
         fetch_line = self._fetch_right_line
         resolve = self._timing_resolve
-        resolve_slots = self._resolve_slots
         # A branch fetched at slot t - 1 resolves at t + resolve_lag.
-        resolve_lag = resolve_slots - 1
+        resolve_lag = self._resolve_slots - 1
         unresolved = self._unresolved
         max_unresolved = self._max_unresolved
         prefetcher = self.prefetcher
@@ -869,14 +865,8 @@ class FetchEngine:
             origins = pf_fresh = station = None
             set_mask = set_shift = 0
             pending = ()
-        # Architectural-clock state (arch-live runs only): tau is the
-        # perfect-cache fetch clock; predictor training follows it instead
-        # of t, making the outcome stream cache/policy-independent.
-        arch = self._arch_live
-        arch_unresolved = self._arch_unresolved
-        tau = self._tau
         for (
-            counts, probes, kind, term_addr, kind_enum,
+            _counts, probes, kind, term_addr, kind_enum,
             static_target, fall, taken, next_pc,
         ) in plans:
             for line, chunk, gate, tail in probes:
@@ -922,32 +912,6 @@ class FetchEngine:
                             _, pht_index, q_taken, pc = unresolved.popleft()
                             resolve(pht_index, q_taken, pc)
                 t += chunk
-            if arch:
-                # The architectural clock mirrors the perfect-cache
-                # timeline: block issue plus the same depth gate, but
-                # without charging any penalty (timing stays on t).  It
-                # never reads the cache, so it can trail the probes.
-                length = counts >> LENGTH_SHIFT
-                if kind == _COND:
-                    tau += length - 1
-                    if arch_unresolved:
-                        if arch_unresolved[0][0] <= tau:
-                            self._apply_arch_resolutions(tau)
-                        if len(arch_unresolved) >= max_unresolved:
-                            head = arch_unresolved[0][0]
-                            if head > tau:
-                                tau = head
-                            self._apply_arch_resolutions(tau)
-                    tau += 1
-                else:
-                    tau += length
-                tau_br = tau - 1
-                if (
-                    kind != _PLAIN
-                    and arch_unresolved
-                    and arch_unresolved[0][0] <= tau_br
-                ):
-                    self._apply_arch_resolutions(tau_br)
             if kind == _COND:
                 # The terminator was the gated last probe, so every
                 # resolution due by its slot (t - 1) is applied.
@@ -955,10 +919,6 @@ class FetchEngine:
                 unresolved.append(
                     (t + resolve_lag, result.pht_index, taken, term_addr)
                 )
-                if arch:
-                    arch_unresolved.append(
-                        (tau_br + resolve_slots, result.pht_index, taken, term_addr)
-                    )
                 if (
                     target_prefetch
                     and static_target is not None
@@ -984,8 +944,6 @@ class FetchEngine:
             if result.outcome is _CORRECT:
                 continue
             t_br = t - 1
-            if arch:
-                tau = tau_br + 1 + result.penalty_slots
             penalties.branch += result.penalty_slots
             if self._redirect_penalties is not None:
                 self._redirect_penalties.append(result.penalty_slots)
@@ -1010,7 +968,6 @@ class FetchEngine:
                 result.wrong_path_start, window_start, window_end,
                 result.outcome, segments,
             )
-        self._tau = tau
         return t
 
     # -- per-interval policy machinery -----------------------------------------
@@ -1341,6 +1298,11 @@ def build_engine(
     warm-state forks per interval, so the built event-loop engine is
     wrapped in :class:`~repro.core.adaptive.AdaptiveEngine`.
 
+    A real-cache architectural-schedule cell given no stream records
+    one (:func:`~repro.branch.stream.build_stream`) from the trace it
+    runs, then replays it on the event loop: its predictor trains on
+    the perfect-cache clock, which only a stream carries.
+
     *unit* is a live branch unit for the event loop to run behind (how
     :func:`~repro.branch.stream.build_stream` records a stream).
     """
@@ -1397,7 +1359,8 @@ def simulate(
     :class:`~repro.branch.stream.PredictionStream` instead of running the
     live predictor (bit-identical for replay-eligible configs), and —
     unless ``config.engine_backend`` forbids it — enables the vectorized
-    batch backend for eligible cells (see :func:`build_engine`).
+    batch backend for eligible cells (see :func:`build_engine`).  A
+    real-cache architectural-schedule cell given none records its own.
     """
     return build_engine(program, config, observer=observer, stream=stream).run(
         trace, warmup_instructions=warmup

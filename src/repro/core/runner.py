@@ -181,7 +181,6 @@ class SimulationRunner:
         on_error: str = "raise",
         checkpoint_dir: str | None = None,
         fault_plan: FaultPlan | None = None,
-        replay: str = "auto",
         engine: str = "auto",
     ) -> None:
         if trace_length < 1:
@@ -201,10 +200,6 @@ class SimulationRunner:
         if on_error not in ("raise", "skip"):
             raise ExperimentError(
                 f"on_error must be 'raise' or 'skip': {on_error!r}"
-            )
-        if replay not in ("auto", "off"):
-            raise ExperimentError(
-                f"replay must be 'auto' or 'off': {replay!r}"
             )
         if engine not in ("auto", "event", "vector"):
             raise ExperimentError(
@@ -237,11 +232,6 @@ class SimulationRunner:
         self.checkpoint = ResultStore(checkpoint_dir)
         #: Deterministic fault-injection plan (chaos testing only).
         self.fault_plan = fault_plan
-        #: Prediction-stream replay: ``"auto"`` replays streams that
-        #: planned cells share (see :meth:`run_many`), and the stream of
-        #: any replay-eligible cell requested outside a plan; ``"off"``
-        #: always runs the live predictor.
-        self.replay = replay
         #: Engine backend override applied to every cell: ``"auto"``
         #: leaves ``config.engine_backend`` untouched (each cell decides
         #: through the ``build_engine`` seam), ``"event"`` / ``"vector"``
@@ -266,9 +256,9 @@ class SimulationRunner:
         self._results: dict[tuple, SimulationResult] = {}
         #: Pool outcomes of planned cells, waiting for their request.
         self._planned: dict[tuple, CellOutcome] = {}
-        #: Replay-eligible planned cells that run live (see run_many);
-        #: serving the cell consumes its mark.
-        self._live: set[tuple] = set()
+        #: Replay-eligible planned cells the runner hands no stream (see
+        #: run_many); serving the cell consumes its mark.
+        self._unshared: set[tuple] = set()
 
     def _phase(self, name: str):
         """Profiling scope for *name* (no-op without an observer/profiler)."""
@@ -432,9 +422,9 @@ class SimulationRunner:
 
     def _stream_key(self, name: str, config: SimConfig) -> tuple | None:
         """The memo key of the stream *config* would replay, or ``None``
-        when replay is off or the config is not replay-eligible (timing
-        schedule with a real cache)."""
-        if self.replay == "off" or not replay_eligible(config):
+        when the config is not replay-eligible (timing schedule with a
+        real cache)."""
+        if not replay_eligible(config):
             return None
         return (name, self.trace_length, self.seed, stream_digest(config))
 
@@ -532,7 +522,7 @@ class SimulationRunner:
                 self._results[key] = hit
                 return hit
         result, error, attempts = self._attempt(name, config)
-        self._live.discard(key)
+        self._unshared.discard(key)
         if error is not None:
             return self._give_up(name, config, error, attempts)
         self.cells_simulated += 1
@@ -553,17 +543,19 @@ class SimulationRunner:
         """The cell's attempt loop: ``(result, None, attempts)``, or
         ``(None, final exception, attempts)`` once retries are spent or
         the failure is deterministic.  A cell :meth:`run_many` marked
-        live replays no stream."""
-        live = (
+        unshared gets no stream from the runner: with a perfect cache it
+        runs live, with a real cache it records its own (see
+        :func:`~repro.core.engine.build_engine`)."""
+        unshared = (
             cell_key(name, config, self.trace_length, self.warmup, self.seed)
-            in self._live
+            in self._unshared
         )
         attempts = 0
         while True:
             try:
                 with self._watchdog(name):
                     prepared = self.prepared(name)
-                    stream = None if live else self._stream_for(name, config)
+                    stream = None if unshared else self._stream_for(name, config)
                     if stream is not None and self.observer is not None:
                         self.observer.registry.inc("stream.replays")
                     self._fire("simulate", name)
@@ -644,15 +636,17 @@ class SimulationRunner:
         held until :meth:`run` asks for the cell, which serves it as a
         simulated cell in request order.  Cells already memoised, held or
         stored are skipped; each remaining cell is one task.  First, on
-        every path, a replay-eligible cell is set to run live unless
-        another planned cell shares its prediction stream or the runner
-        holds it already: recording a stream costs more than simulating
-        one cell live.  Once a pool is certain, the plan's programs,
-        traces and replayed streams are prepared here, so forked workers
-        inherit them and each is built once, as in a serial run.  Tasks
-        go longest first (a static estimate) to a pool of ``min(cpus,
-        tasks)`` forked workers, each running the cell's attempt loop
-        under a private observer; the pool is joined before returning.
+        every path, a replay-eligible cell gets no stream from the runner
+        unless another planned cell shares its prediction stream or the
+        runner holds it already: a perfect-cache cell then runs live,
+        which costs less than recording a stream, and a real-cache cell
+        records its own inside its attempt.  Once a pool is certain, the
+        plan's programs, traces and shared streams are prepared here, so
+        forked workers inherit them and each is built once, as in a
+        serial run.  Tasks go longest first (a static estimate) to a pool
+        of ``min(cpus, tasks)`` forked workers, each running the cell's
+        attempt loop under a private observer; the pool is joined before
+        returning.
 
         Everything stays in process (nothing is prepared or dispatched)
         on one CPU, with fewer than two tasks, with a fault plan (faults
@@ -702,14 +696,14 @@ class SimulationRunner:
         """Forget held outcomes no request asked for (a planned
         experiment calls this when it returns)."""
         self._planned.clear()
-        self._live.clear()
+        self._unshared.clear()
 
     def _plan_tasks(
         self, cells: dict[tuple, tuple[str, SimConfig]]
     ) -> list[_PlanTask]:
         """One pool task per planned cell, in plan order; a
         replay-eligible cell whose stream no other planned cell shares,
-        and which the runner does not hold, is marked to run live."""
+        and which the runner does not hold, is marked unshared."""
         streams = {
             key: self._stream_key(name, config)
             for key, (name, config) in cells.items()
@@ -719,7 +713,7 @@ class SimulationRunner:
             if stream_key is not None and users[stream_key] == 1 and (
                 stream_key not in self._streams
             ):
-                self._live.add(key)
+                self._unshared.add(key)
         return [
             _PlanTask(key, name, config) for key, (name, config) in cells.items()
         ]
@@ -729,7 +723,7 @@ class SimulationRunner:
         failure leaves the cell to run()."""
         try:
             self.prepared(task.name)
-            if task.key not in self._live:
+            if task.key not in self._unshared:
                 self._stream_for(task.name, task.config)
         except Exception:
             return False
@@ -740,9 +734,7 @@ class SimulationRunner:
         config = task.config
         weight = (
             REPLAYED_WEIGHT
-            if config.perfect_cache
-            and self.replay != "off"
-            and task.key not in self._live
+            if config.perfect_cache and task.key not in self._unshared
             else REAL_CACHE_WEIGHT
         )
         if config.prefetch:
@@ -796,7 +788,7 @@ class SimulationRunner:
 
     def _hold(self, task: _PlanTask, outcome: CellOutcome) -> None:
         """Keep a finished task's outcome for its request."""
-        self._live.discard(task.key)
+        self._unshared.discard(task.key)
         if outcome.result is not None and self.checkpoint.enabled:
             self.checkpoint.store(
                 cell_digest(

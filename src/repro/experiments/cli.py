@@ -63,18 +63,6 @@ def build_parser() -> argparse.ArgumentParser:
         "between concurrent processes)",
     )
     parser.add_argument(
-        "--replay",
-        choices=("auto", "off"),
-        default="auto",
-        help="prediction-stream replay: 'auto' replays streams that "
-        "planned cells share (a stream is the branch predictor's outcome "
-        "sequence, recorded once per workload and branch configuration "
-        "and valid for every replay-eligible cell: architectural branch "
-        "schedule or perfect cache; a cell with a stream of its own runs "
-        "live), 'off' always runs the live predictor (results are "
-        "bit-identical either way; default %(default)s)",
-    )
-    parser.add_argument(
         "--engine",
         choices=("auto", "event", "vector"),
         default="auto",
@@ -349,7 +337,6 @@ def main(argv: Sequence[str] | None = None) -> int:
                 on_error=args.on_error,
                 checkpoint_dir=args.checkpoint,
                 fault_plan=fault_plan,
-                replay=args.replay,
                 engine=args.engine,
             )
         try:

@@ -57,10 +57,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="artifact cache directory (default: <data-dir>/artifacts)",
     )
     parser.add_argument(
-        "--replay", choices=("auto", "off"), default="auto",
-        help="prediction-stream replay mode handed to workers",
-    )
-    parser.add_argument(
         "--inject-faults", default=None, metavar="SPECS",
         help="comma-separated fault specs (chaos testing; see "
         "repro.core.faults)",
@@ -91,7 +87,6 @@ async def _amain(args: argparse.Namespace) -> int:
         backoff_cap=args.backoff_cap,
         job_timeout=args.job_timeout,
         cache_dir=args.cache_dir,
-        replay=args.replay,
         fault_plan=fault_plan,
     )
     server = ServiceServer(service)

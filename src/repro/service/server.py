@@ -145,7 +145,6 @@ class SweepService:
         backoff_cap: float = 2.0,
         job_timeout: float | None = None,
         cache_dir: str | None = None,
-        replay: str = "auto",
         sink: EventSink | None = None,
         fault_plan: FaultPlan | None = None,
     ) -> None:
@@ -157,8 +156,6 @@ class SweepService:
             raise ServiceError("backoff must be >= 0")
         if job_timeout is not None and job_timeout <= 0:
             raise ServiceError(f"job_timeout must be > 0: {job_timeout}")
-        if replay not in ("auto", "off"):
-            raise ServiceError(f"replay must be 'auto' or 'off': {replay!r}")
         data_dir = Path(data_dir)
         self.data_dir = data_dir
         self.store = ResultStore(data_dir / "results")
@@ -178,7 +175,6 @@ class SweepService:
         self.backoff_base = backoff_base
         self.backoff_cap = backoff_cap
         self.job_timeout = job_timeout
-        self.replay = replay
         self.registry = MetricsRegistry()
         for name in SERVICE_COUNTERS:
             self.registry.counter(name)
@@ -413,7 +409,7 @@ class SweepService:
                 payload = (
                     job.benchmark, (job.config,), job.trace_length,
                     job.warmup, job.seed, False, self.cache_dir,
-                    self.replay, self.fault_plan,
+                    self.fault_plan,
                 )
                 pool = await self._pool_ready()
                 future = loop.run_in_executor(

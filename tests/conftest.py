@@ -67,6 +67,23 @@ def make_pattern_program(
     return builder.build()
 
 
+def make_diamond_program(
+    entry: int, arms: list[tuple[int, object, int, int]], name: str = "random"
+) -> Program:
+    """Straight-line diamonds in a loop: an *entry* block, then per arm
+    ``(cond_length, behaviour, then_length, join_length)`` a conditional
+    that skips its then-block, and a jump back to the entry."""
+    builder = ProgramBuilder(name)
+    main = builder.function("main")
+    main.block("entry", entry)
+    for i, (cond_length, behaviour, then_length, join_length) in enumerate(arms):
+        main.cond(f"d{i}", cond_length, target=f"j{i}", behaviour=behaviour)
+        main.block(f"t{i}", then_length)
+        main.block(f"j{i}", join_length)
+    main.jump("wrap", 1, target="entry")
+    return builder.build()
+
+
 @pytest.fixture()
 def loop_program() -> Program:
     return make_loop_program()

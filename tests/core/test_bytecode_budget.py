@@ -24,7 +24,7 @@ _TOOL_PATH = os.path.join(
 )
 
 #: Recorded gauge totals by CPython (major, minor), before headroom.
-RECORDED = {(3, 11): 15_981_526}
+RECORDED = {(3, 11): 15_848_996}
 HEADROOM = 1.03
 
 

@@ -3,12 +3,15 @@
 The tentpole claim: under the ``"architectural"`` branch schedule (or a
 perfect cache), one recorded :class:`PredictionStream` replayed through
 the ``build_branch_unit`` seam produces **bit-identical**
-:class:`SimulationResult`s to running the live predictor — for every
-fetch policy, cache geometry, associativity, warmup, and prefetch
-variant.  These tests pin that claim cell by cell, then pin the
-infrastructure around it: persistence round-trips, cache corruption
-handling, runner/parallel wiring, metric parity, and the guards that
-keep ineligible configurations off the replay path.
+:class:`SimulationResult`s for every fetch policy, cache geometry,
+associativity, warmup, and prefetch variant.  A real-cache
+architectural cell has no live run left to compare with, so these tests
+compare each replay with the digest the live predictor gave
+(``tests/core/test_arch_pins.py``), and a perfect-cache replay with the
+live run.  Then they pin the infrastructure around replay: persistence
+round-trips, cache corruption handling, runner/parallel wiring, metric
+parity, and the guards that keep ineligible configurations off the
+replay path.
 """
 
 from __future__ import annotations
@@ -20,7 +23,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from repro.config import ALL_POLICIES, CacheConfig, FetchPolicy, SimConfig
+from repro.config import ALL_POLICIES, FetchPolicy, SimConfig
 from repro.core.artifacts import ArtifactCache
 from repro.core.engine import simulate
 from repro.core.parallel import ParallelRunner
@@ -38,9 +41,16 @@ from repro.obs.observer import Observer
 from repro.obs.profile import PhaseProfiler
 from repro.program.workloads import build_workload
 from repro.trace.generator import generate_trace
+from tests.core.test_arch_pins import (
+    PINNED,
+    SEED,
+    VARIANTS,
+    WORKLOADS,
+    cell_sha256,
+    run_cell,
+)
 
-TRACE_LENGTH = 10_000
-SEED = 77
+TRACE_LENGTH = WORKLOADS["gcc"]
 
 
 def arch(**kwargs) -> SimConfig:
@@ -60,50 +70,34 @@ def stream(workload):
     return build_stream(program, trace, arch())
 
 
-# -- the tentpole: live == replay, bit for bit -------------------------------
+# -- the tentpole: replay == the live predictor's pin, bit for bit -----------
 
 
 @pytest.mark.parametrize("policy", ALL_POLICIES)
 def test_replay_bit_identical_per_policy(workload, stream, policy):
     program, trace = workload
-    config = arch(policy=policy)
-    live = simulate(program, trace, config)
-    replay = simulate(program, trace, config, stream=stream)
-    assert live == replay
+    replay = run_cell(program, trace, arch(policy=policy), stream=stream)
+    assert replay == PINNED[f"policy/{policy.value}"]
 
 
 @pytest.mark.parametrize(
-    "kwargs",
-    [
-        {"cache": CacheConfig(size_bytes=1024)},
-        {"cache": CacheConfig(size_bytes=65536)},
-        {"cache": CacheConfig(assoc=2)},
-        {"cache": CacheConfig(assoc=4)},
-        {"prefetch": True},
-        {"prefetch": True, "prefetch_variant": "always"},
-        {"prefetch": True, "target_prefetch": True},
-        {"classify": True, "policy": FetchPolicy.OPTIMISTIC},
-        {"perfect_cache": True},
-    ],
-    ids=lambda kw: ",".join(sorted(kw)),
+    "variant", list(VARIANTS), ids=lambda name: ",".join(sorted(VARIANTS[name]))
 )
-def test_replay_bit_identical_variants(workload, stream, kwargs):
+def test_replay_bit_identical_variants(workload, stream, variant):
     # One shared stream serves every cache geometry and prefetch variant:
     # the whole point of excluding cache/policy knobs from the digest.
     program, trace = workload
-    config = arch(**{"policy": FetchPolicy.RESUME, **kwargs})
-    live = simulate(program, trace, config)
-    replay = simulate(program, trace, config, stream=stream)
-    assert live == replay
+    config = arch(**{"policy": FetchPolicy.RESUME, **VARIANTS[variant]})
+    replay = run_cell(program, trace, config, stream=stream)
+    assert replay == PINNED[f"variant/{variant}"]
 
 
 @pytest.mark.parametrize("warmup", [0, 2_500])
 def test_replay_bit_identical_with_warmup(workload, stream, warmup):
     program, trace = workload
     config = arch(policy=FetchPolicy.PESSIMISTIC)
-    live = simulate(program, trace, config, warmup=warmup)
-    replay = simulate(program, trace, config, warmup=warmup, stream=stream)
-    assert live == replay
+    replay = run_cell(program, trace, config, warmup=warmup, stream=stream)
+    assert replay == PINNED[f"warmup/{warmup}"]
 
 
 def test_perfect_cache_timing_replay(workload):
@@ -122,8 +116,8 @@ def test_perfect_cache_timing_replay(workload):
 @pytest.mark.parametrize("name", ("gcc", "li"))
 def test_perfect_cache_schedules_coincide(name):
     # With a perfect cache the fetch clock is the architectural clock, so
-    # an architectural-schedule cell trains the predictor on it (no side
-    # clock) and matches the timing-schedule cell, registry and all.
+    # an architectural-schedule cell runs live and trains the predictor on
+    # it, and matches the timing-schedule cell, registry and all.
     # build_stream records on that clock.
     program = build_workload(name, seed=SEED)
     trace = generate_trace(program, n_instructions=60_000, seed=SEED)
@@ -153,13 +147,14 @@ def test_one_stream_reused_across_cells(workload, stream):
 
 
 def test_metrics_identical_live_vs_replay(workload, stream):
+    # The pin holds the live predictor's result and registry; the replay
+    # here runs on the event loop (the per-policy cells above may take
+    # the vector backend).
     program, trace = workload
-    config = arch(policy=FetchPolicy.RESUME)
-    live_obs = Observer()
-    replay_obs = Observer()
-    simulate(program, trace, config, observer=live_obs)
-    simulate(program, trace, config, observer=replay_obs, stream=stream)
-    assert live_obs.registry.as_dict() == replay_obs.registry.as_dict()
+    config = arch(policy=FetchPolicy.RESUME, engine_backend="event")
+    assert run_cell(program, trace, config, stream=stream) == PINNED[
+        "policy/resume"
+    ]
 
 
 # -- guards ------------------------------------------------------------------
@@ -323,11 +318,9 @@ class TestRunnerWiring:
         # Bypass for an ineligible (timing, real-cache) cell: no replay.
         runner.run("gcc", SimConfig())
         assert obs.registry.value("stream.replays") == len(ALL_POLICIES)
-        # replay="off" matches replay="auto" bit for bit.
-        off = SimulationRunner(
-            trace_length=TRACE_LENGTH, seed=SEED, warmup=1_000, replay="off"
-        )
-        assert off.run_policies("gcc", arch()) == results
+        # Every replayed cell is the live predictor's, bit for bit.
+        for policy, result in results.items():
+            assert cell_sha256(result) == PINNED[f"runner/{policy.value}"]
 
     def test_second_runner_hits_stream_cache(self, tmp_path):
         first = SimulationRunner(
@@ -362,14 +355,6 @@ class TestRunnerWiring:
         assert second.run("gcc", arch()) == baseline
         assert obs.registry.value("stream.builds") == 1
         assert obs.registry.value("stream.cache_hits") == 0
-
-    def test_invalid_replay_mode_rejected(self):
-        from repro.errors import ExperimentError
-
-        with pytest.raises(ExperimentError, match="replay"):
-            SimulationRunner(replay="maybe")
-        with pytest.raises(ExperimentError, match="replay"):
-            ParallelRunner(replay="maybe")
 
 
 class TestParallelWiring:
@@ -415,16 +400,42 @@ class TestParallelWiring:
         assert second.metrics.value("stream.builds") == 0
         assert second.metrics.value("stream.cache_hits") == 1
 
-    def test_parallel_replay_off(self, tmp_path):
-        on = ParallelRunner(
+    def test_lone_perfect_cache_cells_run_live(self):
+        # A stream no other cell of the batch shares costs more to record
+        # than its one perfect-cache cell costs live.
+        runner = ParallelRunner(trace_length=20_000, collect_metrics=True)
+        runner.run_jobs(
+            [(name, SimConfig(perfect_cache=True)) for name in ("gcc", "doduc")]
+        )
+        assert runner.metrics.value("stream.builds") == 0
+        assert runner.metrics.value("stream.replays") == 0
+
+    def test_lone_real_cache_cell_replays_its_recording(self, tmp_path):
+        # A real-cache architectural cell always replays: the worker
+        # records its stream and persists it for the next batch.
+        config = arch(policy=FetchPolicy.RESUME)
+        for builds, hits in ((1, 0), (0, 1)):
+            runner = ParallelRunner(
+                trace_length=6_000, seed=SEED, warmup=500,
+                collect_metrics=True, cache_dir=str(tmp_path),
+            )
+            (result,) = runner.run_jobs([("li", config)])
+            assert cell_sha256(result) == PINNED["parallel/resume"]
+            assert runner.metrics.value("stream.builds") == builds
+            assert runner.metrics.value("stream.cache_hits") == hits
+            assert runner.metrics.value("stream.replays") == 1
+
+    def test_parallel_replay_matches_pins(self, tmp_path):
+        runner = ParallelRunner(
             trace_length=6_000, seed=SEED, warmup=500, max_workers=2,
             cache_dir=str(tmp_path),
         )
-        off = ParallelRunner(
-            trace_length=6_000, seed=SEED, warmup=500, max_workers=2,
-            replay="off",
-        )
-        assert on.run_jobs(self.JOBS) == off.run_jobs(self.JOBS)
+        results = runner.run_jobs(self.JOBS)
+        for (_, config), result in zip(self.JOBS, results):
+            if config.branch_schedule == "architectural":
+                assert cell_sha256(result) == PINNED[
+                    f"parallel/{config.policy.value}"
+                ]
 
 
 # -- replay facade details ---------------------------------------------------

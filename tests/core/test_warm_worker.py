@@ -27,7 +27,7 @@ SEED = 7
 def _payload(name, policy=FetchPolicy.ORACLE, plan=None):
     return (
         name, (SimConfig(policy=policy),), TRACE, WARMUP, SEED, False,
-        None, "auto", plan,
+        None, plan,
     )
 
 

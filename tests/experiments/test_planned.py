@@ -32,6 +32,7 @@ from repro.errors import ExperimentError
 from repro.experiments.registry import EXPERIMENTS, PAPER_EXPERIMENTS, planned
 from repro.experiments.sweeps import Sweep
 from repro.obs import Observer, PhaseProfiler, RingBufferSink
+from repro.obs.events import StreamBuild
 from repro.report import experiment_to_json
 
 TRACE = 3_000
@@ -169,16 +170,21 @@ class TestPlannedMatchesSerial:
         # A sink that wants events keeps every cell in process, so the
         # stream comes out in request order.  No stream of these two
         # experiments has a second user, so the plan records none and
-        # runs every cell live: its events are those of the bare
-        # experiments with replay off.
+        # runs every cell live.  The bare experiments replay table3's
+        # four perfect-cache cells instead: their events are the same,
+        # bar the four stream recordings.
         ids = ("table3", "table4")
         serial_sink, pooled_sink = RingBufferSink(10**7), RingBufferSink(10**7)
-        serial_out, _ = _sweep(ids, sink=serial_sink, plan=False, replay="off")
+        serial_out, _ = _sweep(ids, sink=serial_sink, plan=False)
         pooled_out, runner = _sweep(ids, sink=pooled_sink)
         assert pooled_out == serial_out
         assert runner.observer.registry.value("sweep.plan_cells") == 0
         assert runner.observer.registry.value("stream.builds") == 0
-        assert pooled_sink.events() == serial_sink.events()
+        assert len(serial_sink.of_type(StreamBuild)) == 4
+        assert pooled_sink.events() == [
+            event for event in serial_sink.events()
+            if not isinstance(event, StreamBuild)
+        ]
         assert pooled_sink.emitted > 0
 
 
@@ -357,27 +363,39 @@ class TestSweepOnEveryCore:
     def test_unshared_streams_run_live(self, two_workers):
         # Each of table3's replay-eligible (perfect-cache) cells has a
         # stream of its own, so the plan records none and runs every
-        # cell live, exactly as with replay off.
+        # cell live; the bare experiment replays them, to the same table
+        # and the same engine counters.
         runs = {}
-        for replay in ("auto", "off"):
-            runner = _runner(replay=replay, observer=Observer())
-            output = experiment_to_json(
-                EXPERIMENTS["table3"](runner, benchmarks=BENCHMARKS)
+        for plan in (True, False):
+            runner = _runner(observer=Observer())
+            experiment = EXPERIMENTS["table3"]
+            if not plan:
+                experiment = experiment.__wrapped__
+            output = experiment_to_json(experiment(runner, benchmarks=BENCHMARKS))
+            registry = runner.observer.registry.as_dict()
+            runs[plan] = (
+                output,
+                {
+                    name: value for name, value in registry.items()
+                    if not name.startswith(("stream.", "sweep.plan_"))
+                },
+                registry.get("stream.replays", 0),
+                registry.get("sweep.plan_tasks", 0),
             )
-            runs[replay] = (output, _without_plan_counters(runner))
-        assert runs["auto"] == runs["off"]
-        assert runs["auto"][1].get("stream.builds", 0) == 0
-        assert runner.observer.registry.value("sweep.plan_tasks") > 0
+        assert runs[True][:2] == runs[False][:2]
+        assert (runs[True][2], runs[False][2]) == (0, 4)
+        assert runs[True][3] > 0
 
     @pytest.mark.parametrize("workers", [1, 2])
     def test_live_marks_are_consumed_when_served(self, monkeypatch, workers):
         # run_jobs (Sweep.run, batch and service paths) never drops its
-        # plan, so serving a cell must clear its live mark.
+        # plan, so serving a cell must clear its unshared mark (these
+        # perfect-cache cells run live).
         monkeypatch.setattr(runner_module, "_plan_workers", lambda: workers)
         runner = _runner(observer=Observer())
         jobs = [(name, SimConfig(perfect_cache=True)) for name in BENCHMARKS]
         runner.run_jobs(jobs)
-        assert runner._live == set()
+        assert runner._unshared == set()
         assert runner.observer.registry.value("stream.builds") == 0
         assert runner.observer.registry.value("sweep.plan_tasks") == (
             len(jobs) if workers > 1 else 0

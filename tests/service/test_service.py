@@ -203,7 +203,6 @@ class TestBackpressure:
             {"retries": -1},
             {"backoff_base": -0.1},
             {"job_timeout": 0},
-            {"replay": "sometimes"},
             {"max_workers": 0},
         ):
             with pytest.raises(ServiceError):

@@ -5,8 +5,8 @@ per gate plus an overall summary:
 
 * ``check_lint``         — simlint static analysis over ``src/``;
 * ``check_overhead``     — zero-overhead observability budget;
-* ``check_engine_speed`` — hot-loop throughput + stream-replay speedup
-  guard against ``BENCH_engine.json``, with the vector backend held to
+* ``check_engine_speed`` — hot-loop throughput + warm stream-replay
+  sweep guard against ``BENCH_engine.json``, with the vector backend held to
   its perfect-cache (``--vector-floor``) and real-cache
   (``--real-floor 3.5``) speedup floors;
 * ``check_robustness``   — fault-injected sweep recovery smoke test;
