@@ -159,8 +159,9 @@ def _serial_rates(repeats=5, trace_length=200_000):
 
 
 def _parallel_rate(trace_length=100_000):
-    """Whole-suite parallel sweep throughput (instructions/second)."""
-    from repro.core.parallel import ParallelRunner
+    """Whole-suite ``run_jobs`` sweep throughput on the plan pool
+    (instructions/second)."""
+    from repro.core.runner import SimulationRunner
     from repro.program.workloads import SUITE
 
     config = SimConfig(policy=FetchPolicy.RESUME, prefetch=True)
@@ -168,7 +169,7 @@ def _parallel_rate(trace_length=100_000):
     # A fresh runner per repeat: a reused one serves its result memo.
     elapsed, results = _best_of(
         2,
-        lambda: ParallelRunner(
+        lambda: SimulationRunner(
             trace_length=trace_length, warmup=0, seed=3
         ).run_jobs(jobs),
     )

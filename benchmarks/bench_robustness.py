@@ -2,12 +2,12 @@
 
 Two guards ride the benchmark harness:
 
-* the recovery guarantee — a parallel sweep under an injected-fault
+* the recovery guarantee — a pooled sweep under an injected-fault
   barrage must complete bit-identically to a fault-free serial run
   (delegated to ``tools/check_robustness.py``), and
 * the no-fault overhead — with no faults injected and fault tolerance at
   its defaults, the fault-tolerant sweep path must not measurably slow
-  a clean sweep (the machinery is all at batch granularity).
+  a clean sweep (the machinery is all at cell granularity).
 """
 
 import os
@@ -16,7 +16,7 @@ import sys
 import time
 
 from repro.config import FetchPolicy, SimConfig
-from repro.core.parallel import ParallelRunner
+from repro.core.runner import SimulationRunner
 
 
 def test_faulted_sweep_recovers_bit_identically():
@@ -38,11 +38,12 @@ def test_faulted_sweep_recovers_bit_identically():
 def test_no_fault_overhead_is_negligible():
     """Retry/checkpoint plumbing must cost nothing on the happy path.
 
-    Compares a clean parallel sweep with retries disabled against one
-    with the full fault-tolerance configuration armed (retries, watchdog,
-    backoff) but no faults injected.  Both do identical simulation work;
-    the armed run may only add per-batch bookkeeping, so it must land
-    within 25% (generous: these sweeps are sub-second and noisy).
+    Compares a clean ``run_jobs`` sweep with retries disabled against
+    one with the full fault-tolerance configuration armed (retries,
+    watchdog, backoff) but no faults injected.  Both do identical
+    simulation work; the armed run may only add per-cell bookkeeping, so
+    it must land within 25% (generous: these sweeps are sub-second and
+    noisy).
     """
     jobs = [
         ("li", SimConfig(policy=FetchPolicy.ORACLE)),
@@ -50,9 +51,8 @@ def test_no_fault_overhead_is_negligible():
     ]
 
     def sweep(**kwargs):
-        runner = ParallelRunner(
-            trace_length=10_000, warmup=2_000, seed=7, max_workers=2,
-            **kwargs,
+        runner = SimulationRunner(
+            trace_length=10_000, warmup=2_000, seed=7, **kwargs
         )
         started = time.perf_counter()
         results = runner.run_jobs(jobs)

@@ -31,7 +31,6 @@ from repro.config import (
 from repro.core import (
     COMPONENTS,
     FetchEngine,
-    ParallelRunner,
     SimulationResult,
     SimulationRunner,
     simulate,
@@ -83,7 +82,6 @@ __all__ = [
     "NullSink",
     "ObservabilityError",
     "Observer",
-    "ParallelRunner",
     "PhaseProfiler",
     "Program",
     "RingBufferSink",

@@ -6,7 +6,6 @@ across benchmarks and policies with workload caching.
 """
 
 from repro.core.engine import FetchEngine, build_branch_unit, simulate
-from repro.core.parallel import ParallelRunner
 from repro.core.results import (
     COMPONENTS,
     EngineCounters,
@@ -21,7 +20,6 @@ __all__ = [
     "DEFAULT_TRACE_LENGTH",
     "EngineCounters",
     "FetchEngine",
-    "ParallelRunner",
     "PenaltyAccumulator",
     "SimulationResult",
     "SimulationRunner",

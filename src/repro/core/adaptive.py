@@ -32,6 +32,7 @@ are discarded after their interval.  Construct only through
 from __future__ import annotations
 
 from repro.config import FetchPolicy
+from repro.core.engine import check_run
 from repro.core.lowering import span_counts
 from repro.core.results import SimulationResult
 from repro.core.schedule import (
@@ -65,18 +66,7 @@ class AdaptiveEngine:
     def run(self, trace: Trace, warmup_instructions: int = 0) -> SimulationResult:
         """Simulate *trace*; same contract as the event loop's ``run``."""
         inner = self.inner
-        if trace.program_name != inner.program.name:
-            raise SimulationError(
-                f"trace is for {trace.program_name!r}, "
-                f"engine built for {inner.program.name!r}"
-            )
-        if warmup_instructions < 0:
-            raise SimulationError(f"negative warmup {warmup_instructions}")
-        if warmup_instructions >= trace.n_instructions:
-            raise SimulationError(
-                f"warmup {warmup_instructions} consumes the whole trace "
-                f"({trace.n_instructions} instructions)"
-            )
+        check_run(inner.program, trace, warmup_instructions)
         inner._start_run(trace)
         plans = inner.plans(trace)
         spans = interval_spans(trace.records, self.config.adaptive_interval)

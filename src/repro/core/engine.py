@@ -108,6 +108,24 @@ def _resolve_noop(
     predictor — replay runs."""
 
 
+def check_run(program: Program, trace: Trace, warmup_instructions: int) -> None:
+    """The preconditions every engine's ``run`` shares: *trace* was
+    generated from *program*, and the warmup is non-negative and leaves
+    part of the trace to measure."""
+    if trace.program_name != program.name:
+        raise SimulationError(
+            f"trace is for {trace.program_name!r}, "
+            f"engine built for {program.name!r}"
+        )
+    if warmup_instructions < 0:
+        raise SimulationError(f"negative warmup {warmup_instructions}")
+    if warmup_instructions >= trace.n_instructions:
+        raise SimulationError(
+            f"warmup {warmup_instructions} consumes the whole trace "
+            f"({trace.n_instructions} instructions)"
+        )
+
+
 def build_branch_unit(config: SimConfig, stream=None):
     """Construct the branch unit described by *config*.
 
@@ -695,20 +713,7 @@ class FetchEngine:
         and :class:`IntervalStats` are recorded per span.  Without it the
         whole trace runs as one span — the exact pre-seam hot loop.
         """
-        if trace.program_name != self.program.name:
-            raise SimulationError(
-                f"trace is for {trace.program_name!r}, "
-                f"engine built for {self.program.name!r}"
-            )
-        if warmup_instructions < 0:
-            raise SimulationError(
-                f"negative warmup {warmup_instructions}"
-            )
-        if warmup_instructions >= trace.n_instructions:
-            raise SimulationError(
-                f"warmup {warmup_instructions} consumes the whole trace "
-                f"({trace.n_instructions} instructions)"
-            )
+        check_run(self.program, trace, warmup_instructions)
         if self.schedule.driver_required:
             raise SimulationError(
                 f"policy_schedule={self.config.policy_schedule!r} needs "

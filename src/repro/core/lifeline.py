@@ -1,22 +1,24 @@
-"""Tie a pool worker's life to the process that forked it.
+"""Pool worker lifetimes: tie a worker to its parent, tear a pool down.
 
 A fork-context pool worker inherits the write end of its own call
 queue, so a parent that dies without shutting the pool down (SIGKILL,
 OOM kill) leaves workers that never see EOF: they sit reparented to
-PID 1 indefinitely.  Every process pool in the package therefore passes
-:func:`tie_to_parent` as its worker initializer::
-
-    ProcessPoolExecutor(
-        max_workers=n, initializer=tie_to_parent, initargs=(os.getpid(),)
-    )
+PID 1 indefinitely.  The fork pool of
+:meth:`~repro.core.runner.SimulationRunner.run_many` therefore calls
+:func:`tie_to_parent` from its worker initializer.  The sweep service's
+pool spawns its workers instead, so they inherit no call queue and need
+no lifeline.
 
 On Linux the kernel delivers ``SIGKILL`` to the worker the moment its
 parent dies (``prctl(PR_SET_PDEATHSIG)``); elsewhere a daemon thread
 polls ``os.getppid()`` and exits once the worker has been reparented.
+
+:func:`terminate_pool` is the one hard teardown both pools use.
 """
 
 from __future__ import annotations
 
+import contextlib
 import os
 import signal
 import sys
@@ -42,6 +44,20 @@ def tie_to_parent(parent_pid: int) -> None:
         target=_watch_parent, args=(parent_pid,), daemon=True,
         name="repro-parent-watch",
     ).start()
+
+
+def terminate_pool(pool) -> None:
+    """Shut a process pool down hard: cancel queued work, kill live
+    workers, and reap them."""
+    # Read the workers first: ``shutdown`` drops the pool's reference.
+    processes = list((getattr(pool, "_processes", None) or {}).values())
+    pool.shutdown(wait=False, cancel_futures=True)
+    for proc in processes:
+        with contextlib.suppress(Exception):
+            proc.terminate()
+    for proc in processes:
+        with contextlib.suppress(Exception):
+            proc.join(timeout=5)
 
 
 def _set_parent_death_signal() -> bool:

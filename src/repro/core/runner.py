@@ -5,8 +5,7 @@ program and generating its trace dominates setup cost, so the runner memo-
 izes both per ``(workload, n_instructions, seed)`` and replays the cached
 trace through fresh engines.
 
-The runner also carries the serial half of the fault-tolerant sweep
-layer (the parallel half lives in :mod:`repro.core.parallel`): per-cell
+The runner also carries the fault-tolerant sweep layer: per-cell
 retry with bounded deterministic exponential backoff, a signal-based
 watchdog (``job_timeout``), graceful degradation (``on_error="skip"``
 turns failed cells into :class:`MissingResult` placeholders recorded in
@@ -49,6 +48,7 @@ from repro.config import ALL_POLICIES, FetchPolicy, SimConfig
 from repro.core.artifacts import ArtifactCache
 from repro.core.engine import simulate
 from repro.core.faults import FaultPlan, corrupt_entry, is_transient
+from repro.core.lifeline import terminate_pool
 from repro.core.results import MissingResult, SimulationResult, SweepFailure
 from repro.core.store import ResultStore, cell_digest, cell_key
 from repro.errors import ExperimentError, JobTimeoutError
@@ -619,10 +619,11 @@ class SimulationRunner:
     ) -> list[SimulationResult]:
         """Simulate ``(benchmark, config)`` jobs; results in job order.
 
-        The batch call :class:`~repro.core.parallel.ParallelRunner` and
-        the service's ``RemoteRunner`` share: *jobs* are planned through
-        :meth:`run_many`, then requested one by one through :meth:`run`,
-        so results, cell traffic and the registry match a serial run.
+        The batch call this runner shares with the service's
+        ``RemoteRunner`` (``Sweep.run`` uses it): *jobs* are planned
+        through :meth:`run_many`, so they run on every core, then
+        requested one by one through :meth:`run`, so results, cell
+        traffic and the registry match a serial run.
         """
         jobs = list(jobs)
         self.run_many(jobs)
@@ -780,8 +781,7 @@ class SimulationRunner:
                     self._hold(task, outcome)
             except BaseException:
                 # Interrupted: do not wait for the running tasks.
-                for process in list((pool._processes or {}).values()):
-                    process.terminate()
+                terminate_pool(pool)
                 raise
             finally:
                 pool.shutdown(wait=True, cancel_futures=True)

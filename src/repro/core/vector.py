@@ -68,6 +68,7 @@ from repro.branch.stream import recorded_walks, replay_eligible
 from repro.branch.unit import BranchStats
 from repro.cache.icache import lower_way_slot, move_to_mru
 from repro.config import FetchPolicy, SimConfig
+from repro.core.engine import check_run
 from repro.core.lowering import flat_probes
 from repro.core.results import EngineCounters, PenaltyAccumulator, SimulationResult
 from repro.core.vector_kernels import (  # noqa: F401  (kernel re-exports)
@@ -253,18 +254,7 @@ class VectorEngine:
         Same contract (and same validation) as the event loop's ``run``.
         """
         inner = self.inner
-        if trace.program_name != inner.program.name:
-            raise SimulationError(
-                f"trace is for {trace.program_name!r}, "
-                f"engine built for {inner.program.name!r}"
-            )
-        if warmup_instructions < 0:
-            raise SimulationError(f"negative warmup {warmup_instructions}")
-        if warmup_instructions >= trace.n_instructions:
-            raise SimulationError(
-                f"warmup {warmup_instructions} consumes the whole trace "
-                f"({trace.n_instructions} instructions)"
-            )
+        check_run(inner.program, trace, warmup_instructions)
         self.unit.rewind()
         self._stream.require_trace(trace)
         ta = trace_arrays(trace)

@@ -71,7 +71,7 @@ class InjectedFault(Exception):
 
     Deliberately *not* a :class:`ReproError`: injected faults impersonate
     external failures (worker death, flaky I/O), which the retry
-    classifier in :mod:`repro.core.parallel` treats differently from
+    classifier (:func:`repro.core.faults.is_transient`) treats differently from
     library errors.  ``transient`` mirrors that split: ``True`` means the
     sweep layer should retry, ``False`` models a deterministic simulation
     bug that must fail fast.

@@ -9,8 +9,8 @@ to explore configurations the paper never ran.
 
 :meth:`Sweep.run` hands all its cells to the runner in one
 ``run_jobs`` call, so a :class:`~repro.core.runner.SimulationRunner`
-simulates them on every core, a ``ParallelRunner`` on its pool, and a
-``RemoteRunner`` sends them as one request.
+simulates them on every core and a ``RemoteRunner`` sends them as one
+request.
 """
 
 from __future__ import annotations

@@ -2,7 +2,7 @@
 
 Every result this reproduction publishes rests on invariants no unit
 test can watch continuously: core simulation code must be bit-
-deterministic, objects crossing the ``ParallelRunner`` pool boundary
+deterministic, objects crossing a process-pool boundary
 must survive pickling, raise sites must speak the ``repro.errors``
 taxonomy that ``is_transient`` classifies, and metrics/events must land
 in their registered namespaces.  This package machine-checks those

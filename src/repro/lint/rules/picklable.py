@@ -1,8 +1,10 @@
 """SIM003: exception types must survive the process-pool boundary.
 
-``ParallelRunner`` workers report failure by raising; the exception is
-pickled in the worker, unpickled in the parent, and fed to
-``is_transient`` to decide retry-vs-fail-fast.  Two static properties
+Sweep service workers report failure by raising; the exception is
+pickled in the worker, unpickled in the service, and fed to
+``is_transient`` to decide retry-vs-fail-fast.  (A plan pool worker of
+``SimulationRunner.run_many`` returns its cell's exception inside the
+outcome, so it crosses the same boundary.)  Two static properties
 make that safe:
 
 * the class must be importable at module level — an exception defined
@@ -110,7 +112,7 @@ class PoolPicklableRule(Rule):
                     node.col_offset,
                     f"exception class {node.name} is defined inside a "
                     f"function; it cannot be unpickled across the "
-                    f"ParallelRunner pool boundary",
+                    f"process-pool boundary",
                 )
                 continue
             message = self._args_roundtrip_violation(node)

@@ -12,9 +12,9 @@ One :class:`SweepService` owns four pieces of shared state:
 * a **fair scheduler** — per-client FIFO queues drained round-robin,
   with higher ``priority`` requests served first at each pick, so one
   client's thousand-cell sweep cannot starve another's single cell;
-* a **process pool** running the exact worker entry point the parallel
-  runner uses (:func:`~repro.core.parallel._run_benchmark_jobs`), so a
-  served cell is bit-identical to a local serial or parallel run.
+* a **process pool** of spawned workers, each running one cell per call
+  (:func:`~repro.core.worker.serve_cell`), so a served cell is
+  bit-identical to a local run.
 
 Crash containment is first-class, reusing the PR 3 failure taxonomy
 (:func:`~repro.core.faults.is_transient`):
@@ -52,13 +52,10 @@ from dataclasses import dataclass, field
 from pathlib import Path
 
 from repro.core.faults import FaultPlan, is_transient
-from repro.core.parallel import (
-    ParallelRunner,
-    _pool_worker,
-    _run_benchmark_jobs,
-)
+from repro.core.lifeline import terminate_pool
 from repro.core.results import MissingResult, SweepFailure
 from repro.core.store import ResultStore, cell_digest
+from repro.core.worker import _pool_worker, serve_cell
 from repro.errors import InjectedFault, JobTimeoutError, ServiceError
 from repro.obs.events import EventSink, NullSink, ServiceIncident
 from repro.obs.metrics import Counter, Histogram, MetricsRegistry
@@ -391,7 +388,7 @@ class SweepService:
         self.registry.inc("service.pool_rebuilds")
         # terminate + join can block for seconds: do it off-loop.
         await asyncio.get_running_loop().run_in_executor(
-            None, ParallelRunner._terminate_pool, pool
+            None, terminate_pool, pool
         )
 
     async def _execute(self, job: _CellJob) -> object:
@@ -407,18 +404,15 @@ class SweepService:
                     # simlint: disable=SIM015
                     self.fault_plan.fire("dispatch", job.benchmark)
                 payload = (
-                    job.benchmark, (job.config,), job.trace_length,
-                    job.warmup, job.seed, False, self.cache_dir,
-                    self.fault_plan,
+                    job.benchmark, job.config, job.trace_length,
+                    job.warmup, job.seed, self.cache_dir, self.fault_plan,
                 )
                 pool = await self._pool_ready()
-                future = loop.run_in_executor(
-                    pool, _run_benchmark_jobs, payload
-                )
+                future = loop.run_in_executor(pool, serve_cell, payload)
                 if self.job_timeout is not None:
-                    ret = await asyncio.wait_for(future, self.job_timeout)
+                    result = await asyncio.wait_for(future, self.job_timeout)
                 else:
-                    ret = await future
+                    result = await future
                 spec = None
                 if self.fault_plan is not None:
                     # Same as dispatch: injected store_write delays are
@@ -454,8 +448,6 @@ class SweepService:
                     await self._backoff(job)
                     continue
                 raise
-            results, _, _ = ret
-            result = results[0]
             self.store.store(
                 job.digest, job.benchmark, job.config, job.trace_length,
                 job.warmup, job.seed, result,
@@ -625,7 +617,7 @@ class SweepService:
             pool = self._pool
             self._pool = None
             await asyncio.get_running_loop().run_in_executor(
-                None, ParallelRunner._terminate_pool, pool
+                None, terminate_pool, pool
             )
 
 

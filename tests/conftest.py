@@ -8,11 +8,28 @@ from __future__ import annotations
 
 import pytest
 
+import repro.core.runner as runner_module
 from repro.core.runner import SimulationRunner
 from repro.program.behaviour import LoopBehaviour, PatternBehaviour
 from repro.program.builder import ProgramBuilder
 from repro.program.program import Program
 from repro.trace.generator import generate_trace
+
+
+def without_plan_counters(registry) -> dict:
+    """*registry*'s snapshot bar the ``sweep.plan_*`` counters only a
+    planned run (``SimulationRunner.run_many``) publishes."""
+    return {
+        name: value for name, value in registry.as_dict().items()
+        if not name.startswith("sweep.plan_")
+    }
+
+
+@pytest.fixture
+def plan_pool(monkeypatch):
+    """Force ``SimulationRunner.run_many``'s pool (two workers), so a
+    plan runs in forked workers on a one-CPU host too."""
+    monkeypatch.setattr(runner_module, "_plan_workers", lambda: 2)
 
 
 @pytest.fixture(scope="session")

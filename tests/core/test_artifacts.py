@@ -10,9 +10,9 @@ import pytest
 from repro.config import FetchPolicy, SimConfig
 from repro.core import artifacts as artifacts_module
 from repro.core.artifacts import ArtifactCache
-from repro.core.parallel import ParallelRunner
 from repro.core.runner import SimulationRunner
 from repro.errors import ExperimentError
+from repro.obs import Observer
 from repro.trace.generator import GENERATOR_VERSION
 
 TRACE = 8_000
@@ -181,25 +181,27 @@ class TestRunnerWiring:
         )
         assert warm.run("li", config) == expected
 
-    def test_parallel_workers_share_cache(self, tmp_path):
+    def test_parallel_workers_share_cache(self, tmp_path, plan_pool):
         config = SimConfig(policy=FetchPolicy.RESUME)
         serial = SimulationRunner(trace_length=TRACE, warmup=WARMUP, seed=SEED)
-        runner = ParallelRunner(
+        runner = SimulationRunner(
             trace_length=TRACE, warmup=WARMUP, seed=SEED,
-            max_workers=2, cache_dir=str(tmp_path),
+            observer=Observer(), cache_dir=str(tmp_path),
         )
         results = runner.run_jobs([("li", config), ("doduc", config)])
+        assert runner.observer.registry.value("sweep.plan_tasks") == 2
         assert results[0] == serial.run("li", config)
         assert results[1] == serial.run("doduc", config)
         cache = ArtifactCache(tmp_path)
         assert cache.load("li", TRACE, SEED) is not None
         assert cache.load("doduc", TRACE, SEED) is not None
-        # Warm parallel pass: same results, straight from the cache.
-        warm = ParallelRunner(
+        # Warm pooled pass: same results, straight from the cache.
+        warm = SimulationRunner(
             trace_length=TRACE, warmup=WARMUP, seed=SEED,
-            max_workers=2, cache_dir=str(tmp_path),
+            observer=Observer(), cache_dir=str(tmp_path),
         )
         assert warm.run_jobs([("li", config), ("doduc", config)]) == results
+        assert warm.observer.registry.value("sweep.plan_tasks") == 2
 
 
 class TestRunnerMemoKeys:

@@ -1,22 +1,31 @@
-"""Differential determinism: serial vs parallel, results and metrics.
+"""Differential determinism: serial vs the plan pool, results and metrics.
 
-The parallel runner must be an implementation detail: for the same
-(trace_length, seed, warmup) a sweep gives bit-identical
-``SimulationResult``s and — when both sides collect metrics — identical
-merged registries, across all five fetch policies.
+The plan pool must be an implementation detail: for the same
+(trace_length, seed, warmup) a sweep planned onto forked workers gives
+bit-identical ``SimulationResult``s and an identical registry (bar the
+``sweep.plan_*`` counters only a planned run publishes), across all five
+fetch policies.
 """
 
 import pytest
 
+import repro.core.runner as runner_module
 from repro.config import ALL_POLICIES, SimConfig
-from repro.core.parallel import ParallelRunner
 from repro.core.runner import SimulationRunner
-from repro.obs import Observer
+from repro.obs import Observer, PhaseProfiler
+from repro.obs.metrics import MetricsRegistry
+from tests.conftest import without_plan_counters
 
 TRACE = 15_000
 WARMUP = 3_000
 SEED = 7
 BENCHMARKS = ("gcc", "li")
+
+def _pooled():
+    return SimulationRunner(
+        trace_length=TRACE, warmup=WARMUP, seed=SEED,
+        observer=Observer(profiler=PhaseProfiler()),
+    )
 
 
 @pytest.mark.slow
@@ -27,67 +36,74 @@ class TestSerialParallelDifferential:
         serial = SimulationRunner(
             trace_length=TRACE, warmup=WARMUP, seed=SEED, observer=observer
         )
-        parallel = ParallelRunner(
-            trace_length=TRACE,
-            warmup=WARMUP,
-            seed=SEED,
-            max_workers=2,
-            collect_metrics=True,
-        )
         config = SimConfig(prefetch=True)
         serial_matrix = serial.run_matrix(BENCHMARKS, config)
-        parallel_matrix = parallel.run_matrix(BENCHMARKS, config)
-        return serial_matrix, parallel_matrix, observer, parallel
+        patch = pytest.MonkeyPatch()
+        patch.setattr(runner_module, "_plan_workers", lambda: 2)
+        try:
+            pooled = _pooled()
+            pooled.run_many(
+                (name, config.with_policy(policy))
+                for name in BENCHMARKS for policy in ALL_POLICIES
+            )
+            pooled_matrix = pooled.run_matrix(BENCHMARKS, config)
+        finally:
+            patch.undo()
+        return serial_matrix, pooled_matrix, observer, pooled
 
     @pytest.mark.parametrize("policy", ALL_POLICIES, ids=lambda p: p.name)
     def test_results_bit_identical(self, matrices, policy):
-        serial_matrix, parallel_matrix, _, _ = matrices
+        serial_matrix, pooled_matrix, _, _ = matrices
         for name in BENCHMARKS:
-            assert serial_matrix[name][policy] == parallel_matrix[name][policy]
+            assert serial_matrix[name][policy] == pooled_matrix[name][policy]
 
     def test_merged_metrics_identical(self, matrices):
-        _, _, observer, parallel = matrices
-        assert observer.registry.as_dict() == parallel.metrics.as_dict()
+        _, _, observer, pooled = matrices
+        registry = pooled.observer.registry
+        assert registry.value("sweep.plan_tasks") == (
+            len(BENCHMARKS) * len(ALL_POLICIES)
+        )
+        assert observer.registry.as_dict() == without_plan_counters(registry)
 
     def test_metrics_nonempty(self, matrices):
         _, _, observer, _ = matrices
         assert observer.registry.value("engine.instructions") > 0
 
     def test_parallel_profile_covers_phases(self, matrices):
-        _, _, _, parallel = matrices
-        summary = parallel.profile.summary()
-        assert {"build_program", "generate_trace", "simulate"} <= set(summary)
+        _, _, _, pooled = matrices
+        summary = pooled.observer.profiler.summary()
+        assert {"build_program", "generate_trace", "pool.simulate"} <= set(
+            summary
+        )
         # one simulate phase entry per (benchmark, policy) cell, matching
         # the serial runner's per-config phase granularity
-        assert summary["simulate"]["calls"] == len(BENCHMARKS) * len(ALL_POLICIES)
+        assert summary["pool.simulate"]["calls"] == (
+            len(BENCHMARKS) * len(ALL_POLICIES)
+        )
 
 
 @pytest.mark.slow
-def test_parallel_reruns_reset_metrics():
-    """run_jobs must not leak metrics from a previous sweep."""
-    parallel = ParallelRunner(
-        trace_length=TRACE,
-        warmup=WARMUP,
-        seed=SEED,
-        max_workers=2,
-        collect_metrics=True,
-    )
+def test_parallel_reruns_reset_metrics(plan_pool):
+    """A rerun on the plan pool publishes nothing of an earlier sweep."""
+    pooled = _pooled()
     jobs = [("gcc", SimConfig()), ("li", SimConfig())]
-    parallel.run_jobs(jobs)
-    # A rerun is served from the result memo: its registry holds its own
-    # hits and nothing of the first sweep's simulations.
-    parallel.run_jobs(jobs)
-    assert parallel.metrics.as_dict() == {"sweep.result_hits": len(jobs)}
+    pooled.run_jobs(jobs)
+    # A rerun is served from the result memo: it adds its own hits and
+    # nothing else.
+    before = pooled.observer.registry.as_dict()
+    pooled.run_jobs(jobs)
+    after = pooled.observer.registry.as_dict()
+    assert {
+        name: after[name] - before.get(name, 0)
+        for name in after if after[name] != before.get(name)
+    } == {"sweep.result_hits": len(jobs)}
     # New cells on the same runner publish exactly what a fresh runner's
     # sweep of them does.
     more = [("gcc", SimConfig(prefetch=True)), ("li", SimConfig(prefetch=True))]
-    parallel.run_jobs(more)
-    fresh = ParallelRunner(
-        trace_length=TRACE,
-        warmup=WARMUP,
-        seed=SEED,
-        max_workers=2,
-        collect_metrics=True,
-    )
+    before = pooled.observer.registry.as_dict()
+    pooled.run_jobs(more)
+    after = pooled.observer.registry.as_dict()
+    fresh = _pooled()
     fresh.run_jobs(more)
-    assert parallel.metrics.as_dict() == fresh.metrics.as_dict()
+    merged = MetricsRegistry.from_dict(before).merge(fresh.observer.registry)
+    assert merged.as_dict() == after

@@ -4,7 +4,7 @@ Satellite of PR 7: an ``engine_backend="vector"`` cell that silently ran
 the event loop used to be invisible.  ``build_engine`` now bumps
 ``engine.fallback_total`` plus a per-reason counter (and emits an
 ``EngineFallback`` event when a sink is enabled) — and the serial and
-parallel runners must agree on every count.
+pooled runs must agree on every count.
 """
 
 from __future__ import annotations
@@ -15,7 +15,6 @@ import pytest
 
 from repro.config import FetchPolicy, SimConfig
 from repro.core.engine import FALLBACK_COUNTERS
-from repro.core.parallel import ParallelRunner
 from repro.core.runner import SimulationRunner
 from repro.obs import Observer, RingBufferSink
 from repro.obs.events import EngineFallback
@@ -75,16 +74,14 @@ class TestFallbackCounters:
             runner.run(name, replace(config, engine_backend="auto"))
         assert observer.registry.value("engine.fallback_total") == 0
 
-    def test_serial_parallel_parity(self, serial_counts):
-        runner = ParallelRunner(
-            trace_length=TRACE,
-            warmup=0,
-            seed=9,
-            max_workers=2,
-            collect_metrics=True,
+    def test_serial_parallel_parity(self, serial_counts, plan_pool):
+        observer = Observer()
+        runner = SimulationRunner(
+            trace_length=TRACE, warmup=0, seed=9, observer=observer
         )
         runner.run_jobs(JOBS)
-        assert _fallback_counts(runner.metrics) == serial_counts
+        assert observer.registry.value("sweep.plan_tasks") == len(JOBS)
+        assert _fallback_counts(observer.registry) == serial_counts
 
     def test_event_emitted_with_enabled_sink(self):
         sink = RingBufferSink()

@@ -9,8 +9,8 @@ architectural cell has no live run left to compare with, so these tests
 compare each replay with the digest the live predictor gave
 (``tests/core/test_arch_pins.py``), and a perfect-cache replay with the
 live run.  Then they pin the infrastructure around replay: persistence
-round-trips, cache corruption handling, runner/parallel wiring, metric
-parity, and the guards that keep ineligible configurations off the
+round-trips, cache corruption handling, plan pool and service worker
+wiring, metric parity, and the guards that keep ineligible configurations off the
 replay path.
 """
 
@@ -26,8 +26,9 @@ import pytest
 from repro.config import ALL_POLICIES, FetchPolicy, SimConfig
 from repro.core.artifacts import ArtifactCache
 from repro.core.engine import simulate
-from repro.core.parallel import ParallelRunner
+import repro.core.worker as worker_module
 from repro.core.runner import SimulationRunner
+from repro.core.worker import serve_cell
 from repro.branch.stream import (
     PredictionStream,
     ReplayBranchUnit,
@@ -358,84 +359,122 @@ class TestRunnerWiring:
 
 
 class TestParallelWiring:
+    """The plan pool (``SimulationRunner.run_jobs``) and the service
+    worker (``serve_cell``) replay what the serial runner replays."""
+
     JOBS = [
         ("li", arch(policy=policy)) for policy in ALL_POLICIES
     ] + [("li", SimConfig())]
 
-    def test_parallel_matches_serial_with_replay(self, tmp_path):
+    @staticmethod
+    def _pooled(cache_dir):
+        return SimulationRunner(
+            trace_length=6_000, seed=SEED, warmup=500,
+            observer=Observer(profiler=PhaseProfiler()), cache_dir=cache_dir,
+        )
+
+    @staticmethod
+    def _serve(name, config, cache_dir):
+        return serve_cell((name, config, 6_000, 500, SEED, cache_dir, None))
+
+    @staticmethod
+    def _watch_worker(monkeypatch):
+        """Count the worker's stream recordings and keep the stream each
+        cell was simulated with."""
+        builds, streams = [], []
+        real_build = worker_module.build_stream
+        real_simulate = worker_module.simulate
+
+        def counting_build(*args):
+            builds.append(args[2])
+            return real_build(*args)
+
+        def watching_simulate(*args, stream=None, **kwargs):
+            streams.append(stream)
+            return real_simulate(*args, stream=stream, **kwargs)
+
+        monkeypatch.setattr(worker_module, "build_stream", counting_build)
+        monkeypatch.setattr(worker_module, "simulate", watching_simulate)
+        return builds, streams
+
+    def test_parallel_matches_serial_with_replay(self, tmp_path, plan_pool):
         obs = Observer(profiler=PhaseProfiler())
         serial = SimulationRunner(
             trace_length=6_000, seed=SEED, warmup=500,
             observer=obs, cache_dir=str(tmp_path / "serial"),
         )
         serial_results = [serial.run(n, c) for n, c in self.JOBS]
-        parallel = ParallelRunner(
-            trace_length=6_000, seed=SEED, warmup=500, max_workers=2,
-            collect_metrics=True, cache_dir=str(tmp_path / "parallel"),
-        )
-        assert parallel.run_jobs(self.JOBS) == serial_results
+        pooled = self._pooled(str(tmp_path / "parallel"))
+        assert pooled.run_jobs(self.JOBS) == serial_results
+        registry = pooled.observer.registry
+        assert registry.value("sweep.plan_tasks") == len(self.JOBS)
         for key in ("stream.builds", "stream.cache_hits", "stream.replays"):
-            assert parallel.metrics.value(key) == obs.registry.value(key), key
+            assert registry.value(key) == obs.registry.value(key), key
 
-    def test_workers_mmap_cached_streams(self, tmp_path):
+    def test_workers_mmap_cached_streams(self, tmp_path, plan_pool, monkeypatch):
         cache_dir = str(tmp_path / "shared")
-        first = ParallelRunner(
-            trace_length=6_000, seed=SEED, warmup=500, max_workers=2,
-            collect_metrics=True, cache_dir=cache_dir,
-        )
+        first = self._pooled(cache_dir)
         baseline = first.run_jobs(self.JOBS)
-        assert first.metrics.value("stream.builds") == 1
+        assert first.observer.registry.value("stream.builds") == 1
         # The stream landed in the shared cache...
         digest = stream_digest(arch())
         directory = ArtifactCache(cache_dir).stream_dir(
             "li", 6_000, SEED, digest
         )
         assert (directory / "meta.json").is_file()
-        # ...and a second sweep loads (mmaps) it instead of rebuilding.
-        second = ParallelRunner(
-            trace_length=6_000, seed=SEED, warmup=500, max_workers=2,
-            collect_metrics=True, cache_dir=cache_dir,
-        )
+        # ...a second sweep loads it instead of rebuilding...
+        second = self._pooled(cache_dir)
         assert second.run_jobs(self.JOBS) == baseline
-        assert second.metrics.value("stream.builds") == 0
-        assert second.metrics.value("stream.cache_hits") == 1
+        assert second.observer.registry.value("stream.builds") == 0
+        assert second.observer.registry.value("stream.cache_hits") == 1
+        # ...and the service worker memory-maps it.
+        builds, streams = self._watch_worker(monkeypatch)
+        for (name, config), expected in zip(self.JOBS, baseline):
+            assert self._serve(name, config, cache_dir) == expected
+        assert builds == []
+        assert all(stream is not None for stream in streams[:-1])
+        assert streams[-1] is None  # the timing-schedule cell
 
-    def test_lone_perfect_cache_cells_run_live(self):
-        # A stream no other cell of the batch shares costs more to record
-        # than its one perfect-cache cell costs live.
-        runner = ParallelRunner(trace_length=20_000, collect_metrics=True)
-        runner.run_jobs(
-            [(name, SimConfig(perfect_cache=True)) for name in ("gcc", "doduc")]
-        )
-        assert runner.metrics.value("stream.builds") == 0
-        assert runner.metrics.value("stream.replays") == 0
-
-    def test_lone_real_cache_cell_replays_its_recording(self, tmp_path):
-        # A real-cache architectural cell always replays: the worker
-        # records its stream and persists it for the next batch.
-        config = arch(policy=FetchPolicy.RESUME)
-        for builds, hits in ((1, 0), (0, 1)):
-            runner = ParallelRunner(
-                trace_length=6_000, seed=SEED, warmup=500,
-                collect_metrics=True, cache_dir=str(tmp_path),
+    def test_lone_perfect_cache_cells_run_live(self, tmp_path, monkeypatch):
+        # A stream no cache holds costs more to record than its
+        # perfect-cache cell costs live: the worker runs it live and
+        # stores no stream.
+        builds, streams = self._watch_worker(monkeypatch)
+        config = SimConfig(perfect_cache=True)
+        for name in ("gcc", "doduc"):
+            self._serve(name, config, str(tmp_path))
+            directory = ArtifactCache(str(tmp_path)).stream_dir(
+                name, 6_000, SEED, stream_digest(config)
             )
-            (result,) = runner.run_jobs([("li", config)])
-            assert cell_sha256(result) == PINNED["parallel/resume"]
-            assert runner.metrics.value("stream.builds") == builds
-            assert runner.metrics.value("stream.cache_hits") == hits
-            assert runner.metrics.value("stream.replays") == 1
+            assert not directory.exists()
+        assert builds == [] and streams == [None, None]
 
-    def test_parallel_replay_matches_pins(self, tmp_path):
-        runner = ParallelRunner(
-            trace_length=6_000, seed=SEED, warmup=500, max_workers=2,
-            cache_dir=str(tmp_path),
-        )
+    def test_lone_real_cache_cell_replays_its_recording(
+        self, tmp_path, monkeypatch
+    ):
+        # A real-cache architectural cell always replays: the worker
+        # records its stream and stores it for the next request, which
+        # loads it instead.
+        builds, streams = self._watch_worker(monkeypatch)
+        config = arch(policy=FetchPolicy.RESUME)
+        for _ in range(2):
+            result = self._serve("li", config, str(tmp_path))
+            assert cell_sha256(result) == PINNED["parallel/resume"]
+            assert len(builds) == 1
+        assert len(streams) == 2 and None not in streams
+
+    def test_parallel_replay_matches_pins(self, tmp_path, plan_pool):
+        runner = self._pooled(str(tmp_path / "pool"))
         results = runner.run_jobs(self.JOBS)
-        for (_, config), result in zip(self.JOBS, results):
+        assert runner.observer.registry.value("sweep.plan_tasks") == len(
+            self.JOBS
+        )
+        for (name, config), result in zip(self.JOBS, results):
             if config.branch_schedule == "architectural":
-                assert cell_sha256(result) == PINNED[
-                    f"parallel/{config.policy.value}"
-                ]
+                pin = PINNED[f"parallel/{config.policy.value}"]
+                assert cell_sha256(result) == pin
+                served = self._serve(name, config, str(tmp_path / "service"))
+                assert cell_sha256(served) == pin
 
 
 # -- replay facade details ---------------------------------------------------

@@ -1,9 +1,11 @@
-"""Pool workers die with their parent.
+"""Pool workers die with their parent, and with a hard teardown.
 
 A fork-context pool worker inherits its call queue's write end, so it
 never sees EOF when the parent is SIGKILLed; without a lifeline it
-would outlive the parent indefinitely.  Each test SIGKILLs a parent
-while its workers are busy and requires every worker gone 5 s later.
+would outlive the parent indefinitely.  Each parametrized test SIGKILLs
+a parent while its workers are busy and requires every worker gone 5 s
+later.  The last test requires ``terminate_pool`` to kill a busy worker
+at once, not when its task ends.
 """
 
 from __future__ import annotations
@@ -27,14 +29,12 @@ SRC = str(Path(__file__).resolve().parents[2] / "src")
 #: Victim prologue: every simulation hangs, so workers stay busy.
 PROLOGUE = """
 import time
-import repro.core.parallel as parallel_module
 import repro.core.runner as runner_module
 from repro.config import ALL_POLICIES, SimConfig
 
 def hang(*args, **kwargs):
     time.sleep(600)
 
-parallel_module.simulate = hang
 runner_module.simulate = hang
 runner_module._plan_workers = lambda: 2
 cells = [(name, SimConfig(policy=policy))
@@ -42,8 +42,8 @@ cells = [(name, SimConfig(policy=policy))
 """
 
 RUN_JOBS = """
-from repro.core.parallel import ParallelRunner
-ParallelRunner(trace_length=2000, warmup=0, max_workers=2).run_jobs(cells)
+from repro.core.runner import SimulationRunner
+SimulationRunner(trace_length=2000, warmup=0).run_jobs(cells)
 """
 
 RUN_MANY = """
@@ -99,3 +99,19 @@ def test_workers_die_with_a_killed_parent(body):
     for pid in survivors:
         os.kill(pid, signal.SIGKILL)
     assert survivors == []
+
+
+def test_terminate_pool_kills_busy_workers():
+    from concurrent.futures import ProcessPoolExecutor
+
+    from repro.core.lifeline import terminate_pool
+
+    pool = ProcessPoolExecutor(max_workers=1)
+    pool.submit(os.getpid).result(timeout=60)  # the worker is up
+    workers = list(pool._processes.values())
+    pool.submit(time.sleep, 600)
+    time.sleep(0.2)  # let the worker pick up its sleep
+    started = time.monotonic()
+    terminate_pool(pool)
+    assert time.monotonic() - started < 10
+    assert workers and not any(proc.is_alive() for proc in workers)

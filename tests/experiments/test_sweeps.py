@@ -5,10 +5,10 @@ from dataclasses import asdict
 import pytest
 
 from repro.config import FetchPolicy, SimConfig
-from repro.core.parallel import ParallelRunner
 from repro.core.runner import SimulationRunner
 from repro.errors import ExperimentError
 from repro.experiments.sweeps import METRICS, Sweep
+from repro.obs import Observer
 from repro.service import RemoteRunner
 from repro.service.protocol import SweepResponse
 
@@ -152,15 +152,17 @@ class TestRunners:
     def reference(self, runner):
         return rows(small_sweep().run(runner, benchmarks=self.BENCHMARKS))
 
-    def test_parallel_runner(self, runner, reference):
-        parallel = ParallelRunner(
+    def test_parallel_runner(self, runner, reference, plan_pool):
+        # A fresh runner on the plan pool: Sweep.run plans every cell.
+        pooled = SimulationRunner(
             trace_length=runner.trace_length,
             warmup=runner.warmup,
             seed=runner.seed,
-            max_workers=2,
+            observer=Observer(),
         )
-        points = small_sweep().run(parallel, benchmarks=self.BENCHMARKS)
+        points = small_sweep().run(pooled, benchmarks=self.BENCHMARKS)
         assert rows(points) == reference
+        assert pooled.observer.registry.value("sweep.plan_tasks") == len(points)
 
     def test_remote_runner_sends_one_request(self, runner, reference):
         client = CountingClient()

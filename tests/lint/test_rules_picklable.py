@@ -2,7 +2,7 @@
 
 The positive cases are variations of the PR 3 ``InjectedFault.__reduce__``
 regression: exception state that silently fails to cross the
-``ParallelRunner`` process-pool boundary.
+process-pool boundary.
 """
 
 from __future__ import annotations

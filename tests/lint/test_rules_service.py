@@ -119,14 +119,14 @@ def test_nested_async_def_still_checked() -> None:
 
 
 def test_scoped_to_service_modules() -> None:
-    # The parallel runner legitimately sleeps between retries off-loop.
+    # The runner legitimately sleeps between retries off-loop.
     findings = run_rules(
         "def pause(seconds):\n"
         "    try:\n"
         "        time.sleep(seconds)\n"
         "    except KeyboardInterrupt:\n"
         "        pass\n",
-        module="repro.core.parallel",
+        module="repro.core.runner",
         select="SIM013",
     )
     assert findings == []

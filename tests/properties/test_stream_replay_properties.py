@@ -8,8 +8,9 @@ cache sizes, prefetch and warmup prefixes.  That is the cache and
 policy independence ``stream_digest`` relies on.  (The comparison with
 the live predictor is pinned in ``tests/core/test_arch_pins.py``, on a
 fixed sample of these cells.)  A second property pins the
-serial-vs-parallel metric contract: a parallel sweep's merged registry
-equals the serial observed sweep's, stream counters included.
+serial-vs-pooled metric contract: a sweep planned onto the plan pool
+publishes the serial observed sweep's registry, stream counters
+included, plus only the ``sweep.plan_*`` counters.
 """
 
 from hypothesis import given, settings
@@ -21,7 +22,7 @@ from repro.branch.stream import build_stream
 from repro.obs import Observer
 from repro.program import BiasedBehaviour, LoopBehaviour
 from repro.trace.generator import generate_trace
-from tests.conftest import make_diamond_program
+from tests.conftest import make_diamond_program, without_plan_counters
 
 
 @st.composite
@@ -90,7 +91,9 @@ def test_stream_replays_across_cells(cell):
 )
 @settings(max_examples=5, deadline=None)
 def test_serial_and_parallel_registries_agree_under_replay(seed, n, tmp_path_factory):
-    from repro.core.parallel import ParallelRunner
+    import pytest
+
+    import repro.core.runner as runner_module
     from repro.core.runner import SimulationRunner
     from repro.obs.profile import PhaseProfiler
 
@@ -105,9 +108,13 @@ def test_serial_and_parallel_registries_agree_under_replay(seed, n, tmp_path_fac
         cache_dir=str(tmp / f"s{seed}-{n}"),
     )
     serial_results = [serial.run(name, config) for name, config in jobs]
-    parallel = ParallelRunner(
-        trace_length=n, seed=seed, warmup=0, max_workers=1,
-        collect_metrics=True, cache_dir=str(tmp / f"p{seed}-{n}"),
+    pooled_obs = Observer(profiler=PhaseProfiler())
+    pooled = SimulationRunner(
+        trace_length=n, seed=seed, warmup=0, observer=pooled_obs,
+        cache_dir=str(tmp / f"p{seed}-{n}"),
     )
-    assert parallel.run_jobs(jobs) == serial_results
-    assert parallel.metrics.as_dict() == obs.registry.as_dict()
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(runner_module, "_plan_workers", lambda: 2)
+        assert pooled.run_jobs(jobs) == serial_results
+    assert pooled_obs.registry.value("sweep.plan_tasks") == len(jobs)
+    assert without_plan_counters(pooled_obs.registry) == obs.registry.as_dict()

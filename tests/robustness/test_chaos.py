@@ -1,17 +1,17 @@
 """Chaos suite: faulted sweeps must recover *bit-identically*.
 
-The headline property of the fault-tolerance layer: a parallel sweep
-bombarded with recoverable faults (worker crashes, hard exits, delays,
-cache corruption) returns exactly the results of a fault-free serial
-sweep, and its merged metrics differ from a clean observed sweep only in
-the new fault-tolerance counters.
+The headline property of the fault-tolerance layer: a sweep bombarded
+with recoverable faults (crashes, delays, cache corruption) returns
+exactly the results of a fault-free serial sweep.  A runner under a
+fault plan runs in process, so faults fire in request order; the pooled
+barrage, hard worker exits included, runs through the sweep service
+(``tests/service/test_pooled_chaos.py``).
 """
 
 import pytest
 
 from repro.config import FetchPolicy, SimConfig
 from repro.core.faults import FaultPlan, FaultSpec
-from repro.core.parallel import ParallelRunner
 from repro.core.runner import SimulationRunner
 from repro.obs import Observer
 
@@ -25,18 +25,6 @@ JOBS = [
     ("doduc", SimConfig(policy=FetchPolicy.ORACLE)),
     ("doduc", SimConfig(policy=FetchPolicy.PESSIMISTIC)),
 ]
-
-#: The only metrics a recovered sweep may add relative to a clean one.
-FAULT_TOLERANCE_COUNTERS = {
-    "sweep.retries",
-    "sweep.timeouts",
-    "sweep.skipped_cells",
-    "sweep.pool_rebuilds",
-    "checkpoint.hits",
-    "checkpoint.stores",
-    "artifacts.store_failures",
-    "faults.injected",
-}
 
 
 @pytest.fixture(scope="module")
@@ -61,36 +49,6 @@ def _assert_results_identical(faulted, reference):
 
 
 class TestChaos:
-    def test_faulted_parallel_matches_clean_serial(
-        self, tmp_path, serial_reference
-    ):
-        """Crash + exit + delay + corruption across phases: full recovery."""
-        reference, clean_registry = serial_reference
-        plan = FaultPlan(
-            faults=[
-                FaultSpec(phase="simulate", kind="crash", benchmark="li"),
-                FaultSpec(phase="build", kind="exit", benchmark="doduc"),
-                FaultSpec(phase="generate", kind="delay", seconds=0.01),
-                FaultSpec(phase="cache_load", kind="corrupt", benchmark="li"),
-            ],
-            state_dir=str(tmp_path / "faults"),
-        )
-        runner = ParallelRunner(
-            trace_length=TRACE, warmup=WARMUP, seed=SEED, max_workers=2,
-            collect_metrics=True, cache_dir=str(tmp_path / "cache"),
-            retries=3, backoff_base=0.0, fault_plan=plan,
-        )
-        results = runner.run_jobs(JOBS)
-        _assert_results_identical(results, reference)
-        assert plan.fired_total() >= 3  # the chaos actually happened
-        assert runner.metrics.value("sweep.retries") >= 1
-        # Metrics: identical modulo the new fault-tolerance counters.
-        differing = set(clean_registry.diff(runner.metrics))
-        assert differing <= FAULT_TOLERANCE_COUNTERS, (
-            f"fault recovery perturbed simulation metrics: "
-            f"{sorted(differing - FAULT_TOLERANCE_COUNTERS)}"
-        )
-
     def test_seeded_chaos_recovers(self, tmp_path, serial_reference):
         """A pseudo-random (but reproducible) plan of recoverable faults."""
         reference, _ = serial_reference
@@ -100,15 +58,15 @@ class TestChaos:
             benchmarks=("li", "doduc"),
             n_faults=5,
         )
-        runner = ParallelRunner(
-            trace_length=TRACE, warmup=WARMUP, seed=SEED, max_workers=2,
+        runner = SimulationRunner(
+            trace_length=TRACE, warmup=WARMUP, seed=SEED,
             cache_dir=str(tmp_path / "cache"),
             retries=5, backoff_base=0.0, fault_plan=plan,
         )
         _assert_results_identical(runner.run_jobs(JOBS), reference)
 
     def test_faulted_checkpointed_resume_matches(
-        self, tmp_path, serial_reference
+        self, tmp_path, serial_reference, plan_pool
     ):
         """Faults during the first pass, resume on the second: still
         bit-identical, and the resume replays from the journal."""
@@ -118,15 +76,17 @@ class TestChaos:
             faults=[FaultSpec(phase="simulate", kind="crash", times=2)],
             state_dir=str(tmp_path / "faults"),
         )
-        first = ParallelRunner(
-            trace_length=TRACE, warmup=WARMUP, seed=SEED, max_workers=2,
+        first = SimulationRunner(
+            trace_length=TRACE, warmup=WARMUP, seed=SEED,
             retries=3, backoff_base=0.0, checkpoint_dir=checkpoint,
             fault_plan=plan,
         )
         _assert_results_identical(first.run_jobs(JOBS), reference)
-        second = ParallelRunner(
-            trace_length=TRACE, warmup=WARMUP, seed=SEED, max_workers=2,
-            checkpoint_dir=checkpoint,
+        observer = Observer()
+        second = SimulationRunner(
+            trace_length=TRACE, warmup=WARMUP, seed=SEED,
+            checkpoint_dir=checkpoint, observer=observer,
         )
         _assert_results_identical(second.run_jobs(JOBS), reference)
-        assert second.metrics.value("checkpoint.hits") == len(JOBS)
+        assert observer.registry.value("checkpoint.hits") == len(JOBS)
+        assert observer.registry.value("sweep.plan_tasks") == 0

@@ -18,10 +18,10 @@ import pytest
 from repro.config import FetchPolicy, SimConfig
 from repro.core import store as store_module
 from repro.core.faults import FaultPlan, FaultSpec
-from repro.core.parallel import ParallelRunner
 from repro.core.runner import SimulationRunner
 from repro.core.store import RESULT_STORE_VERSION, ResultStore, cell_digest
 from repro.errors import CheckpointError
+from repro.obs import Observer
 from repro.trace import generator
 
 TRACE = 3_000
@@ -29,6 +29,14 @@ WARMUP = 600
 
 ORACLE = SimConfig(policy=FetchPolicy.ORACLE)
 RESUME = SimConfig(policy=FetchPolicy.RESUME)
+
+
+def _pooled(checkpoint):
+    """An observed runner with a checkpoint store."""
+    return SimulationRunner(
+        trace_length=TRACE, warmup=WARMUP, seed=7, observer=Observer(),
+        checkpoint_dir=checkpoint,
+    )
 
 
 def _cell(benchmark="li", config=ORACLE, trace=TRACE, warmup=WARMUP, seed=7):
@@ -189,38 +197,28 @@ class TestResume:
         assert resumed.penalties.as_dict() == reference.penalties.as_dict()
         assert plan.fired_total() == 0
 
-    def test_parallel_resume_is_bit_identical(self, tmp_path):
+    def test_parallel_resume_is_bit_identical(self, tmp_path, plan_pool):
         checkpoint = str(tmp_path / "ckpt")
         jobs = [("li", ORACLE), ("doduc", ORACLE), ("li", RESUME)]
-        first = ParallelRunner(
-            trace_length=TRACE, warmup=WARMUP, seed=7, max_workers=2,
-            checkpoint_dir=checkpoint,
-        )
+        first = _pooled(checkpoint)
         reference = first.run_jobs(jobs)
-        assert first.metrics.value("checkpoint.stores") == len(jobs)
-        second = ParallelRunner(
-            trace_length=TRACE, warmup=WARMUP, seed=7, max_workers=2,
-            checkpoint_dir=checkpoint,
-        )
+        registry = first.observer.registry
+        assert registry.value("sweep.plan_tasks") == len(jobs)
+        assert registry.value("checkpoint.stores") == len(jobs)
+        second = _pooled(checkpoint)
         resumed = second.run_jobs(jobs)
-        assert second.metrics.value("checkpoint.hits") == len(jobs)
+        assert second.observer.registry.value("checkpoint.hits") == len(jobs)
         for a, b in zip(reference, resumed, strict=True):
             assert a.penalties.as_dict() == b.penalties.as_dict()
             assert a.total_ispi == b.total_ispi
 
     def test_partial_journal_finishes_remainder(self, tmp_path):
         checkpoint = str(tmp_path / "ckpt")
-        warm = ParallelRunner(
-            trace_length=TRACE, warmup=WARMUP, seed=7, max_workers=2,
-            checkpoint_dir=checkpoint,
-        )
+        warm = _pooled(checkpoint)
         warm.run_jobs([("li", ORACLE)])
-        runner = ParallelRunner(
-            trace_length=TRACE, warmup=WARMUP, seed=7, max_workers=2,
-            checkpoint_dir=checkpoint,
-        )
+        runner = _pooled(checkpoint)
         results = runner.run_jobs([("li", ORACLE), ("doduc", ORACLE)])
-        assert runner.metrics.value("checkpoint.hits") == 1
+        assert runner.observer.registry.value("checkpoint.hits") == 1
         assert results[0].program == "li"
         assert results[1].program == "doduc"
 

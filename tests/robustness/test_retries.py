@@ -1,17 +1,20 @@
-"""Retry, backoff, watchdog, and pool-rebuild behaviour of both runners."""
+"""Retry, backoff, watchdog, and pool-rebuild behaviour of the runner
+and of the sweep service's pool."""
 
+import asyncio
 import threading
 import warnings
 
 import pytest
 
 from repro.config import FetchPolicy, SimConfig
-from repro.core import parallel as parallel_mod
+import repro.service.server as server_module
 from repro.core.faults import FaultPlan, FaultSpec
-from repro.core.parallel import ParallelRunner
 from repro.core.runner import SimulationRunner
-from repro.errors import ExperimentError, InjectedFault
+from repro.errors import InjectedFault
 from repro.obs.observer import Observer
+from repro.service.protocol import SweepRequest
+from repro.service.server import SweepService
 
 TRACE = 3_000
 WARMUP = 600
@@ -164,26 +167,47 @@ class TestSerialRetries:
         assert observer.registry.value("sweep.watchdog_inactive") == 2
 
 
+def _serve(tmp_path, jobs, plan, **kwargs):
+    """Run *jobs* as one request through an in-process sweep service;
+    returns the results and the (closed) service."""
+    kwargs.setdefault("backoff_base", 0.0)
+    service = SweepService(
+        data_dir=tmp_path / "data", max_workers=2, fault_plan=plan, **kwargs
+    )
+    request = SweepRequest(
+        cells=tuple(jobs), trace_length=TRACE, warmup=WARMUP, seed=7
+    )
+
+    async def go():
+        try:
+            return await service.handle_sweep(request)
+        finally:
+            await service.close()
+
+    return asyncio.run(go()).results, service
+
+
 class TestParallelRetries:
+    """Pooled retries run in the sweep service's pool; the batch call
+    ``SimulationRunner.run_jobs`` runs a faulted plan in process."""
+
     def test_worker_exit_rebuilds_pool_and_recovers(self, tmp_path, clean):
-        """os._exit in a worker surfaces as BrokenProcessPool; the batch
+        """os._exit in a worker surfaces as BrokenProcessPool; the cell
         must be requeued onto a fresh pool and complete bit-identically."""
-        runner = ParallelRunner(
-            trace_length=TRACE, warmup=WARMUP, seed=7, max_workers=2,
-            retries=2, backoff_base=0.0,
-            fault_plan=_plan(
-                tmp_path, FaultSpec(phase="build", kind="exit")
-            ),
+        results, service = _serve(
+            tmp_path, [("li", ORACLE), ("doduc", ORACLE)],
+            _plan(tmp_path, FaultSpec(phase="build", kind="exit")),
+            retries=2,
         )
-        results = runner.run_jobs([("li", ORACLE), ("doduc", ORACLE)])
         _assert_identical(results[0], clean[("li", "oracle")])
         _assert_identical(results[1], clean[("doduc", "oracle")])
-        assert runner.metrics.value("sweep.retries") >= 1
-        assert runner.metrics.value("sweep.pool_rebuilds") >= 1
+        assert service.registry.value("service.retries") >= 1
+        assert service.registry.value("service.pool_rebuilds") >= 1
 
     def test_transient_crash_in_process_path(self, tmp_path, clean):
-        runner = ParallelRunner(
-            trace_length=TRACE, warmup=WARMUP, seed=7, max_workers=1,
+        observer = Observer()
+        runner = SimulationRunner(
+            trace_length=TRACE, warmup=WARMUP, seed=7, observer=observer,
             retries=1, backoff_base=0.0,
             fault_plan=_plan(
                 tmp_path, FaultSpec(phase="simulate", kind="crash")
@@ -192,11 +216,11 @@ class TestParallelRetries:
         results = runner.run_jobs([("li", ORACLE), ("li", RESUME)])
         _assert_identical(results[0], clean[("li", "oracle")])
         _assert_identical(results[1], clean[("li", "resume")])
-        assert runner.metrics.value("sweep.retries") == 1
+        assert observer.registry.value("sweep.retries") == 1
 
     def test_deterministic_bug_fails_fast_with_benchmark(self, tmp_path):
-        runner = ParallelRunner(
-            trace_length=TRACE, warmup=WARMUP, seed=7, max_workers=2,
+        runner = SimulationRunner(
+            trace_length=TRACE, warmup=WARMUP, seed=7,
             retries=3, backoff_base=0.0,
             fault_plan=_plan(
                 tmp_path,
@@ -204,19 +228,19 @@ class TestParallelRetries:
                           times=5),
             ),
         )
-        with pytest.raises(ExperimentError, match="li") as info:
+        with pytest.raises(InjectedFault, match="'li'") as info:
             runner.run_jobs([("li", ORACLE), ("doduc", ORACLE)])
-        assert info.value.benchmark == "li"
-        assert isinstance(info.value.__cause__, InjectedFault)
+        assert not info.value.transient
         assert runner.fault_plan.fired_total() == 1
 
     def test_skip_mode_degrades_batch_to_missing(self, tmp_path, clean):
-        runner = ParallelRunner(
-            trace_length=TRACE, warmup=WARMUP, seed=7, max_workers=2,
+        runner = SimulationRunner(
+            trace_length=TRACE, warmup=WARMUP, seed=7, observer=Observer(),
             retries=0, on_error="skip",
             fault_plan=_plan(
                 tmp_path,
-                FaultSpec(phase="simulate", kind="bug", benchmark="li"),
+                FaultSpec(phase="simulate", kind="bug", benchmark="li",
+                          times=2),
             ),
         )
         results = runner.run_jobs(
@@ -224,38 +248,40 @@ class TestParallelRetries:
         )
         assert results[0].missing and results[2].missing
         _assert_identical(results[1], clean[("doduc", "oracle")])
-        assert runner.metrics.value("sweep.skipped_cells") == 2
-        assert len(runner.failures) == 1
-        assert runner.failures[0].cells == 2
+        assert runner.observer.registry.value("sweep.skipped_cells") == 2
+        # One failure per cell: the runner has no batches.
+        assert [f.benchmark for f in runner.failures] == ["li", "li"]
 
     def test_backoff_uses_stubbed_sleep(self, tmp_path, monkeypatch):
         sleeps = []
-        monkeypatch.setattr(parallel_mod, "_sleep", sleeps.append)
-        runner = ParallelRunner(
-            trace_length=TRACE, warmup=WARMUP, seed=7, max_workers=1,
-            retries=2, backoff_base=0.25, backoff_cap=10.0,
-            fault_plan=_plan(
+
+        async def record(seconds):
+            sleeps.append(seconds)
+
+        monkeypatch.setattr(server_module, "_sleep", record)
+        _serve(
+            tmp_path, [("li", ORACLE)],
+            _plan(
                 tmp_path,
                 FaultSpec(phase="simulate", kind="crash", times=2),
             ),
+            retries=2, backoff_base=0.25, backoff_cap=10.0,
         )
-        runner.run_jobs([("li", ORACLE)])
         assert sleeps == [0.25, 0.5]
 
     def test_hung_worker_is_killed_and_requeued(self, tmp_path, clean):
         """A worker sleeping past job_timeout is torn down with the pool,
-        charged one retry, and the batch recovers on the next round."""
-        runner = ParallelRunner(
-            trace_length=TRACE, warmup=WARMUP, seed=7, max_workers=2,
-            retries=1, backoff_base=0.0, job_timeout=2.0,
-            fault_plan=_plan(
+        charged one retry, and the cell recovers on a fresh pool."""
+        results, service = _serve(
+            tmp_path, [("li", ORACLE), ("doduc", ORACLE)],
+            _plan(
                 tmp_path,
                 FaultSpec(phase="simulate", kind="delay", benchmark="li",
                           seconds=60.0),
             ),
+            retries=1, job_timeout=2.0,
         )
-        results = runner.run_jobs([("li", ORACLE), ("doduc", ORACLE)])
         _assert_identical(results[0], clean[("li", "oracle")])
         _assert_identical(results[1], clean[("doduc", "oracle")])
-        assert runner.metrics.value("sweep.timeouts") == 1
-        assert runner.metrics.value("sweep.pool_rebuilds") >= 1
+        assert service.registry.value("service.timeouts") == 1
+        assert service.registry.value("service.pool_rebuilds") >= 1

@@ -1,17 +1,21 @@
 """Fault-tolerance smoke check for the sweep layer.
 
-Runs a small parallel sweep under an injected-fault barrage (worker
-crash, hard process exit, delay, artifact-cache corruption) and asserts
-that
+Runs a small sweep through an in-process sweep service (its spawned
+worker pool is the pool that takes fault plans) under an injected-fault
+barrage (worker crash, hard process exit, delay, artifact-cache
+corruption) and asserts that
 
 * the sweep completes despite the faults (retries + pool rebuilds),
 * every result is bit-identical to a fault-free serial run, and
 * the recovery machinery actually engaged (faults fired, retries spent).
 
-A resume leg then reruns the sweep with ``checkpoint_dir`` set, on the
-serial and the parallel runner: a second, fresh runner on the same
-directory must load every cell (``checkpoint.hits == len(jobs)``),
-simulate nothing, and return the fault-free results bit-identically.
+A resume leg then reruns the sweep with ``checkpoint_dir`` set, cell by
+cell (``serial``) and through ``SimulationRunner.run_jobs`` on the plan
+pool (``planned``, forced to two workers so a one-CPU host plans too):
+the planned first pass must have used the pool (``sweep.plan_tasks >
+0``), and a second, fresh runner on the same directory must load every
+cell (``checkpoint.hits == len(jobs)``), simulate nothing, and return
+the fault-free results bit-identically.
 
 A kill leg SIGKILLs ``python -m repro table5 --checkpoint DIR`` (a
 planned experiment, simulated by forked pool workers on a multi-core
@@ -32,6 +36,7 @@ recovery guarantee alongside the performance budgets.
 from __future__ import annotations
 
 import argparse
+import asyncio
 import os
 import signal
 import subprocess
@@ -45,11 +50,13 @@ sys.path.insert(
 )
 
 from repro.config import FetchPolicy, SimConfig  # noqa: E402
+import repro.core.runner as runner_module  # noqa: E402
 from repro.core.faults import FaultPlan, FaultSpec  # noqa: E402
-from repro.core.parallel import ParallelRunner  # noqa: E402
 from repro.core.runner import SimulationRunner  # noqa: E402
 from repro.core.store import ResultStore  # noqa: E402
 from repro.obs import Observer, PhaseProfiler  # noqa: E402
+from repro.service.protocol import SweepRequest  # noqa: E402
+from repro.service.server import SweepService  # noqa: E402
 
 SEED = 7
 
@@ -89,26 +96,58 @@ def _diverged(results, reference) -> list[int]:
     ]
 
 
+def _faulted_sweep(scratch, trace_length, warmup):
+    """``_jobs()`` as one request to an in-process sweep service under
+    the fault barrage: ``(results, faults fired, service)``."""
+    plan = _plan(os.path.join(scratch, "faults"))
+    service = SweepService(
+        data_dir=os.path.join(scratch, "service"), max_workers=2, retries=3,
+        backoff_base=0.0, fault_plan=plan,
+    )
+    request = SweepRequest(
+        cells=tuple(_jobs()), trace_length=trace_length, warmup=warmup,
+        seed=SEED,
+    )
+
+    async def serve():
+        try:
+            return await service.handle_sweep(request)
+        finally:
+            await service.close()
+
+    response = asyncio.run(serve())
+    return response.results, plan.fired_total(), service
+
+
 def _checkpointed_sweep(kind, directory, trace_length, warmup):
-    """One sweep of ``_jobs()`` on a fresh *kind* runner storing results in
-    *directory*: ``(results, checkpoint.hits, simulate phases)``."""
+    """One sweep of ``_jobs()`` on a fresh runner storing results in
+    *directory*, cell by cell (``serial``) or through ``run_jobs`` on a
+    forced two-worker plan pool (``planned``): ``(results,
+    checkpoint.hits, simulate phases, plan tasks)``."""
+    observer = Observer(profiler=PhaseProfiler())
+    runner = SimulationRunner(
+        trace_length=trace_length, warmup=warmup, seed=SEED,
+        observer=observer, checkpoint_dir=directory,
+    )
     if kind == "serial":
-        observer = Observer(profiler=PhaseProfiler())
-        runner = SimulationRunner(
-            trace_length=trace_length, warmup=warmup, seed=SEED,
-            observer=observer, checkpoint_dir=directory,
-        )
         results = [runner.run(name, config) for name, config in _jobs()]
-        metrics, profile = observer.registry, observer.profiler
     else:
-        runner = ParallelRunner(
-            trace_length=trace_length, warmup=warmup, seed=SEED,
-            max_workers=2, collect_metrics=True, checkpoint_dir=directory,
-        )
-        results = runner.run_jobs(_jobs())
-        metrics, profile = runner.metrics, runner.profile
-    simulated = profile.summary().get("simulate", {}).get("calls", 0)
-    return results, metrics.value("checkpoint.hits"), simulated
+        cpus = runner_module._plan_workers
+        runner_module._plan_workers = lambda: 2
+        try:
+            results = runner.run_jobs(_jobs())
+        finally:
+            runner_module._plan_workers = cpus
+    phases = observer.profiler.summary()
+    simulated = sum(
+        phases.get(phase, {}).get("calls", 0)
+        for phase in ("simulate", "pool.simulate")
+    )
+    registry = observer.registry
+    return (
+        results, registry.value("checkpoint.hits"), simulated,
+        registry.value("sweep.plan_tasks"),
+    )
 
 
 def _table5(trace_length, *extra):
@@ -206,16 +245,9 @@ def main(argv=None) -> int:
 
     failures: list[str] = []
     with tempfile.TemporaryDirectory() as scratch:
-        plan = _plan(os.path.join(scratch, "faults"))
-        runner = ParallelRunner(
-            trace_length=trace_length, warmup=warmup, seed=SEED,
-            max_workers=2, retries=3, backoff_base=0.0,
-            cache_dir=os.path.join(scratch, "cache"), fault_plan=plan,
-        )
-        results = runner.run_jobs(_jobs())
-        fired = plan.fired_total()
-        retries = runner.metrics.value("sweep.retries")
-        rebuilds = runner.metrics.value("sweep.pool_rebuilds")
+        results, fired, service = _faulted_sweep(scratch, trace_length, warmup)
+        retries = service.registry.value("service.retries")
+        rebuilds = service.registry.value("service.pool_rebuilds")
 
     print(
         f"faulted sweep: {len(results)} cells | {fired} faults fired | "
@@ -234,16 +266,22 @@ def main(argv=None) -> int:
         )
 
     with tempfile.TemporaryDirectory() as scratch:
-        for kind in ("serial", "parallel"):
+        for kind in ("serial", "planned"):
             directory = os.path.join(scratch, kind)
-            _checkpointed_sweep(kind, directory, trace_length, warmup)
-            resumed, hits, simulated = _checkpointed_sweep(
+            *_, planned = _checkpointed_sweep(
+                kind, directory, trace_length, warmup
+            )
+            resumed, hits, simulated, _ = _checkpointed_sweep(
                 kind, directory, trace_length, warmup
             )
             print(
-                f"{kind} resume: {hits} checkpoint hits | "
-                f"{simulated} simulate phases"
+                f"{kind} resume: {planned} plan tasks stored | {hits} "
+                f"checkpoint hits | {simulated} simulate phases"
             )
+            if kind == "planned" and planned < 1:
+                failures.append(
+                    "the planned checkpoint leg never used the plan pool"
+                )
             if hits != len(_jobs()) or simulated:
                 failures.append(
                     f"{kind} resume loaded {hits}/{len(_jobs())} cells and "
