@@ -8,9 +8,9 @@ Exit codes follow the experiments-CLI convention:
 
 The fast pre-commit loop is ``python -m repro.lint --changed``: only
 files differing from a git ref (default ``HEAD``, staged or unstaged,
-plus untracked files) are linted.  Whole-program (flow) rules then see
-only that subset of the call graph, so the full run stays authoritative
-— ``--changed`` trades completeness for latency, on purpose.
+plus untracked files) are linted.  Every rule checks one file at a
+time, so ``--changed`` gives the same findings as a full run for the
+files it lints.
 """
 
 from __future__ import annotations
@@ -79,11 +79,6 @@ def build_parser() -> argparse.ArgumentParser:
             "lint only files differing from REF (default HEAD) plus "
             "untracked files; falls back to a full run outside git"
         ),
-    )
-    parser.add_argument(
-        "--no-flow",
-        action="store_true",
-        help="skip the whole-program flow rules (SIM014-SIM016)",
     )
     parser.add_argument(
         "--list-rules",
@@ -182,12 +177,7 @@ def main(argv: Sequence[str] | None = None) -> int:
             if root is None:
                 root = str(lint_root)
     try:
-        result = run_lint(
-            paths,
-            root=root,
-            select=select,
-            flow=not args.no_flow,
-        )
+        result = run_lint(paths, root=root, select=select)
     except ReproError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

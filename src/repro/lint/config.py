@@ -15,7 +15,6 @@ Recognised keys::
     determinism-modules = [...]       # module prefixes for SIM001/SIM002
     taxonomy-modules = [...]          # module prefixes for SIM004
     tests-path = "tests"              # corpus for SIM008 parity lookups
-    flow = true                       # run whole-program rules (SIM014+)
 
     [tool.simlint.severity]
     SIM007 = "warning"                # per-rule severity override
@@ -94,8 +93,6 @@ class LintConfig:
     disabled_rules: tuple[str, ...] = ()
     severity_overrides: dict[str, str] = field(default_factory=dict)
     tests_path: str = "tests"
-    #: Whether the whole-program flow phase runs at all.
-    flow: bool = True
 
     def severity_for(self, rule_id: str, default: str) -> str:
         """Effective severity for one rule (``"off"`` if disabled)."""
@@ -127,7 +124,6 @@ def config_from_table(table: dict) -> LintConfig:
         "taxonomy-modules",
         "tests-path",
         "severity",
-        "flow",
     }
     unknown = sorted(set(table) - known)
     if unknown:
@@ -150,11 +146,6 @@ def config_from_table(table: dict) -> LintConfig:
         raise LintConfigError(
             f"[tool.simlint] tests-path must be a string, got {tests_path!r}"
         )
-    flow = table.get("flow", True)
-    if not isinstance(flow, bool):
-        raise LintConfigError(
-            f"[tool.simlint] flow must be a boolean, got {flow!r}"
-        )
     extra_namespaces = _string_tuple(table, "metric-namespaces") or ()
     extra_allowed = _string_tuple(table, "taxonomy-allowed") or ()
     return LintConfig(
@@ -171,7 +162,6 @@ def config_from_table(table: dict) -> LintConfig:
         disabled_rules=_string_tuple(table, "disable") or (),
         severity_overrides=dict(severity_table),
         tests_path=tests_path,
-        flow=flow,
     )
 
 

@@ -100,14 +100,6 @@ def module_name_for(path: Path) -> str:
     return ".".join(parts)
 
 
-def module_in(module: str, prefixes: tuple[str, ...]) -> bool:
-    """Whether dotted *module* equals or lives under any of *prefixes*."""
-    return any(
-        module == prefix or module.startswith(prefix + ".")
-        for prefix in prefixes
-    )
-
-
 @dataclass
 class RepoContext:
     """Facts shared across every file of one lint run."""
@@ -208,7 +200,11 @@ class FileContext:
         )
 
     def in_modules(self, prefixes: tuple[str, ...]) -> bool:
-        return module_in(self.module, prefixes)
+        """Whether this module equals or lives under any of *prefixes*."""
+        return any(
+            self.module == prefix or self.module.startswith(prefix + ".")
+            for prefix in prefixes
+        )
 
 
 def collect_files(paths: list[Path]) -> list[Path]:

@@ -1,18 +1,8 @@
-"""Rule base classes and the global rule registry.
+"""Rule base class and the global rule registry.
 
-Two rule kinds share one registry, one id space, and one configuration
-surface:
-
-* **per-file rules** (:class:`Rule`) — a ``check(ctx)`` generator
-  yielding ``(line, col, message)`` triples for one
-  :class:`FileContext`;
-* **flow rules** (:class:`FlowRule`) — a ``check_project(project)``
-  generator over the assembled whole-program
-  :class:`~repro.lint.flow.project.ProjectContext`, yielding
-  ``(relpath, line, col, message)`` since a whole-program rule pins its
-  own file.
-
-Rules register themselves with the :func:`register` decorator at import
+A rule (:class:`Rule`) is a ``check(ctx)`` generator yielding
+``(line, col, message)`` triples for one :class:`FileContext`.  Rules
+register themselves with the :func:`register` decorator at import
 time; :func:`all_rules` returns fresh instances in id order, so a lint
 run never shares mutable rule state with a previous one.
 """
@@ -20,21 +10,14 @@ run never shares mutable rule state with a previous one.
 from __future__ import annotations
 
 from collections.abc import Iterator
-from typing import TYPE_CHECKING
 
 from repro.errors import ExperimentError
 
 from repro.lint.context import FileContext
 from repro.lint.findings import SEVERITIES
 
-if TYPE_CHECKING:  # pragma: no cover - import cycle guard (flow -> rules)
-    from repro.lint.flow.project import ProjectContext
-
 #: One raw violation before it is bound to a rule/severity/path.
 RawFinding = tuple[int, int, str]
-
-#: One raw whole-program violation: (relpath, line, col, message).
-FlowRawFinding = tuple[str, int, int, str]
 
 
 class Rule:
@@ -51,23 +34,6 @@ class Rule:
 
     def check(self, ctx: FileContext) -> Iterator[RawFinding]:
         """Yield ``(line, col, message)`` for each violation in *ctx*."""
-        raise NotImplementedError
-        yield  # pragma: no cover - makes every override a generator
-
-
-class FlowRule(Rule):
-    """Base class for whole-program (phase-2 flow) rules.
-
-    A flow rule never runs per file — ``check`` is a no-op so the
-    driver can hold one rule list — and instead sees the project once,
-    after every file has been indexed and the call graph assembled.
-    """
-
-    def check(self, ctx: FileContext) -> Iterator[RawFinding]:
-        return iter(())
-
-    def check_project(self, project: ProjectContext) -> Iterator[FlowRawFinding]:
-        """Yield ``(relpath, line, col, message)`` per violation."""
         raise NotImplementedError
         yield  # pragma: no cover - makes every override a generator
 

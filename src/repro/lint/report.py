@@ -6,7 +6,7 @@ summary).  The JSON form is a stable machine schema consumed by the
 gate tooling and asserted structurally in ``tests/lint``::
 
     {
-      "version": 2,
+      "version": 3,
       "files_checked": 87,
       "suppressed": 2,
       "findings": [
@@ -16,15 +16,13 @@ gate tooling and asserted structurally in ``tests/lint``::
         ...
       ],
       "parse_errors": [{"path": "...", "message": "..."}],
-      "flow": {"files_indexed": 87},
       "summary": {"errors": 1, "warnings": 0, "by_rule": {"SIM001": 1}}
     }
 
-(``flow`` is ``null`` when the whole-program phase was skipped via
-``--no-flow`` or rule selection.)  The SARIF form is the 2.1.0 subset
-GitHub code scanning and most SARIF viewers consume: one run, one
-``tool.driver`` listing the rules that fired, one result per finding,
-and parse errors as tool-execution notifications.
+The SARIF form is the 2.1.0 subset GitHub code scanning and most SARIF
+viewers consume: one run, one ``tool.driver`` listing the rules that
+fired, one result per finding, and parse errors as tool-execution
+notifications.
 """
 
 from __future__ import annotations
@@ -36,7 +34,8 @@ from repro.lint.runner import LintResult
 
 #: Schema version of the JSON report (bump on breaking changes).
 #: 2: added the ``flow`` key; ``parse_errors`` paths are repo-relative.
-JSON_REPORT_VERSION = 2
+#: 3: the ``flow`` key is gone (there is no whole-program phase).
+JSON_REPORT_VERSION = 3
 
 #: The SARIF spec version emitted by :func:`render_sarif`.
 SARIF_VERSION = "2.1.0"
@@ -81,9 +80,6 @@ def render_json(result: LintResult) -> str:
             {"path": path, "message": message}
             for path, message in result.parse_errors
         ],
-        "flow": (
-            None if result.flow_stats is None else result.flow_stats.as_dict()
-        ),
         "summary": {
             "errors": len(result.errors),
             "warnings": len(result.warnings),

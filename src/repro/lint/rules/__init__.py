@@ -16,18 +16,11 @@ SIM006    mutable-default    no mutable default arguments
 SIM007    float-counter      integer counters never accumulate float literals
 SIM008    fast-parity        every _fast variant has a differential test
 SIM009    event-registry     emitted events are declared in repro.obs.events
-SIM010    branch-seam        branch units constructed only via the factory seam
-SIM011    engine-seam        engines constructed only via build_engine
+SIM010    branch-seam        every linted module builds branch units via the seam
+SIM011    engine-seam        every linted module builds engines via build_engine
 SIM012    policy-seam        engine hot path reads policy via the schedule seam
 SIM013    service-hygiene    service handlers never swallow errors or block the loop
-SIM014    flow-determinism   no transitive path from sim code to nondet sources
-SIM015    flow-blocking      async handlers never reach blocking calls via sync callees
-SIM016    flow-seam          no call path constructs engines/units behind the seam
 ========  =================  ====================================================
-
-SIM014–SIM016 are whole-program rules living in :mod:`repro.lint.flow`;
-they are imported here (after the per-file modules whose tables they
-reuse) so one import registers the complete rule set.
 """
 
 from repro.lint.rules import (  # noqa: F401  (import side effect: register)
@@ -43,10 +36,4 @@ from repro.lint.rules import (  # noqa: F401  (import side effect: register)
     policyseam,
     service,
     taxonomy,
-)
-
-from repro.lint.flow import (  # noqa: F401  (import side effect: register)
-    blocking,
-    seams,
-    taint,
 )

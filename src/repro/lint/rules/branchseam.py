@@ -6,9 +6,12 @@ one seam where a recorded stream can be substituted for the live
 predictor.  A ``BranchUnit(...)`` (or ``ReplayBranchUnit(...)``)
 constructed directly anywhere else silently bypasses that seam: the
 cell runs live even when a stream was requested, and replay coverage
-quietly erodes.  This rule flags direct constructions in the
-determinism modules outside the two sanctioned factories
-(``build_branch_unit`` and ``make_paper_branch_unit``).
+quietly erodes.  This rule flags direct constructions in every linted
+module (the package, tools, benchmarks and examples alike) outside the
+two sanctioned factories (``build_branch_unit`` and
+``make_paper_branch_unit``).  A helper that wraps a construction cannot
+hide it: the construction itself sits outside a factory, so it is
+flagged where it stands.
 """
 
 from __future__ import annotations
@@ -47,8 +50,6 @@ class BranchSeamRule(Rule):
     )
 
     def check(self, ctx: FileContext) -> Iterator[RawFinding]:
-        if not ctx.in_modules(ctx.repo.config.determinism_modules):
-            return
         yield from self._walk(ctx.tree, inside_factory=False)
 
     def _walk(self, node: ast.AST, inside_factory: bool) -> Iterator[RawFinding]:

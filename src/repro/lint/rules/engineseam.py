@@ -15,10 +15,12 @@ engines run on: the ``FetchProgram`` and its ``FlatProbes``
 across engines and ``AdaptiveEngine`` forks, and a direct construction
 launders a private un-memoized copy past that sharing (and past the
 identity keying that makes it correct).  This rule flags direct
-constructions in the determinism modules outside the sanctioned
-factories (``build_engine`` and the lowering factories
-``fetch_program``, ``flat_probes``, ``recorded_walks`` and
-``trace_arrays``).
+constructions in every linted module (the package, tools, benchmarks
+and examples alike) outside the sanctioned factories (``build_engine``
+and the lowering factories ``fetch_program``, ``flat_probes``,
+``recorded_walks`` and ``trace_arrays``).  A helper that wraps a
+construction cannot hide it: the construction itself sits outside a
+factory, so it is flagged where it stands.
 """
 
 from __future__ import annotations
@@ -75,8 +77,6 @@ class EngineSeamRule(Rule):
     )
 
     def check(self, ctx: FileContext) -> Iterator[RawFinding]:
-        if not ctx.in_modules(ctx.repo.config.determinism_modules):
-            return
         yield from self._walk(ctx.tree, inside_factory=False)
 
     def _walk(self, node: ast.AST, inside_factory: bool) -> Iterator[RawFinding]:

@@ -2,17 +2,14 @@
 
 :func:`run_lint` is the single entry point shared by the CLI, the
 ``tools/check_lint.py`` gate, and the in-tree self-clean test, so all
-three see byte-identical results.  A run has two phases: the per-file
-rules stream over each parsed file as before, and — when any flow rule
-is active — the same parsed trees are indexed into module summaries
-and the whole-program rules run once over the assembled call graph.  Flow findings pass
-through the same inline-suppression filter and land in the same sorted
-finding list, so reporters cannot tell the phases apart.
+three see byte-identical results.  Every rule sees one parsed file at
+a time, so linting a subset of the tree (``--changed``) gives the same
+findings for those files as a full run.
 
 The outcome is a :class:`LintResult` holding the surviving findings
 (sorted by location) plus the bookkeeping reporters need: files
-checked, suppression count, parse errors (repo-relative, like
-findings), and the flow phase's indexing statistics.
+checked, suppression count and parse errors (repo-relative, like
+findings).
 """
 
 from __future__ import annotations
@@ -23,9 +20,7 @@ from pathlib import Path
 from repro.lint.config import LintConfig, find_pyproject, load_config
 from repro.lint.context import FileContext, RepoContext, collect_files
 from repro.lint.findings import Finding
-from repro.lint.flow.indexer import index_tree
-from repro.lint.flow.project import FlowStats, ProjectContext
-from repro.lint.registry import FlowRule, Rule, all_rules
+from repro.lint.registry import Rule, all_rules
 
 
 @dataclass
@@ -37,8 +32,6 @@ class LintResult:
     suppressed: int = 0
     #: Files that could not be parsed: (repo-relative path, message).
     parse_errors: list[tuple[str, str]] = field(default_factory=list)
-    #: Flow-phase accounting (``None`` when the flow phase did not run).
-    flow_stats: FlowStats | None = None
 
     @property
     def errors(self) -> list[Finding]:
@@ -96,47 +89,11 @@ def lint_file(ctx: FileContext, rules: list[tuple[Rule, str]], result: LintResul
             )
 
 
-def _run_flow_phase(
-    contexts: list[FileContext],
-    rules: list[tuple[FlowRule, str]],
-    repo: RepoContext,
-    result: LintResult,
-) -> None:
-    """Index every parsed file, assemble the project, run flow rules."""
-    summaries = [
-        index_tree(ctx.tree, ctx.relpath, ctx.module) for ctx in contexts
-    ]
-    stats = FlowStats(files_indexed=len(summaries))
-    result.flow_stats = stats
-    project = ProjectContext(
-        root=repo.root, config=repo.config, summaries=summaries, stats=stats
-    )
-    suppressions = {ctx.relpath: ctx.suppressions for ctx in contexts}
-    for rule, severity in rules:
-        for relpath, line, col, message in rule.check_project(project):
-            known = suppressions.get(relpath)
-            if known is not None and known.suppresses(rule.id, line):
-                result.suppressed += 1
-                continue
-            result.findings.append(
-                Finding(
-                    rule=rule.id,
-                    name=rule.name,
-                    severity=severity,
-                    path=relpath,
-                    line=line,
-                    col=col,
-                    message=message,
-                )
-            )
-
-
 def run_lint(
     paths: list[str | Path],
     config: LintConfig | None = None,
     root: str | Path | None = None,
     select: tuple[str, ...] | None = None,
-    flow: bool = True,
 ) -> LintResult:
     """Lint *paths* (files or directories) and return the result.
 
@@ -144,7 +101,6 @@ def run_lint(
     first path (or *root*) supplies ``[tool.simlint]``; *root* anchors
     repo-relative paths in findings and the registry/tests lookups.
     *select* restricts the run to the given rule ids (CLI ``--select``).
-    ``flow=False`` skips the whole-program phase (CLI ``--no-flow``).
     """
     path_objs = [Path(p) for p in paths]
     if root is None:
@@ -158,15 +114,7 @@ def run_lint(
         config = load_config(pyproject)
     repo = RepoContext(root=root_path.resolve(), config=config)
     rules = _active_rules(config, select)
-    file_rules = [
-        (rule, sev) for rule, sev in rules if not isinstance(rule, FlowRule)
-    ]
-    flow_rules = [
-        (rule, sev) for rule, sev in rules if isinstance(rule, FlowRule)
-    ]
-    run_flow = flow and config.flow and bool(flow_rules)
     result = LintResult()
-    contexts: list[FileContext] = []
     for file_path in collect_files(path_objs):
         try:
             ctx = FileContext.load(file_path, repo)
@@ -176,10 +124,6 @@ def run_lint(
             )
             continue
         result.files_checked += 1
-        lint_file(ctx, file_rules, result)
-        if run_flow:
-            contexts.append(ctx)
-    if run_flow:
-        _run_flow_phase(contexts, flow_rules, repo, result)
+        lint_file(ctx, rules, result)
     result.findings.sort(key=Finding.sort_key)
     return result

@@ -117,13 +117,6 @@ class _CellJob:
     attempts: int = 0
 
 
-def _boot_worker() -> None:
-    """No-op run once per fresh pool slot to force the worker to spawn
-    (and pay its interpreter/import start-up) before any cell's watchdog
-    clock starts."""
-    return None
-
-
 class SweepService:
     """Scheduling, caching, and fault-containment logic of the server.
 
@@ -362,13 +355,15 @@ class SweepService:
         payload.  The watchdog must time the *cell*, not that boot, so a
         fresh pool first runs one no-op per slot — submitted back to
         back, before any worker can go idle, so each forces one spawn —
-        and waits for them all.
+        and waits for them all.  The no-op is the pool initializer
+        itself (idempotent), so a worker unpickles nothing from
+        :mod:`repro.service` and never imports the asyncio server.
         """
         pool = self._ensure_pool()
         if pool is not self._warmed_pool:
             loop = asyncio.get_running_loop()
             await asyncio.gather(*(
-                loop.run_in_executor(pool, _boot_worker)
+                loop.run_in_executor(pool, _pool_worker)
                 for _ in range(self.max_workers)
             ))
             self._warmed_pool = pool
@@ -401,7 +396,6 @@ class SweepService:
                 if self.fault_plan is not None:
                     # A "delay" fault sleeps on purpose: dispatch-phase
                     # faults model a stalled loop, latency included.
-                    # simlint: disable=SIM015
                     self.fault_plan.fire("dispatch", job.benchmark)
                 payload = (
                     job.benchmark, job.config, job.trace_length,
@@ -417,7 +411,6 @@ class SweepService:
                 if self.fault_plan is not None:
                     # Same as dispatch: injected store_write delays are
                     # meant to stall the loop.
-                    # simlint: disable=SIM015
                     spec = self.fault_plan.fire("store_write", job.benchmark)
             except asyncio.CancelledError:
                 raise
@@ -508,7 +501,6 @@ class SweepService:
         # journal must record the request *before* any job dispatches,
         # and the store reads are small local files on the admission
         # path.  Moving them off-loop would reorder crash recovery.
-        # simlint: disable=SIM015
         entries, admit_stats = self.admit(request)
         results: list = []
         failures: list[SweepFailure] = []

@@ -8,8 +8,9 @@ the real ``repro.errors`` / ``repro.obs.events`` registries, keeping the
 fixtures honest against the live taxonomy.
 
 CLI and end-to-end tests instead build a miniature repo under
-``tmp_path`` (pyproject + ``src/repro/...`` packages) so path walking,
-config loading, and module-name detection run for real.
+``tmp_path`` (pyproject + ``src/repro/...`` packages, see
+:func:`write_repo`) so path walking, config loading, and module-name
+detection run for real.
 """
 
 from __future__ import annotations
@@ -24,7 +25,7 @@ from repro.lint.config import LintConfig
 from repro.lint.context import FileContext, RepoContext, parse_suppressions
 from repro.lint.findings import Finding
 from repro.lint.registry import all_rules
-from repro.lint.runner import LintResult, lint_file
+from repro.lint.runner import LintResult, lint_file, run_lint
 
 #: The real repository root (two levels up from this file's directory).
 REPO_ROOT = Path(__file__).resolve().parents[2]
@@ -74,6 +75,32 @@ def run_rules(
 
 def rule_ids(findings: list[Finding]) -> list[str]:
     return [finding.rule for finding in findings]
+
+
+def write_repo(root: Path, modules: dict[str, str]) -> Path:
+    """Materialise a mini repo: dotted module name -> dedented source."""
+    root.mkdir(parents=True, exist_ok=True)
+    (root / "pyproject.toml").write_text("[tool.simlint]\n", encoding="utf-8")
+    src = root / "src"
+    src.mkdir(exist_ok=True)
+    for dotted, source in modules.items():
+        parts = dotted.split(".")
+        directory = src
+        for part in parts[:-1]:
+            directory = directory / part
+            directory.mkdir(exist_ok=True)
+            init = directory / "__init__.py"
+            if not init.exists():
+                init.write_text("", encoding="utf-8")
+        (directory / f"{parts[-1]}.py").write_text(
+            textwrap.dedent(source), encoding="utf-8"
+        )
+    return root
+
+
+def lint_repo(root: Path, **kwargs) -> LintResult:
+    """Lint the mini repo's ``src`` tree the way the CLI does."""
+    return run_lint([root / "src"], root=root, **kwargs)
 
 
 @pytest.fixture()

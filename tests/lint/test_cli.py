@@ -1,9 +1,11 @@
 """CLI behaviour: exit codes (0 clean / 1 findings / 2 internal error),
-report formats, rule selection, and the JSON schema."""
+report formats, rule selection, the JSON schema, and ``--changed``."""
 
 from __future__ import annotations
 
 import json
+import shutil
+import subprocess
 from pathlib import Path
 
 import pytest
@@ -11,6 +13,7 @@ import pytest
 from repro.lint.cli import main
 from repro.lint.registry import known_rule_ids
 from repro.lint.report import JSON_REPORT_VERSION
+from tests.lint.conftest import write_repo
 
 pytestmark = pytest.mark.lint
 
@@ -105,11 +108,8 @@ def test_json_schema(mini_repo: Path, capsys) -> None:
         "suppressed",
         "findings",
         "parse_errors",
-        "flow",
         "summary",
     }
-    # The whole-program phase ran and indexed every checked file.
-    assert payload["flow"]["files_indexed"] == payload["files_checked"]
     assert payload["files_checked"] == 3  # two __init__.py + dirty.py
     for finding in payload["findings"]:
         assert set(finding) == {
@@ -168,3 +168,63 @@ def test_suppressions_end_to_end(mini_repo: Path, capsys) -> None:
     code = main([str(mini_repo / "src"), "--root", str(mini_repo)])
     assert code == 0
     assert "1 suppressed" in capsys.readouterr().out
+
+
+#: A committed repo for the ``--changed`` tests, with one finding
+#: (SIM001 in ``repro.core.run``) that a run of a clean diff must skip.
+CHANGED_MODULES = {
+    "repro.util.helpers": """
+        def now_stamp(clock):
+            return clock()
+    """,
+    "repro.core.run": """
+        import time
+
+        def step(state):
+            return time.time()
+    """,
+}
+
+
+def _run_json(args: list[str], capsys) -> tuple[int, dict]:
+    code = main([*args, "--format", "json"])
+    return code, json.loads(capsys.readouterr().out)
+
+
+@pytest.mark.skipif(shutil.which("git") is None, reason="git unavailable")
+def test_changed_lints_only_files_differing_from_head(tmp_path, capsys) -> None:
+    root = write_repo(tmp_path, CHANGED_MODULES)
+    git = ["git", "-C", str(root), "-c", "user.email=t@t", "-c", "user.name=t"]
+    subprocess.run([*git, "init", "-q"], check=True)
+    subprocess.run([*git, "add", "-A"], check=True)
+    subprocess.run([*git, "commit", "-qm", "seed"], check=True)
+    base = [str(root / "src"), "--root", str(root)]
+    # Clean tree: nothing to lint.
+    code, payload = _run_json([*base, "--changed"], capsys)
+    assert code == 0
+    assert payload["files_checked"] == 0
+    # Edit one file with a repo-wide violation (mutable default).
+    plain = root / "src" / "repro" / "util" / "extra.py"
+    plain.write_text("def f(xs=[]):\n    return xs\n", encoding="utf-8")
+    code, changed = _run_json([*base, "--changed"], capsys)
+    assert code == 1
+    assert changed["files_checked"] == 1  # only the edited file
+    assert [f["rule"] for f in changed["findings"]] == ["SIM006"]
+    # Every rule is per-file: the full run finds the same in that file.
+    _, full = _run_json(base, capsys)
+    edited = str(Path("src/repro/util/extra.py"))
+    assert [f for f in full["findings"] if f["path"] == edited] == (
+        changed["findings"]
+    )
+
+
+def test_changed_falls_back_outside_git(tmp_path, capsys) -> None:
+    root = write_repo(tmp_path, CHANGED_MODULES)
+    code = main(
+        [str(root / "src"), "--root", str(root), "--changed", "--format", "json"]
+    )
+    captured = capsys.readouterr()
+    payload = json.loads(captured.out)
+    assert "linting all given paths" in captured.err
+    assert code == 1
+    assert payload["files_checked"] > 1  # the full tree ran

@@ -8,7 +8,7 @@ from pathlib import Path
 import pytest
 
 from repro.lint.report import render_json, render_text
-from tests.lint.flow.conftest import lint_repo, write_repo
+from tests.lint.conftest import lint_repo, write_repo
 
 pytestmark = pytest.mark.lint
 

@@ -8,62 +8,91 @@ from tests.lint.conftest import rule_ids, run_rules
 
 pytestmark = pytest.mark.lint
 
+#: A determinism module; the rule checks every other module the same way.
+CORE = "repro.core.fixture"
+
 POSITIVE = [
     pytest.param(
-        "engine = FetchEngine(program, config)\n", id="module-level"
+        CORE, "engine = FetchEngine(program, config)\n", id="module-level"
     ),
     pytest.param(
+        CORE,
         "def run(program, config):\n"
         "    return FetchEngine(program, config)\n",
         id="inside-other-function",
     ),
     pytest.param(
+        CORE,
         "from repro.core import engine as eng\n"
         "def run(program, config):\n"
         "    return eng.FetchEngine(program, config)\n",
         id="attribute-construction",
     ),
     pytest.param(
+        CORE,
         "def run(inner):\n"
         "    return VectorEngine(inner)\n",
         id="vector-facade",
     ),
     pytest.param(
+        CORE,
         "class Harness:\n"
         "    def setup(self):\n"
         "        self.engine = FetchEngine(self.program, self.config)\n",
         id="method",
     ),
     pytest.param(
+        CORE,
         "def lower(trace, image, line_size):\n"
         "    return FlatProbes(fetch_program(trace, image, line_size))\n",
         id="flat-probes",
     ),
     pytest.param(
+        CORE,
         "from repro.core import vector_kernels as vk\n"
         "def lower(trace):\n"
         "    return vk.TraceArrays(trace)\n",
         id="kernel-state-attribute",
     ),
     pytest.param(
+        CORE,
         "def lower(stream, line_size):\n"
         "    return RecordedWalks(_lowered_lists(stream), line_size)\n",
         id="recorded-walks",
     ),
     pytest.param(
-        "arrays = TraceArrays(trace)\n",
-        id="kernel-state-module-level",
+        CORE, "arrays = TraceArrays(trace)\n", id="kernel-state-module-level",
     ),
     pytest.param(
+        CORE,
         "def plans(engine, trace):\n"
         "    return FetchProgram(trace, engine.program.image, 32).plans\n",
         id="fetch-program",
     ),
     pytest.param(
+        CORE,
         "from repro.core import lowering\n"
         "def plans(trace, image):\n"
         "    return lowering.FetchProgram(trace, image, 32).plans\n",
         id="fetch-program-attribute",
+    ),
+    pytest.param(
+        "repro.util.mk",
+        "from repro.core.engine import FetchEngine\n"
+        "def make_raw(program):\n"
+        "    return FetchEngine(program)\n",
+        id="util-wrapper",
+    ),
+    pytest.param(
+        "repro.util.helpers",
+        "from repro.core.engine import FetchEngine\n"
+        "def make(program):\n"
+        "    return FetchEngine(program)\n"
+        "def convenience(program):\n"
+        "    return make(program)\n"
+        "def run(program):\n"
+        "    return convenience(program)\n",
+        id="two-helper-chain",
     ),
 ]
 
@@ -124,13 +153,23 @@ NEGATIVE = [
         "    return fetch_program(trace, engine.program.image, 32).plans\n",
         id="calls-through-fetch-program",
     ),
+    pytest.param(
+        "from repro.core.engine import build_engine\n"
+        "def drive(program):\n"
+        "    return build_engine(program)\n",
+        id="sanctioned-factory-caller",
+    ),
 ]
 
 
-@pytest.mark.parametrize("source", POSITIVE)
-def test_flags_direct_construction(source: str) -> None:
-    findings = run_rules(source, module="repro.core.fixture", select="SIM011")
+@pytest.mark.parametrize(("module", "source"), POSITIVE)
+def test_flags_direct_construction(module: str, source: str) -> None:
+    findings = run_rules(source, module=module, select="SIM011")
     assert rule_ids(findings) == ["SIM011"]
+    # Flagged where the construction stands, not where a caller is.
+    (finding,) = findings
+    cls = finding.message.split()[1].removesuffix("(...)")
+    assert f"{cls}(" in source.splitlines()[finding.line - 1]
 
 
 @pytest.mark.parametrize("source", NEGATIVE)
@@ -139,15 +178,16 @@ def test_allows_factory_construction(source: str) -> None:
     assert findings == []
 
 
-def test_scoped_to_sim_modules() -> None:
-    # Tooling/benchmark code may build engines directly (e.g. the speed
-    # harness pins one backend on purpose).
+@pytest.mark.parametrize(
+    "module", ["repro.report.tables", "bench_engine_speed"]
+)
+def test_flags_outside_sim_modules(module: str) -> None:
+    # A package module outside the determinism prefixes, and a script
+    # outside the package (tools, benchmarks, examples), are checked too.
     findings = run_rules(
-        "engine = FetchEngine(p, c)\n",
-        module="repro.report.tables",
-        select="SIM011",
+        "engine = FetchEngine(p, c)\n", module=module, select="SIM011"
     )
-    assert findings == []
+    assert rule_ids(findings) == ["SIM011"]
 
 
 def test_suppressible_inline() -> None:

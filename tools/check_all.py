@@ -3,7 +3,8 @@
 Runs the tooling gates in sequence and reports a one-line verdict
 per gate plus an overall summary:
 
-* ``check_lint``         — simlint static analysis over ``src/``;
+* ``check_lint``         — simlint static analysis over ``src``, ``tools``,
+  ``benchmarks`` and ``examples``, under its wall-clock budget;
 * ``check_overhead``     — zero-overhead observability budget;
 * ``check_engine_speed`` — hot-loop throughput + warm stream-replay
   sweep guard against ``BENCH_engine.json``, with the vector backend held to
@@ -98,8 +99,8 @@ def main(argv=None) -> int:
             indented = "\n".join(f"    {line}" for line in output.splitlines())
             lines.append(indented)
         elif name == "check_lint":
-            # Surface the lint timing even when the gate is quiet — it
-            # is the one latency number worth watching.
+            # Surface the lint timing even when the gate is quiet, so a
+            # rule that makes every commit's lint pass slower shows.
             for line in output.splitlines():
                 if line.startswith("lint timing:"):
                     lines.append(f"    {line}")

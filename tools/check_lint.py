@@ -1,4 +1,4 @@
-"""Static-analysis gate: run simlint (per-file + flow) over the tree.
+"""Static-analysis gate: run simlint over the tree.
 
 With arguments this stays a thin wrapper over ``python -m repro.lint``
 (same flags, same exit codes).  With *no* arguments it runs the full
@@ -7,8 +7,8 @@ gate the way CI wants it:
 * one lint run over the self-clean surface, which must report no
   gating findings;
 * a **wall-clock budget** on that run (``SIMLINT_WARM_BUDGET`` seconds,
-  default 20), so the whole-program phase stays cheap enough to run on
-  every commit;
+  default 20), so the lint pass stays cheap enough to run on every
+  commit: a rule that made it slow would have to earn its cost;
 * one ``lint timing: Xs (N files)`` line that ``tools/check_all.py``
   surfaces even when the gate passes.
 
