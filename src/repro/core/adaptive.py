@@ -21,12 +21,13 @@ records, shared by every fork):
   adaptive upper bound: no realizable controller can beat a per-interval
   argmin taken with hindsight from identical warm state.
 
-The committed timeline always lives on the wrapped engine, so events,
-distribution samples, metric publication, and result construction go
-through the exact same code path as a plain event-loop run.  Shadow
-forks are observation-free by construction (``fork`` strips sinks) and
-are discarded after their interval.  Construct only through
-``build_engine`` (SIM011).
+The committed timeline always lives on the wrapped engine, so metric
+publication and result construction go through the exact same code
+path as a plain event-loop run.  The same code runs whether or not
+anyone observes: a fork buffers its own events and distribution
+samples, the oracle's adopted winner hands them to the committed
+observer, and every other fork is discarded after its interval with its
+buffers.  Construct only through ``build_engine`` (SIM011).
 """
 
 from __future__ import annotations
@@ -101,7 +102,7 @@ class AdaptiveEngine:
         adopt the winning fork's end state without re-simulating.
         """
         lo, hi = span
-        fork.set_policy(policy)
+        fork.set_policy(policy, t=t, interval=index)
         snapshot = fork.snapshot_stats()
         end_t, end_warm = fork._run_span(plans[lo:hi], t, warm_left)
         self.inner.shadow_runs += 1
@@ -146,24 +147,15 @@ class AdaptiveEngine:
         """Best-of-all-candidates per interval, from identical warm state.
 
         Every candidate (including the eventual winner) runs the interval
-        on its own fork; the winner's fork is then *adopted* as the
-        committed timeline (:meth:`~repro.core.engine.FetchEngine.adopt`)
-        — the simulation is deterministic, so re-running the winning
-        interval on the committed engine would reproduce the adopted
-        state bit for bit while costing one extra simulation per
-        interval.  Under a live observer, forks carry no sinks or
-        distribution buffers, so the driver falls back to exactly that
-        re-run (the committed pass is what emits events and samples);
-        results are identical either way, which the differential suite
-        asserts.
+        on its own fork; the winner's fork, with the events and samples
+        it buffered, is then *adopted* as the committed timeline
+        (:meth:`~repro.core.engine.FetchEngine.adopt`).
         """
         inner = self.inner
         candidates = self.schedule.candidates
-        adopt = inner.observer is None
         t = 0
         warm_left = warmup_instructions
         for k, (lo, hi) in enumerate(spans):
-            warm_before = warm_left
             # A fork per candidate; every one replays the same interval
             # from the same warm state.  The reset flag is policy
             # independent (warmup is counted in instructions), so probe
@@ -171,26 +163,19 @@ class AdaptiveEngine:
             best = None
             best_slots = None
             reset = (
-                warm_before > 0
-                and warm_before - span_counts(plans[lo:hi])[0] <= 0
+                warm_left > 0
+                and warm_left - span_counts(plans[lo:hi])[0] <= 0
             )
             for policy in candidates:
                 fork = inner.fork()
                 stats, end_t, end_warm = self._shadow_interval(
-                    fork, policy, (lo, hi), plans, k, t, warm_before, reset
+                    fork, policy, (lo, hi), plans, k, t, warm_left, reset
                 )
                 if best_slots is None or stats.penalty_slots < best_slots:
-                    best = (policy, fork, stats, end_t, end_warm)
+                    best = (fork, stats, end_t, end_warm)
                     best_slots = stats.penalty_slots
-            best_policy, best_fork, stats, end_t, end_warm = best
-            if adopt:
-                inner.adopt(best_fork)
-                t, warm_left = end_t, end_warm
-            else:
-                inner.set_policy(best_policy, t=t, interval=k)
-                snapshot = inner.snapshot_stats()
-                t, warm_left = inner._run_span(plans[lo:hi], t, warm_left)
-                stats = inner.interval_delta(k, snapshot, reset=reset)
+            best_fork, stats, t, warm_left = best
+            inner.adopt(best_fork)
             inner.commit_interval(stats, reset=reset)
             self.schedule.observe(stats)
         return t

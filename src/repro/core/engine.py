@@ -86,6 +86,13 @@ _ORIGIN_PREFETCH = LineOrigin.PREFETCH
 _NO_TAGS = (None,)
 
 
+class _ForkEvents(list):
+    """A fork's event sink: it keeps every event, in order, for
+    :meth:`FetchEngine.adopt` to replay into the committed sink."""
+
+    emit = list.append
+
+
 def _wrong_path_modes(policy: FetchPolicy) -> tuple[tuple[bool, bool], ...]:
     """``(fills, blocking)`` of a wrong-path walk under *policy*, indexed
     by whether the redirect is a mispredict (else a misfetch)."""
@@ -1066,52 +1073,44 @@ class FetchEngine:
         """A deep copy of this engine's warm state for shadow/oracle runs.
 
         The immutable cell inputs (program, config, and a replayed
-        prediction stream) are shared, everything mutable — caches,
-        predictor, bus, fill station, queues, counters — is copied.
-        Observation is stripped from the fork: shadow timelines must
-        never leak events or metrics into the committed run's observer.
+        prediction stream) and the driver's schedule are shared,
+        everything mutable — caches, predictor, bus, fill station,
+        queues, counters — is copied.  Observation never is: the fork
+        gets no observer, an empty interval log, empty sample buffers
+        and, where this engine has a sink, an event buffer of its own,
+        which only :meth:`adopt` hands on.
         """
         memo = {
             id(self.program): self.program,
             id(self.config): self.config,
+            id(self.schedule): self.schedule,
+            id(self.interval_log): [],
         }
         if self._replay:
             memo[id(self.unit.stream)] = self.unit.stream
-        clone = copy.deepcopy(self, memo)
-        clone.observer = None
-        clone._sink = None
-        clone._miss_durations = None
-        clone._redirect_penalties = None
-        clone.station.sink = None
-        if clone.prefetcher is not None:
-            clone.prefetcher.sink = None
-        return clone
+        if self.observer is not None:
+            memo[id(self.observer)] = None
+            memo[id(self._miss_durations)] = []
+            memo[id(self._redirect_penalties)] = []
+        if self._sink is not None:
+            memo[id(self._sink)] = _ForkEvents()
+        return copy.deepcopy(self, memo)
 
     def adopt(self, fork: FetchEngine) -> None:
         """Absorb *fork*'s warm state as this engine's committed timeline.
 
-        The inverse hand-off of :meth:`fork`: after a shadow fork has
-        already simulated an interval, the driver can *adopt* its end
-        state instead of re-running the same interval on the committed
-        engine — the simulation is deterministic, so the adopted state is
-        bit-identical to what the redundant re-run would have produced.
-
-        Only allowed on an observation-free engine: forks are stripped of
-        sinks and distribution buffers (see :meth:`fork`), so adopting
-        one under a live observer would silently drop the committed
-        interval's events and samples.  The driver falls back to the
-        re-run path in that case.
+        The inverse hand-off of :meth:`fork`: after a fork has simulated
+        an interval, the driver adopts its end state instead of
+        re-running the interval here (the simulation is deterministic).
+        The fork's samples join this engine's, its buffered events go to
+        this engine's sink in order, and the adopted fill station and
+        prefetcher emit into that sink again.
 
         Driver-owned bookkeeping stays put: the schedule (shared with the
         driver by identity), the interval log (committed by the driver
         via :meth:`commit_interval`), and the shadow-run count (the fork
         carries a stale pre-interval copy).
         """
-        if self.observer is not None:
-            raise SimulationError(
-                "adopt() requires an observation-free engine; forks carry "
-                "no events or distribution samples to adopt"
-            )
         keep = (
             "observer", "_sink", "_miss_durations", "_redirect_penalties",
             "schedule", "shadow_runs", "interval_log",
@@ -1119,6 +1118,20 @@ class FetchEngine:
         for name, value in fork.__dict__.items():
             if name not in keep:
                 self.__dict__[name] = value
+        if self.observer is not None:
+            self._miss_durations += fork._miss_durations
+            self._redirect_penalties += fork._redirect_penalties
+        sink = self._sink
+        if sink is not None:
+            for event in fork._sink:
+                sink.emit(event)
+        self.station.sink = sink
+        if self.prefetcher is not None:
+            self.prefetcher.sink = sink
+        # The adopted prefetcher and stream buffers still call the fork's
+        # _fill_duration, so later forks copy the spent fork as well:
+        # drop its buffers.
+        fork._sink = fork._miss_durations = fork._redirect_penalties = None
 
     def _build_result(self, trace: Trace) -> SimulationResult:
         counters = self.counters

@@ -36,7 +36,7 @@ import time
 import warnings
 from collections import Counter
 from collections.abc import Iterable, Iterator, Sequence
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 from repro.branch.stream import (
     PredictionStream,
@@ -181,7 +181,6 @@ class SimulationRunner:
         on_error: str = "raise",
         checkpoint_dir: str | None = None,
         fault_plan: FaultPlan | None = None,
-        engine: str = "auto",
     ) -> None:
         if trace_length < 1:
             raise ExperimentError(f"trace_length must be >= 1: {trace_length}")
@@ -200,10 +199,6 @@ class SimulationRunner:
         if on_error not in ("raise", "skip"):
             raise ExperimentError(
                 f"on_error must be 'raise' or 'skip': {on_error!r}"
-            )
-        if engine not in ("auto", "event", "vector"):
-            raise ExperimentError(
-                f"engine must be 'auto', 'event' or 'vector': {engine!r}"
             )
         self.trace_length = trace_length
         self.seed = seed
@@ -232,12 +227,6 @@ class SimulationRunner:
         self.checkpoint = ResultStore(checkpoint_dir)
         #: Deterministic fault-injection plan (chaos testing only).
         self.fault_plan = fault_plan
-        #: Engine backend override applied to every cell: ``"auto"``
-        #: leaves ``config.engine_backend`` untouched (each cell decides
-        #: through the ``build_engine`` seam), ``"event"`` / ``"vector"``
-        #: force the corresponding backend (ineligible cells still fall
-        #: back to the event loop; see ``repro.core.vector``).
-        self.engine = engine
         #: Structured failure report (``on_error="skip"`` cells).
         self.failures: list[SweepFailure] = []
         #: Cell traffic: every :meth:`run` call is requested; a served
@@ -399,20 +388,6 @@ class SimulationRunner:
                     )
         return self._traces[key]
 
-    def _effective_config(self, config: SimConfig) -> SimConfig:
-        """*config* with the runner's engine-backend override applied."""
-        if self.engine == "auto" or config.engine_backend == self.engine:
-            return config
-        if self.engine == "vector" and (
-            config.policy_schedule != "static"
-            or config.adaptive_interval is not None
-        ):
-            # SimConfig rejects vector + per-interval scheduling outright;
-            # a sweep-wide --engine vector request leaves adaptive cells
-            # on the event loop instead of invalidating their configs.
-            return config
-        return replace(config, engine_backend=self.engine)
-
     def prepared(self, name: str) -> WorkloadRun:
         """Program and trace for *name*, building them if needed."""
         # Trace first: an artifact-cache hit satisfies the program memo
@@ -496,7 +471,6 @@ class SimulationRunner:
         a retried attempt re-publishes nothing twice and recovered runs
         stay bit-identical to undisturbed ones.
         """
-        config = self._effective_config(config)
         self.cells_requested += 1
         key = cell_key(name, config, self.trace_length, self.warmup, self.seed)
         hit = self._results.get(key)
@@ -665,7 +639,6 @@ class SimulationRunner:
                 observer.registry.counter(name)
         cells: dict[tuple, tuple[str, SimConfig]] = {}
         for name, config in plan:
-            config = self._effective_config(config)
             key = cell_key(
                 name, config, self.trace_length, self.warmup, self.seed
             )

@@ -63,18 +63,6 @@ def build_parser() -> argparse.ArgumentParser:
         "between concurrent processes)",
     )
     parser.add_argument(
-        "--engine",
-        choices=("auto", "event", "vector"),
-        default="auto",
-        help="engine backend: 'auto' lets each cell pick through the "
-        "build_engine seam (vectorized batch backend for replay-eligible "
-        "cells with a recorded stream, event loop otherwise), 'event' "
-        "forces the event loop everywhere, 'vector' requests the "
-        "vectorized backend (ineligible cells still fall back to the "
-        "event loop; results are bit-identical either way; default "
-        "%(default)s)",
-    )
-    parser.add_argument(
         "--server",
         default=None,
         metavar="ADDRESS",
@@ -337,7 +325,6 @@ def main(argv: Sequence[str] | None = None) -> int:
                 on_error=args.on_error,
                 checkpoint_dir=args.checkpoint,
                 fault_plan=fault_plan,
-                engine=args.engine,
             )
         try:
             for experiment_id in ids:

@@ -238,11 +238,11 @@ def test_miss_dense_cell(workload, policy, assoc, depth):
 
 @pytest.mark.slow
 def test_table5_rows_identical():
-    base = arch()
     renders = []
     for backend in ("event", "vector"):
+        base = arch(engine_backend=backend)
         runner = SimulationRunner(
-            trace_length=TRACE_LENGTH, seed=SEED, warmup=500, engine=backend
+            trace_length=TRACE_LENGTH, seed=SEED, warmup=500
         )
         result = run_table5(
             runner, benchmarks=(BENCHMARK,), depths=(1, 4), base_config=base
@@ -253,11 +253,11 @@ def test_table5_rows_identical():
 
 @pytest.mark.slow
 def test_table6_rows_identical():
-    base = arch()
     renders = []
     for backend in ("event", "vector"):
+        base = arch(engine_backend=backend)
         runner = SimulationRunner(
-            trace_length=TRACE_LENGTH, seed=SEED, warmup=500, engine=backend
+            trace_length=TRACE_LENGTH, seed=SEED, warmup=500
         )
         result = run_table6(runner, benchmarks=(BENCHMARK,), base_config=base)
         renders.append(result.tables[0].render())

@@ -214,12 +214,12 @@ class TestDriverSchedules:
 
 
 class TestOracleAdoption:
-    """The oracle driver adopts the winning fork instead of re-running.
+    """The oracle driver adopts the winning fork, observed or not.
 
-    Differential contract: the adoption path (no observer) and the
-    legacy re-run path (observer present) are bit-identical, and
-    adoption performs exactly one fewer ``_run_span`` per interval —
-    the committed re-run it exists to eliminate.
+    Differential contract: every run — with no observer, a metrics-only
+    observer or an event sink — makes the same ``_run_span`` calls (one
+    per candidate per interval, no committed re-run) and reports the
+    same results; the two observed runs publish the same registry.
     """
 
     CONFIG = SimConfig(
@@ -241,40 +241,42 @@ class TestOracleAdoption:
         monkeypatch.setattr(FetchEngine, "_run_span", counting)
         return calls
 
-    def test_adopt_matches_observer_rerun(self, workload, monkeypatch):
-        from repro.obs import Observer
+    def test_observed_run_adopts_like_unobserved(self, workload, monkeypatch):
+        from dataclasses import asdict
+
+        from repro.obs import Observer, RingBufferSink
 
         program, trace = workload
         calls = self._count_spans(monkeypatch)
-        adopted = simulate(program, trace, self.CONFIG)
-        adopt_spans = calls["n"]
-        calls["n"] = 0
-        rerun = simulate(program, trace, self.CONFIG, observer=Observer())
-        rerun_spans = calls["n"]
-        assert _totals(adopted) == _totals(rerun)
-        assert adopted.total_ispi == rerun.total_ispi
-        assert [s.policy for s in adopted.intervals] == [
-            s.policy for s in rerun.intervals
-        ]
-        assert [s.penalty_slots for s in adopted.intervals] == [
-            s.penalty_slots for s in rerun.intervals
-        ]
-        # Adoption saves exactly the committed re-run, every interval.
-        intervals = len(adopted.intervals)
+        runs = []
+        for observer in (
+            None, Observer(), Observer(sink=RingBufferSink(1 << 20))
+        ):
+            calls["n"] = 0
+            result = simulate(program, trace, self.CONFIG, observer=observer)
+            runs.append((result, calls["n"], observer))
+        (plain, plain_spans, _), *observed = runs
+        intervals = len(plain.intervals)
         assert intervals > 1
-        assert rerun_spans - adopt_spans == intervals
+        assert plain_spans == intervals * len(self.CONFIG.adaptive_policies)
+        for result, spans, _ in observed:
+            assert spans == plain_spans
+            assert asdict(result) == asdict(plain)
+        (_, _, metrics_only), (_, _, with_events) = observed
+        assert metrics_only.registry.as_dict() == with_events.registry.as_dict()
+        assert with_events.sink.dropped == 0 and len(with_events.sink) > 0
 
     def test_adopt_matches_with_warmup(self, workload, monkeypatch):
         from repro.obs import Observer
 
         program, trace = workload
         adopted = simulate(program, trace, self.CONFIG, warmup=1_500)
-        rerun = simulate(
+        observed = simulate(
             program, trace, self.CONFIG, warmup=1_500, observer=Observer()
         )
-        assert _totals(adopted) == _totals(rerun)
+        assert _totals(adopted) == _totals(observed)
         assert [s.policy for s in adopted.intervals] == [
-            s.policy for s in rerun.intervals
+            s.policy for s in observed.intervals
         ]
 
 

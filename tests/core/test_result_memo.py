@@ -38,13 +38,13 @@ def _runner(**kwargs) -> SimulationRunner:
 @pytest.fixture(scope="module")
 def paper_pass():
     """All paper experiments through one observed runner, recording each
-    requested cell (after the engine override) in request order."""
+    requested cell in request order."""
     runner = _runner(observer=Observer(profiler=PhaseProfiler()))
     requested = []
     run = runner.run
 
     def recording_run(name, config):
-        requested.append((name, runner._effective_config(config)))
+        requested.append((name, config))
         return run(name, config)
 
     runner.run = recording_run
@@ -93,7 +93,7 @@ class TestKeyCoverage:
     @pytest.mark.parametrize(
         "attr, value",
         [("seed", SEED + 1), ("trace_length", TRACE + 500),
-         ("warmup", WARMUP + 1), ("engine", "event")],
+         ("warmup", WARMUP + 1)],
     )
     def test_changed_runner_input_misses(self, attr, value):
         runner = _runner()

@@ -115,3 +115,37 @@ class TestObservabilityFlags:
         # table2 never simulates: registry is empty but the file is valid
         assert payload["metrics"] == {}
         assert "build_program" in payload["profile"]
+
+    def test_adaptive_cells_run_under_every_observer(self, tmp_path):
+        """``repro adaptive`` forks engines under an event sink and a
+        metrics observer; the forks buffer their observation, so the run
+        finishes and the committed timeline's policy switches are in the
+        event file."""
+        import json
+        import os
+        import subprocess
+        import sys
+
+        from repro.obs.events import PolicySwitch, read_jsonl_events
+
+        root = os.path.dirname(os.path.dirname(os.path.dirname(
+            os.path.abspath(__file__)
+        )))
+        env = dict(os.environ, PYTHONPATH=os.path.join(root, "src"))
+        proc = subprocess.run(
+            [
+                sys.executable, "-m", "repro", "adaptive",
+                "--trace-length", "4000",
+                "--trace-events", "ev.jsonl",
+                "--metrics-out", "m.json",
+            ],
+            env=env, cwd=tmp_path, capture_output=True, text=True,
+            timeout=300,
+        )
+        assert proc.returncode == 0, proc.stderr
+        events = read_jsonl_events(str(tmp_path / "ev.jsonl"))
+        switches = [e for e in events if isinstance(e, PolicySwitch)]
+        assert switches
+        with open(tmp_path / "m.json", encoding="utf-8") as handle:
+            metrics = json.load(handle)["metrics"]
+        assert metrics["adaptive.switches"] == len(switches)

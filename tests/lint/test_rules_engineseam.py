@@ -36,6 +36,13 @@ POSITIVE = [
     ),
     pytest.param(
         CORE,
+        "from repro.core.adaptive import AdaptiveEngine\n"
+        "def run(program, config):\n"
+        "    return AdaptiveEngine(build_engine(program, config).inner)\n",
+        id="adaptive-driver",
+    ),
+    pytest.param(
+        CORE,
         "class Harness:\n"
         "    def setup(self):\n"
         "        self.engine = FetchEngine(self.program, self.config)\n",
@@ -103,6 +110,14 @@ NEGATIVE = [
         "        return VectorEngine(FetchEngine(program, config))\n"
         "    return FetchEngine(program, config)\n",
         id="the-seam-itself",
+    ),
+    pytest.param(
+        "def build_engine(program, config, observer=None, stream=None):\n"
+        "    engine = FetchEngine(program, config, observer=observer)\n"
+        "    if engine.schedule.driver_required:\n"
+        "        return AdaptiveEngine(engine)\n"
+        "    return engine\n",
+        id="the-seam-wraps-the-driver",
     ),
     pytest.param(
         "def run(program, config):\n"
