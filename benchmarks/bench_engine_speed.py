@@ -20,7 +20,7 @@ from dataclasses import replace
 import pytest
 
 from repro.config import ALL_POLICIES, CacheConfig, FetchPolicy, SimConfig
-from repro.core.engine import simulate
+from repro.core.engine import build_engine, simulate
 from repro.program.workloads import build_workload
 from repro.trace.generator import generate_trace
 
@@ -301,19 +301,19 @@ def _vector_sweep(repeats=3, trace_length=100_000):
     out = {"trace_length": trace_length}
 
     def sweep(backend, configs):
-        return [
-            simulate(
-                program,
-                trace,
-                replace(config, engine_backend=backend),
-                stream=stream,
+        results = []
+        for config in configs:
+            engine = build_engine(
+                program, replace(config, engine_backend=backend), stream=stream
             )
-            for config in configs
-        ]
+            # "auto" picks the vector backend for these eligible cells.
+            assert engine.backend == ("vector" if backend == "auto" else backend)
+            results.append(engine.run(trace))
+        return results
 
     for name, configs in groups.items():
         event_s, event = _best_of(repeats, lambda: sweep("event", configs))
-        vector_s, vector = _best_of(repeats, lambda: sweep("vector", configs))
+        vector_s, vector = _best_of(repeats, lambda: sweep("auto", configs))
         for ev, vec in zip(event, vector):
             assert ev == replace(vec, config=ev.config), (
                 f"vector backend diverged from event loop ({name})"

@@ -1,4 +1,4 @@
-"""Prediction-stream precompute and replay.
+"""Prediction-stream recording and replay.
 
 Every table/figure sweep in the paper runs the *same* architectural trace
 across many fetch-policy × I-cache cells.  Under the ``"architectural"``
@@ -9,21 +9,28 @@ target, BTB hit class, penalty slots, wrong-path walk) is **identical for
 every policy and cache geometry**.  This module exploits that:
 
 * :func:`build_stream` records the outcome sequence once per (workload,
-  branch-config digest, seed, trace length) as compact NumPy arrays
-  (:class:`PredictionStream`): it runs the event loop itself on the
-  perfect-cache clock, behind a live
+  branch-config digest, seed, trace length): it runs the event loop
+  itself on the perfect-cache clock, behind a live
   :class:`~repro.branch.unit.BranchUnit` that logs each prediction, so
-  the simulator has one architectural clock, not a copy for recording;
+  the simulator has one architectural clock, not a copy for recording.
+  The :class:`PredictionStream` keeps that log as it is: the
+  :class:`~repro.branch.unit.PredictionResult` objects the live unit
+  returned and the wrong-path runs of every redirect, equal ones
+  interned;
 * :class:`ReplayBranchUnit` is a drop-in facade the engine consumes
-  through the :func:`~repro.core.engine.build_branch_unit` seam, replaying
-  the recorded stream with **bit-identical** results (differential-tested
-  in ``tests/core/test_stream_replay.py``);
-* streams persist under :class:`~repro.core.artifacts.ArtifactCache` as a
-  directory of ``.npy`` files, so parallel workers load them zero-copy via
-  ``np.load(..., mmap_mode="r")`` instead of receiving pickled arrays.
+  through the :func:`~repro.core.engine.build_branch_unit` seam: it
+  hands out the recorded results themselves and derives its
+  :class:`~repro.branch.unit.BranchStats` from them, so replay is
+  **bit-identical** by construction (differential-tested in
+  ``tests/core/test_stream_replay.py``);
+* NumPy appears only at the disk boundary: under
+  :class:`~repro.core.artifacts.ArtifactCache` a stream is a directory
+  of eleven ``.npy`` arrays (:meth:`PredictionStream.save`), which
+  :meth:`PredictionStream.load` validates and converts back to results
+  and runs at once.
 
 Wrong-path walks are recorded as line-size-independent ``(pc, n)``
-straight-line segments (the walk depends only on the code image and
+straight-line runs (the walk depends only on the code image and
 predictor state) and split once per (stream, line size) into
 :class:`RecordedWalks` (:func:`~repro.core.wrongpath.iter_lines_from_runs`,
 the live walker's splitter), which both engines read.
@@ -46,7 +53,7 @@ import copy
 import hashlib
 import json
 import os
-from dataclasses import asdict, dataclass, replace
+from dataclasses import asdict, dataclass, field, replace
 from pathlib import Path
 
 import numpy as np
@@ -66,9 +73,9 @@ from repro.isa import InstrKind
 from repro.program.program import Program
 from repro.trace.event import Trace
 
-#: On-disk / in-memory stream layout version.  Bump when the array schema
-#: or the recording semantics change; old stream entries become misses
-#: (and are reclaimed by ``ArtifactCache.prune()``).
+#: On-disk stream layout version.  Bump when the array schema or the
+#: recording semantics change; old stream entries become misses (and
+#: are reclaimed by ``ArtifactCache.prune()``).
 STREAM_FORMAT_VERSION = 1
 
 #: Outcome/cause enums by compact array code (and back).
@@ -79,12 +86,17 @@ _CAUSES = (
     PenaltyCause.PHT_MISPREDICT,
     PenaltyCause.BTB_MISPREDICT,
 )
-#: Cause names by code: the ``penalty_slots_by_cause`` keys, read
-#: without an enum ``.value`` property call per redirect.
-_CAUSE_NAMES = tuple(cause.value for cause in _CAUSES)
 _CORRECT = FetchOutcome.CORRECT
+_BTB_MISFETCH = PenaltyCause.BTB_MISFETCH
+_PHT_MISPREDICT = PenaltyCause.PHT_MISPREDICT
+_BTB_MISPREDICT = PenaltyCause.BTB_MISPREDICT
+#: ``penalty_slots_by_cause`` keys, bound once: an enum's ``.value`` is
+#: a property call, and replay charges one per redirect.
+_BTB_MISFETCH_KEY = _BTB_MISFETCH.value
+_PHT_MISPREDICT_KEY = _PHT_MISPREDICT.value
+_BTB_MISPREDICT_KEY = _BTB_MISPREDICT.value
 
-#: Array fields of a stream, in on-disk order: (name, dtype).
+#: Array fields of a saved stream, in on-disk order: (name, dtype).
 _FIELDS = (
     ("outcome", np.int8),
     ("cause", np.int8),
@@ -102,7 +114,7 @@ _FIELDS = (
 _META_NAME = "meta.json"
 
 #: One recorded :class:`PredictionResult`, field for field, as the
-#: stream arrays its fields become.
+#: saved arrays its fields become.
 _RESULT_DTYPE = np.dtype([
     (name, dict(_FIELDS)[name])
     for name in ("outcome", "cause", "penalty", "wstart", "delay", "wslots",
@@ -147,8 +159,17 @@ def stream_digest(config: SimConfig) -> str:
 class PredictionStream:
     """One workload's recorded branch-outcome sequence.
 
-    ``n`` control-transfer records (one per non-PLAIN trace block, in
-    trace order) plus ``wp_off``-indexed wrong-path segments:
+    ``results[i]`` is the :class:`PredictionResult` the live unit
+    returned for the *i*-th control transfer (one per non-PLAIN trace
+    block, in trace order), and ``walks[i]`` the wrong-path walk of a
+    redirected transfer as a tuple of ``(pc, n)`` runs.  Equal results
+    and equal walks are one interned object each (a gcc stream has about
+    three records per distinct redirect and eight per distinct walk),
+    so the stream costs about what its arrays do.  Both are read-only
+    once recorded: every engine and fork replaying the stream shares
+    them.
+
+    On disk (:meth:`save`) the stream is eleven arrays:
 
     ==========  =====  ====================================================
     array       dtype  meaning
@@ -162,8 +183,8 @@ class PredictionStream:
     pht_index   int32  prediction-time PHT index (-1 = none)
     pred_taken  int8   -1 none / 0 not-taken / 1 taken
     wp_off      int64  [n+1] prefix offsets into wp_pc/wp_n
-    wp_pc       int64  wrong-path segment start addresses
-    wp_n        int32  wrong-path segment instruction counts
+    wp_pc       int64  wrong-path run start addresses
+    wp_n        int32  wrong-path run instruction counts
     ==========  =====  ====================================================
     """
 
@@ -172,22 +193,20 @@ class PredictionStream:
     trace_instructions: int
     trace_blocks: int
     digest: str
-    outcome: np.ndarray
-    cause: np.ndarray
-    penalty: np.ndarray
-    delay: np.ndarray
-    wslots: np.ndarray
-    wstart: np.ndarray
-    pht_index: np.ndarray
-    pred_taken: np.ndarray
-    wp_off: np.ndarray
-    wp_pc: np.ndarray
-    wp_n: np.ndarray
+    results: list[PredictionResult]
+    #: Record index -> that record's wrong-path ``(pc, n)`` runs, in
+    #: record order.
+    walks: dict[int, tuple[tuple[int, int], ...]]
+    #: The vector backend's per-redirect columns, derived once per
+    #: stream (:mod:`repro.core.vector`).
+    redirect_columns: object = field(
+        default=None, init=False, repr=False, compare=False
+    )
 
     @property
     def n_records(self) -> int:
         """Number of recorded control transfers."""
-        return len(self.outcome)
+        return len(self.results)
 
     def require_compatible(self, program_name: str, config: SimConfig) -> None:
         """Raise unless this stream can replay *program_name* under *config*."""
@@ -220,19 +239,45 @@ class PredictionStream:
 
     # -- persistence (directory of .npy files + meta.json) -----------------
 
+    def arrays(self) -> dict[str, np.ndarray]:
+        """This stream as its eleven on-disk arrays, by name."""
+        # One pass over the results, each a row of _RESULT_DTYPE
+        # (tuple.index finds an enum member by identity, in C).
+        rows = np.fromiter(
+            (
+                (_OUTCOMES.index(outcome), _CAUSES.index(cause), penalty,
+                 -1 if start is None else start, delay, slots,
+                 -1 if pht is None else pht, -1 if taken is None else taken)
+                for outcome, cause, penalty, start, delay, slots, pht, taken
+                in self.results
+            ),
+            _RESULT_DTYPE,
+            len(self.results),
+        )
+        arrays = {name: rows[name].copy() for name in _RESULT_DTYPE.names}
+        runs_per_record = np.zeros(len(rows) + 1, dtype=np.int64)
+        del rows
+        for index, walk in self.walks.items():
+            runs_per_record[index + 1] = len(walk)
+        arrays["wp_off"] = np.cumsum(runs_per_record)
+        runs = np.array(
+            [run for walk in self.walks.values() for run in walk], np.int64
+        ).reshape(-1, 2)
+        arrays["wp_pc"] = runs[:, 0].copy()
+        arrays["wp_n"] = runs[:, 1].astype(np.int32)
+        return arrays
+
     def save(self, directory: str | os.PathLike[str]) -> None:
         """Write this stream to *directory*, atomically.
 
-        Arrays go to individual ``.npy`` files (the only layout
-        ``np.load(mmap_mode="r")`` can map zero-copy — npz members cannot
-        be mmapped), published as one directory by
-        :func:`~repro.core.durable.publish_dir`.  Raises ``OSError`` on
-        failure; a concurrent writer that published first is not one.
+        Arrays go to individual ``.npy`` files, published as one
+        directory by :func:`~repro.core.durable.publish_dir`.  Raises
+        ``OSError`` on failure; a concurrent writer that published first
+        is not one.
         """
 
         def fill(tmp: Path) -> None:
-            for name, dtype in _FIELDS:
-                array = np.ascontiguousarray(getattr(self, name), dtype=dtype)
+            for name, array in self.arrays().items():
                 np.save(tmp / f"{name}.npy", array)
             meta = {
                 "format": STREAM_FORMAT_VERSION,
@@ -249,15 +294,12 @@ class PredictionStream:
         publish_dir(Path(directory), fill)
 
     @classmethod
-    def load(
-        cls, directory: str | os.PathLike[str], mmap: bool = False
-    ) -> PredictionStream:
+    def load(cls, directory: str | os.PathLike[str]) -> PredictionStream:
         """Read a stream from *directory* (written by :meth:`save`).
 
-        With ``mmap=True`` arrays are memory-mapped read-only — the
-        zero-copy transport parallel workers use.  Raises ``OSError`` /
-        ``ValueError`` / ``KeyError`` on any corruption; callers treat
-        those as cache misses.
+        The arrays are validated, then converted to results and runs at
+        once.  Raises ``OSError`` / ``ValueError`` / ``KeyError`` on any
+        corruption; callers treat those as cache misses.
         """
         directory = Path(directory)
         with open(directory / _META_NAME, "r", encoding="utf-8") as handle:
@@ -266,10 +308,9 @@ class PredictionStream:
             raise ValueError(
                 f"stream format {meta['format']} != {STREAM_FORMAT_VERSION}"
             )
-        mode = "r" if mmap else None
         arrays = {}
         for name, dtype in _FIELDS:
-            array = np.load(directory / f"{name}.npy", mmap_mode=mode)
+            array = np.load(directory / f"{name}.npy")
             if array.dtype != np.dtype(dtype) or array.ndim != 1:
                 raise ValueError(f"stream array {name} has wrong shape/dtype")
             arrays[name] = array
@@ -281,14 +322,65 @@ class PredictionStream:
                 raise ValueError(f"stream array {name} has wrong length")
         if len(arrays["wp_pc"]) != len(arrays["wp_n"]):
             raise ValueError("wrong-path segment arrays disagree")
+        wp_off = arrays["wp_off"]
+        if (
+            wp_off[0] != 0
+            or wp_off[-1] != len(arrays["wp_pc"])
+            or (np.diff(wp_off) < 0).any()
+        ):
+            raise ValueError("wrong-path offsets out of order or range")
         return cls(
             program_name=meta["program"],
             trace_seed=meta["seed"],
             trace_instructions=int(meta["instructions"]),
             trace_blocks=int(meta["blocks"]),
             digest=meta["digest"],
-            **arrays,
+            results=_results_from_arrays(arrays),
+            walks=_walks_from_arrays(arrays),
         )
+
+
+def _results_from_arrays(arrays: dict[str, np.ndarray]) -> list[PredictionResult]:
+    """The saved result arrays back as the recorder's (interned) results."""
+    if not (
+        np.isin(arrays["outcome"], range(len(_OUTCOMES))).all()
+        and np.isin(arrays["cause"], range(len(_CAUSES))).all()
+    ):
+        raise ValueError("stream outcome/cause codes out of range")
+    results = []
+    append = results.append
+    redirects: dict[PredictionResult, PredictionResult] = {}
+    for outcome, cause, penalty, start, delay, slots, pht, taken in zip(
+        *(arrays[name].tolist() for name in _RESULT_DTYPE.names)
+    ):
+        pht_index = None if pht < 0 else pht
+        predicted_taken = None if taken < 0 else taken == 1
+        if outcome == 0:
+            append(correct_result(pht_index, predicted_taken))
+        else:
+            result = PredictionResult(
+                _OUTCOMES[outcome], _CAUSES[cause], penalty,
+                None if start < 0 else start, delay, slots,
+                pht_index, predicted_taken,
+            )
+            append(redirects.setdefault(result, result))
+    return results
+
+
+def _walks_from_arrays(
+    arrays: dict[str, np.ndarray]
+) -> dict[int, tuple[tuple[int, int], ...]]:
+    """The saved wrong-path arrays back as the recorder's (interned)
+    walks."""
+    wp_off = arrays["wp_off"]
+    runs = tuple(zip(arrays["wp_pc"].tolist(), arrays["wp_n"].tolist()))
+    offsets = wp_off.tolist()
+    interned: dict[tuple, tuple] = {}
+    walks = {}
+    for index in np.flatnonzero(np.diff(wp_off)).tolist():
+        walk = runs[offsets[index] : offsets[index + 1]]
+        walks[index] = interned.setdefault(walk, walk)
+    return walks
 
 
 class _RecordingUnit(BranchUnit):
@@ -296,7 +388,8 @@ class _RecordingUnit(BranchUnit):
     each non-correct one, the wrong-path walk against the predictor
     state of that moment.  A redirected ``CALL`` is walked after
     :meth:`notify_call`, which the event loop calls right after
-    predicting it."""
+    predicting it.  Redirects and walks are logged (and returned)
+    interned: correct results already are (:func:`correct_result`)."""
 
     def __init__(self, live: BranchUnit, image) -> None:
         # Deferred: repro.core imports this module.
@@ -307,21 +400,30 @@ class _RecordingUnit(BranchUnit):
         self._wrong_path_runs = iter_wrong_path_runs
         self.results: list[PredictionResult] = []
         #: Record index -> that record's wrong-path ``(pc, n)`` runs.
-        self.walks: dict[int, list[tuple[int, int]]] = {}
+        self.walks: dict[int, tuple[tuple[int, int], ...]] = {}
+        self._redirects: dict[PredictionResult, PredictionResult] = {}
+        self._walk_forms: dict[tuple, tuple] = {}
 
     def predict(self, pc, kind, *args) -> PredictionResult:
         result = BranchUnit.predict(self, pc, kind, *args)
         # A conditional is logged by predict_conditional.
         if kind is not InstrKind.COND_BRANCH:
-            self.results.append(result)
-            if result.outcome is not _CORRECT and kind is not InstrKind.CALL:
-                self._walk(result)
+            if result.outcome is _CORRECT:
+                self.results.append(result)
+            else:
+                result = self._redirects.setdefault(result, result)
+                self.results.append(result)
+                if kind is not InstrKind.CALL:
+                    self._walk(result)
         return result
 
     def predict_conditional(self, *args) -> PredictionResult:
         result = BranchUnit.predict_conditional(self, *args)
-        self.results.append(result)
-        if result.outcome is not _CORRECT:
+        if result.outcome is _CORRECT:
+            self.results.append(result)
+        else:
+            result = self._redirects.setdefault(result, result)
+            self.results.append(result)
             self._walk(result)
         return result
 
@@ -335,40 +437,10 @@ class _RecordingUnit(BranchUnit):
         """Log the wrong-path walk of the last (redirected) prediction."""
         start, slots = result.wrong_path_start, result.wrong_path_slots
         if start is not None and slots > 0:
-            self.walks[len(self.results) - 1] = self._wrong_path_runs(
-                self._image, self, start, slots
+            walk = tuple(self._wrong_path_runs(self._image, self, start, slots))
+            self.walks[len(self.results) - 1] = self._walk_forms.setdefault(
+                walk, walk
             )
-
-    def arrays(self) -> dict[str, np.ndarray]:
-        """The log as the stream's eleven arrays (the log is freed as
-        it is converted, to keep the recording's peak down)."""
-        # One pass over the log, each result a row of _RESULT_DTYPE
-        # (tuple.index finds an enum member by identity, in C).
-        rows = np.fromiter(
-            (
-                (_OUTCOMES.index(outcome), _CAUSES.index(cause), penalty,
-                 -1 if start is None else start, delay, slots,
-                 -1 if pht is None else pht, -1 if taken is None else taken)
-                for outcome, cause, penalty, start, delay, slots, pht, taken
-                in self.results
-            ),
-            _RESULT_DTYPE,
-            len(self.results),
-        )
-        self.results = None
-        arrays = {name: rows[name].copy() for name in _RESULT_DTYPE.names}
-        runs_per_record = np.zeros(len(rows) + 1, dtype=np.int64)
-        del rows
-        for index, walk in self.walks.items():
-            runs_per_record[index + 1] = len(walk)
-        arrays["wp_off"] = np.cumsum(runs_per_record)
-        runs = np.array(
-            [run for walk in self.walks.values() for run in walk], np.int64
-        ).reshape(-1, 2)
-        self.walks = None
-        arrays["wp_pc"] = runs[:, 0].copy()
-        arrays["wp_n"] = runs[:, 1].astype(np.int32)
-        return arrays
 
 
 def build_stream(program: Program, trace: Trace, config: SimConfig) -> PredictionStream:
@@ -400,49 +472,8 @@ def build_stream(program: Program, trace: Trace, config: SimConfig) -> Predictio
         trace_instructions=trace.n_instructions,
         trace_blocks=trace.n_blocks,
         digest=stream_digest(config),
-        **recorder.arrays(),
-    )
-
-
-class _LoweredStream:
-    """Plain-list forms of one stream's record arrays (read-only).
-
-    List indexing is ~3x faster than ndarray scalar indexing in the
-    per-branch hot loop, and the conversion pages mmapped arrays in
-    exactly once.  Lowered lists are shared: every facade built from
-    the same stream object — including :meth:`FetchEngine.fork` clones
-    made for ``AdaptiveEngine`` shadow/oracle runs, which share the
-    stream by identity — reuses one lowering via :func:`_lowered_lists`.
-    """
-
-    __slots__ = tuple(name for name, _ in _FIELDS)
-
-    def __init__(self, stream: PredictionStream) -> None:
-        for name in self.__slots__:
-            setattr(self, name, getattr(stream, name).tolist())
-
-
-# Keyed by id(stream) in the shared lowering memo (repro.core.lowering):
-# an entry dies with its stream, so the id cannot be recycled while the
-# entry lives.
-_lowered_memo: dict[int, _LoweredStream] = {}
-
-
-def stream_lowerings() -> int:
-    """Stream lowerings actually performed — a test hook (see
-    ``tests/core/test_lowering_sharing.py``), not a metric."""
-    from repro.core.lowering import LOWERING_COUNTS
-
-    return LOWERING_COUNTS["stream"]
-
-
-def _lowered_lists(stream: PredictionStream) -> _LoweredStream:
-    # Deferred import: repro.core imports this module.
-    from repro.core.lowering import memo_get
-
-    return memo_get(
-        _lowered_memo, (stream,), id(stream), "stream",
-        lambda: _LoweredStream(stream),
+        results=recorder.results,
+        walks=recorder.walks,
     )
 
 
@@ -459,22 +490,26 @@ class RecordedWalks:
 
     __slots__ = ("line_size", "lines", "ev_off")
 
-    def __init__(self, lowered: _LoweredStream, line_size: int) -> None:
+    def __init__(self, stream: PredictionStream, line_size: int) -> None:
         # Deferred import: repro.core imports this module.
         from repro.core.wrongpath import iter_lines_from_runs
 
-        wp_off, wp_pc, wp_n = lowered.wp_off, lowered.wp_pc, lowered.wp_n
+        walks = stream.walks
         interned: dict[tuple[int, int], tuple[int, int]] = {}
+        #: Each distinct walk, split once.
+        splits: dict[tuple, list[tuple[int, int]]] = {}
         lines: list[tuple[int, int]] = []
         ev_off = [0]
-        for e in range(len(wp_off) - 1):
-            lo = wp_off[e]
-            hi = wp_off[e + 1]
-            if lo < hi:
-                for chunk in iter_lines_from_runs(
-                    zip(wp_pc[lo:hi], wp_n[lo:hi]), line_size
-                ):
-                    lines.append(interned.setdefault(chunk, chunk))
+        for e in range(stream.n_records):
+            walk = walks.get(e)
+            if walk is not None:
+                chunks = splits.get(walk)
+                if chunks is None:
+                    chunks = splits[walk] = [
+                        interned.setdefault(chunk, chunk)
+                        for chunk in iter_lines_from_runs(walk, line_size)
+                    ]
+                lines += chunks
             ev_off.append(len(lines))
         self.line_size = line_size
         self.lines = lines
@@ -490,7 +525,7 @@ def recorded_walks(stream: PredictionStream, line_size: int) -> RecordedWalks:
 
     return memo_get(
         _walk_memo, (stream,), (id(stream), line_size), "walk",
-        lambda: RecordedWalks(_lowered_lists(stream), line_size),
+        lambda: RecordedWalks(stream, line_size),
     )
 
 
@@ -498,43 +533,29 @@ class ReplayBranchUnit:
     """Drop-in :class:`BranchUnit` facade that replays a recorded stream.
 
     Consumed by the engine through the ``build_branch_unit`` seam: it
-    reconstructs each :class:`PredictionResult` from the stream arrays,
-    keeps :class:`BranchStats` exactly as the live unit would, and serves
-    recorded wrong-path walks split at the engine's line size
-    (:func:`recorded_walks`).
+    hands out the recorded :class:`PredictionResult` objects in order,
+    keeps :class:`BranchStats` exactly as the live unit would (derived
+    from each result), and serves recorded wrong-path walks split at
+    the engine's line size (:func:`recorded_walks`).
     ``resolve`` / ``notify_call`` are no-ops — the training they would do
     is already baked into the recorded outcomes.
     """
 
-    __slots__ = (
-        "stream",
-        "stats",
-        "misfetch_penalty_slots",
-        "mispredict_penalty_slots",
-        "_cursor",
-        "_last",
-        "_walks",
-        # The per-record lists, ``_outcome`` .. ``_pred_taken``.
-        *(f"_{name}" for name, _ in _FIELDS[:8]),
-    )
+    __slots__ = ("stream", "stats", "_results", "_cursor", "_last", "_walks")
 
     def __init__(self, stream: PredictionStream, config: SimConfig) -> None:
         stream.require_compatible(stream.program_name, config)
         self.stream = stream
         self.stats = BranchStats()
-        self.misfetch_penalty_slots = config.misfetch_penalty_slots
-        self.mispredict_penalty_slots = config.mispredict_penalty_slots
+        self._results = stream.results
         self._cursor = 0
         self._last = -1
-        lowered = _lowered_lists(stream)
-        for name, _ in _FIELDS[:8]:
-            setattr(self, f"_{name}", getattr(lowered, name))
         self._walks: RecordedWalks | None = None
 
     def __deepcopy__(self, memo: dict) -> ReplayBranchUnit:
-        """Fork-friendly copy: the stream and its lowered lists are
-        read-only, so an engine fork shares them and deep-copies only
-        the mutable replay state (:class:`BranchStats`, cursor)."""
+        """Fork-friendly copy: the stream and its results are read-only,
+        so an engine fork shares them and deep-copies only the mutable
+        replay state (:class:`BranchStats`, cursor)."""
         clone = object.__new__(ReplayBranchUnit)
         memo[id(self)] = clone
         for name in ReplayBranchUnit.__slots__:
@@ -583,47 +604,35 @@ class ReplayBranchUnit:
         actual_taken: bool,
         fall_through: int,
     ) -> PredictionResult:
-        """Replay the next recorded outcome, already counted as a correct
+        """Replay the next recorded result, already counted as a correct
         prediction (by :meth:`predict` or :meth:`count_conditionals`);
-        the outcome is recorded per transfer, so this serves every
+        the result is recorded per transfer, so this serves every
         kind."""
         i = self._cursor
-        if i >= len(self._outcome):
+        try:
+            result = self._results[i]
+        except IndexError:
             raise SimulationError(
                 f"prediction stream exhausted after {i} records "
                 f"(trace/stream mismatch for {self.stream.program_name!r})"
-            )
+            ) from None
         self._cursor = i + 1
-        raw_pht = self._pht_index[i]
-        pht_index = None if raw_pht < 0 else raw_pht
-        raw_pred = self._pred_taken[i]
-        predicted_taken = None if raw_pred < 0 else raw_pred == 1
-        outcome_code = self._outcome[i]
-        if outcome_code == 0:
-            return correct_result(pht_index, predicted_taken)
+        if result.outcome is _CORRECT:
+            return result
         self._last = i
         stats = self.stats
         stats.correct -= 1
-        cause_code = self._cause[i]
-        penalty = self._penalty[i]
-        stats.penalty_slots_by_cause[_CAUSE_NAMES[cause_code]] += penalty
-        if cause_code == 1:
-            stats.btb_misfetches += 1
-        elif cause_code == 2:
+        cause = result.cause
+        if cause is _PHT_MISPREDICT:
             stats.pht_mispredicts += 1
-        elif cause_code == 3:
+            stats.penalty_slots_by_cause[_PHT_MISPREDICT_KEY] += result.penalty_slots
+        elif cause is _BTB_MISFETCH:
+            stats.btb_misfetches += 1
+            stats.penalty_slots_by_cause[_BTB_MISFETCH_KEY] += result.penalty_slots
+        elif cause is _BTB_MISPREDICT:
             stats.btb_mispredicts += 1
-        raw_start = self._wstart[i]
-        return PredictionResult(
-            outcome=_OUTCOMES[outcome_code],
-            cause=_CAUSES[cause_code],
-            penalty_slots=penalty,
-            wrong_path_start=None if raw_start < 0 else raw_start,
-            wrong_path_delay=self._delay[i],
-            wrong_path_slots=self._wslots[i],
-            pht_index=pht_index,
-            predicted_taken=predicted_taken,
-        )
+            stats.penalty_slots_by_cause[_BTB_MISPREDICT_KEY] += result.penalty_slots
+        return result
 
     def iter_last_wrong_path_lines(self, line_size: int):
         """Recorded wrong-path walk of the last non-correct prediction,

@@ -197,11 +197,10 @@ class SimConfig:
     #: Run the shadow-Oracle miss classifier (paper's Table 4; only
     #: meaningful with the OPTIMISTIC policy).
     classify: bool = False
-    #: Engine backend: ``"event"`` (the exact per-instruction event loop),
-    #: ``"vector"`` (the NumPy batch backend over replayed branch
-    #: streams; falls back to the event loop on ineligible cells), or
-    #: ``"auto"`` (vector when a prediction stream is supplied and the
-    #: cell is vector-eligible; see docs/performance.md).
+    #: Engine backend: ``"auto"`` (the NumPy batch backend when a
+    #: prediction stream is supplied, the cell is vector-eligible and no
+    #: event sink listens, else the event loop; see docs/performance.md)
+    #: or ``"event"`` (always the exact per-instruction event loop).
     engine_backend: str = "auto"
     #: How the fetch policy evolves over the run (docs/adaptive-policy.md):
     #: ``"static"`` (``policy`` for the whole run — the paper's regime),
@@ -296,10 +295,10 @@ class SimConfig:
                 "miss classification requires the OPTIMISTIC policy "
                 "(it compares Optimistic against a shadow Oracle)"
             )
-        if self.engine_backend not in ("auto", "event", "vector"):
+        if self.engine_backend not in ("auto", "event"):
             raise ConfigError(
                 f"unknown engine_backend {self.engine_backend!r} "
-                "(expected 'auto', 'event', or 'vector')"
+                "(expected 'auto' or 'event')"
             )
         if self.policy_schedule not in POLICY_SCHEDULES:
             raise ConfigError(
@@ -323,13 +322,6 @@ class SimConfig:
                     "miss classification assumes one policy for the whole "
                     "run (it shadows Optimistic against Oracle); drop "
                     "classify=True or use policy_schedule='static'"
-                )
-            if self.engine_backend == "vector":
-                raise ConfigError(
-                    "the vector backend cannot switch policy at interval "
-                    f"boundaries; policy_schedule={self.policy_schedule!r} "
-                    "needs engine_backend='event' (or 'auto', which will "
-                    "select the event loop)"
                 )
         if self.policy_schedule == "script":
             if not self.policy_script:
@@ -355,11 +347,6 @@ class SimConfig:
                     f"adaptive_policies contains duplicates: "
                     f"{[p.value for p in self.adaptive_policies]}"
                 )
-        if self.engine_backend == "vector" and self.adaptive_interval is not None:
-            raise ConfigError(
-                "the vector backend does not record per-interval stats; "
-                "drop adaptive_interval or use engine_backend='event'/'auto'"
-            )
         if self.tournament_history < 1:
             raise ConfigError(
                 f"tournament_history must be >= 1: {self.tournament_history}"

@@ -167,19 +167,17 @@ class ArtifactCache(DurableStore):
         trace_length: int,
         seed: int,
         digest: str,
-        mmap: bool = False,
     ) -> PredictionStream | None:
         """The cached prediction stream, or ``None`` on any miss.
 
         Corruption (truncated arrays, bad metadata, mismatched identity)
-        is a miss — the stream is rebuilt, never trusted.  ``mmap=True``
-        maps the arrays read-only (zero-copy for parallel workers).
+        is a miss — the stream is rebuilt, never trusted.
         """
         if not self.enabled:
             return None
         directory = self.stream_dir(workload, trace_length, seed, digest)
         try:
-            stream = PredictionStream.load(directory, mmap=mmap)
+            stream = PredictionStream.load(directory)
         except (OSError, ValueError, KeyError, TypeError):
             return None
         if (

@@ -61,7 +61,6 @@ from repro.memory.pending import FillOrigin, PendingFillStation
 from repro.memory.prefetcher import NextLinePrefetcher
 from repro.memory.streambuffer import StreamBufferUnit
 from repro.obs.events import (
-    EngineFallback,
     FetchStall,
     MissService,
     PolicySwitch,
@@ -706,6 +705,10 @@ class FetchEngine:
         self.station.installed = 0
         self.station.overwritten = 0
         self.station.overwritten_prefetch = 0
+        # So do the distribution samples (kept only under an observer).
+        if self._miss_durations is not None:
+            self._miss_durations.clear()
+            self._redirect_penalties.clear()
 
     # -- the main loop ------------------------------------------------------------
 
@@ -1075,10 +1078,11 @@ class FetchEngine:
         The immutable cell inputs (program, config, and a replayed
         prediction stream) and the driver's schedule are shared,
         everything mutable — caches, predictor, bus, fill station,
-        queues, counters — is copied.  Observation never is: the fork
-        gets no observer, an empty interval log, empty sample buffers
-        and, where this engine has a sink, an event buffer of its own,
-        which only :meth:`adopt` hands on.
+        queues, counters and the measured window's distribution samples
+        (flat lists of ints, copied in C) — is copied.  Observation
+        never is: the fork gets no observer, an empty interval log and,
+        where this engine has a sink, an event buffer of its own, which
+        only :meth:`adopt` hands on.
         """
         memo = {
             id(self.program): self.program,
@@ -1090,8 +1094,8 @@ class FetchEngine:
             memo[id(self.unit.stream)] = self.unit.stream
         if self.observer is not None:
             memo[id(self.observer)] = None
-            memo[id(self._miss_durations)] = []
-            memo[id(self._redirect_penalties)] = []
+            memo[id(self._miss_durations)] = self._miss_durations.copy()
+            memo[id(self._redirect_penalties)] = self._redirect_penalties.copy()
         if self._sink is not None:
             memo[id(self._sink)] = _ForkEvents()
         return copy.deepcopy(self, memo)
@@ -1102,25 +1106,23 @@ class FetchEngine:
         The inverse hand-off of :meth:`fork`: after a fork has simulated
         an interval, the driver adopts its end state instead of
         re-running the interval here (the simulation is deterministic).
-        The fork's samples join this engine's, its buffered events go to
-        this engine's sink in order, and the adopted fill station and
-        prefetcher emit into that sink again.
+        The fork's samples (copies of this engine's plus the interval's,
+        restarted if the interval crossed the warmup boundary) replace
+        this engine's, its buffered events go to this engine's sink in
+        order, and the adopted fill station and prefetcher emit into
+        that sink again.  The adopted prefetcher and stream buffers time
+        their fills through this engine's ``_fill_duration`` again, so
+        no reference to the spent fork survives into later forks.
 
         Driver-owned bookkeeping stays put: the schedule (shared with the
         driver by identity), the interval log (committed by the driver
         via :meth:`commit_interval`), and the shadow-run count (the fork
         carries a stale pre-interval copy).
         """
-        keep = (
-            "observer", "_sink", "_miss_durations", "_redirect_penalties",
-            "schedule", "shadow_runs", "interval_log",
-        )
+        keep = ("observer", "_sink", "schedule", "shadow_runs", "interval_log")
         for name, value in fork.__dict__.items():
             if name not in keep:
                 self.__dict__[name] = value
-        if self.observer is not None:
-            self._miss_durations += fork._miss_durations
-            self._redirect_penalties += fork._redirect_penalties
         sink = self._sink
         if sink is not None:
             for event in fork._sink:
@@ -1128,10 +1130,9 @@ class FetchEngine:
         self.station.sink = sink
         if self.prefetcher is not None:
             self.prefetcher.sink = sink
-        # The adopted prefetcher and stream buffers still call the fork's
-        # _fill_duration, so later forks copy the spent fork as well:
-        # drop its buffers.
-        fork._sink = fork._miss_durations = fork._redirect_penalties = None
+            self.prefetcher.fill_duration = self._fill_duration
+        if self.streams is not None:
+            self.streams.fill_duration = self._fill_duration
 
     def _build_result(self, trace: Trace) -> SimulationResult:
         counters = self.counters
@@ -1252,33 +1253,6 @@ class FetchEngine:
             registry.inc("classify.oracle_fills", counts.oracle_fills)
 
 
-#: Fallback-reason -> per-reason counter name (all under ``engine.*``).
-FALLBACK_COUNTERS = {
-    "missing_stream": "engine.fallback.missing_stream",
-    "ineligible_config": "engine.fallback.ineligible_config",
-    "event_sink": "engine.fallback.event_sink",
-}
-
-
-def _record_fallback(
-    observer: Observer, benchmark: str, config: SimConfig, reason: str
-) -> None:
-    """Count (and, with an enabled sink, narrate) one vector->event
-    fallback so sweeps can explain why they ran slow."""
-    registry = observer.registry
-    registry.inc("engine.fallback_total")
-    registry.inc(FALLBACK_COUNTERS[reason])
-    if observer.sink.enabled:
-        observer.sink.emit(
-            EngineFallback(
-                t=0,
-                benchmark=benchmark,
-                requested=config.engine_backend,
-                reason=reason,
-            )
-        )
-
-
 def build_engine(
     program: Program,
     config: SimConfig,
@@ -1289,28 +1263,17 @@ def build_engine(
     """Construct the engine backend for one cell.
 
     The backend-selection seam, mirroring ``build_branch_unit``: every
-    simulation obtains its engine here so ``SimConfig.engine_backend``
-    can swap the vectorized batch backend in for the event loop.  With
-    ``"auto"`` (the default) or ``"vector"``, the vector backend is used
-    only when the cell can actually run on it: a recorded stream must be
-    available, the config must be vector-eligible (see
-    :func:`repro.core.vector.vector_eligible`), and no event sink may be
+    simulation obtains its engine here.  With
+    ``SimConfig.engine_backend="auto"`` (the default) the vectorized
+    batch backend runs a cell exactly when it can: a recorded stream is
+    given, the config is vector-eligible (see
+    :func:`repro.core.vector.vector_eligible`), and no event sink is
     listening (cycle-level events only exist in the event loop).  Every
-    other case — including an explicit ``"vector"`` request on an
-    ineligible cell — falls back to the event loop; the returned
-    engine's ``backend`` attribute ("event" / "vector") records the
-    choice.  Results are bit-identical either way
-    (tests/core/test_engine_backends.py).
-
-    A fallback that denies an **explicit** ``"vector"`` request is
-    counted under ``engine.fallback_total`` plus a per-reason counter
-    (:data:`FALLBACK_COUNTERS`) and narrated as an
-    :class:`~repro.obs.events.EngineFallback` event, so sweeps pinned to
-    the vector backend can explain why they ran slow.  ``"auto"``
-    fallbacks stay uncounted on purpose: auto promises nothing, and both
-    the golden metric snapshots and the replay-transparency invariant
-    (live metrics == replayed metrics) depend on backend selection not
-    perturbing the registry.
+    other cell, and every ``"event"`` cell, runs on the event loop; the
+    returned engine's ``backend`` attribute ("event" / "vector") records
+    the choice.  Results and metrics are bit-identical either way
+    (tests/core/test_engine_backends.py), so the choice adds nothing to
+    the registry.
 
     Controller-driven schedules (``tournament`` / ``oracle``) need
     warm-state forks per interval, so the built event-loop engine is
@@ -1324,32 +1287,16 @@ def build_engine(
     *unit* is a live branch unit for the event loop to run behind (how
     :func:`~repro.branch.stream.build_stream` records a stream).
     """
-    fallback_reason = None
-    if config.engine_backend != "event":
-        explicit = config.engine_backend == "vector"
-        if stream is None:
-            if explicit:
-                fallback_reason = "missing_stream"
-        else:
-            # Deferred import: repro.core.vector imports repro.branch.stream.
-            from repro.core.vector import VectorEngine, vector_eligible
+    if config.engine_backend == "auto" and stream is not None:
+        # Deferred import: repro.core.vector imports repro.branch.stream.
+        from repro.core.vector import VectorEngine, vector_eligible
 
-            if not vector_eligible(config):
-                # An adaptive schedule can never reach here explicitly:
-                # SimConfig rejects engine_backend="vector" with one.
-                if explicit:
-                    fallback_reason = "ineligible_config"
-            elif observer is not None and observer.sink.enabled:
-                if explicit:
-                    fallback_reason = "event_sink"
-            else:
-                return VectorEngine(
-                    FetchEngine(
-                        program, config, observer=observer, stream=stream
-                    )
-                )
-    if fallback_reason is not None and observer is not None:
-        _record_fallback(observer, program.name, config, fallback_reason)
+        if vector_eligible(config) and (
+            observer is None or not observer.sink.enabled
+        ):
+            return VectorEngine(
+                FetchEngine(program, config, observer=observer, stream=stream)
+            )
     engine = FetchEngine(
         program, config, observer=observer, stream=stream, unit=unit
     )
@@ -1376,8 +1323,8 @@ def simulate(
     *stream*, when given, replays a recorded
     :class:`~repro.branch.stream.PredictionStream` instead of running the
     live predictor (bit-identical for replay-eligible configs), and —
-    unless ``config.engine_backend`` forbids it — enables the vectorized
-    batch backend for eligible cells (see :func:`build_engine`).  A
+    unless ``config.engine_backend`` is ``"event"`` — enables the
+    vectorized batch backend for eligible cells (see :func:`build_engine`).  A
     real-cache architectural-schedule cell given none records its own.
     """
     return build_engine(program, config, observer=observer, stream=stream).run(

@@ -15,8 +15,8 @@ once and memoized:
 * the identity-keyed memo (:func:`memo_get`) that
   :mod:`repro.core.vector_kernels` (the per-record arrays),
   :mod:`repro.core.wrongpath` (static wrong-path segments) and
-  :mod:`repro.branch.stream` (replayed streams' list forms and their
-  line-split walks) share.
+  :mod:`repro.branch.stream` (replayed streams' line-split walks)
+  share.
 
 Lowered state is pure read-only data, so one lowering serves every
 engine (and every ``AdaptiveEngine`` fork) simulating the same trace.
@@ -62,7 +62,6 @@ MEMO_CAP = 8
 LOWERING_COUNTS = {
     "fetch": 0,
     "segments": 0,
-    "stream": 0,
     "trace": 0,
     "probe": 0,
     "walk": 0,

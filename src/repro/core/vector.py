@@ -1,10 +1,13 @@
 """Vectorized batch engine backend over replayed prediction streams.
 
 The event-loop engine (:mod:`repro.core.engine`) dispatches one Python
-bytecode sequence per basic block; with prediction-stream replay (PR 5)
-the branch outcomes are already materialized as NumPy arrays, so for
-replay-eligible cells the remaining interpreter overhead is pure
-bookkeeping.  This module removes it.
+bytecode sequence per basic block; with prediction-stream replay the
+branch outcomes are already recorded, so for replay-eligible cells the
+remaining interpreter overhead is pure bookkeeping.  This module
+removes it.  The stream's redirects are read from its recorded results;
+the few columns the array kernels need (redirect record indices,
+penalties and causes) are derived once per stream
+(:func:`_redirect_columns`) and shared by every cell replaying it.
 
 Perfect-cache cells have no cache-timing feedback, so their whole
 timeline is computed with the array kernels of
@@ -62,10 +65,12 @@ Pessimistic force-resolve guard: a popped tail satisfies
 
 from __future__ import annotations
 
+from typing import NamedTuple
+
 import numpy as np
 
-from repro.branch.stream import recorded_walks, replay_eligible
-from repro.branch.unit import BranchStats
+from repro.branch.stream import PredictionStream, recorded_walks, replay_eligible
+from repro.branch.unit import BranchStats, FetchOutcome, PenaltyCause
 from repro.cache.icache import lower_way_slot, move_to_mru
 from repro.config import FetchPolicy, SimConfig
 from repro.core.engine import check_run
@@ -82,6 +87,11 @@ from repro.isa import InstrKind
 from repro.trace.event import Trace
 
 _COND = int(InstrKind.COND_BRANCH)
+_CORRECT = FetchOutcome.CORRECT
+_MISPREDICT = FetchOutcome.MISPREDICT
+#: Penalty causes by code in :attr:`RedirectColumns.cause` (definition
+#: order: 0 none, 1 btb_misfetch, 2 pht_mispredict, 3 btb_mispredict).
+_CAUSES = tuple(PenaltyCause)
 
 #: Line-origin codes in the tag mirrors (the eligible cells never
 #: prefetch, so LineOrigin.PREFETCH has no code here).
@@ -93,7 +103,7 @@ def vector_eligible(config: SimConfig) -> bool:
     """Can *config* run on the vectorized backend (given a stream)?
 
     Replay eligibility is necessary (the backend consumes the recorded
-    outcome arrays); on top of that, every timing-coupled front-end
+    results); on top of that, every timing-coupled front-end
     extension disqualifies the cell — those paths interleave with the
     fetch clock per probe and only exist in the event loop.  So does the
     per-interval policy machinery: the backend assumes one policy for
@@ -110,6 +120,35 @@ def vector_eligible(config: SimConfig) -> bool:
         and config.policy_schedule == "static"
         and config.adaptive_interval is None
     )
+
+
+class RedirectColumns(NamedTuple):
+    """A stream's redirected (non-correct) records as arrays, in record
+    order: what the perfect-cache timeline and the branch statistics
+    read."""
+
+    index: np.ndarray  # record indices
+    penalty: np.ndarray  # penalty slots
+    cause: np.ndarray  # codes into _CAUSES
+
+
+def _redirect_columns(stream: PredictionStream) -> RedirectColumns:
+    """*stream*'s :class:`RedirectColumns`, derived on first use and kept
+    on the stream, so every cell and fork replaying it shares them."""
+    columns = stream.redirect_columns
+    if columns is None:
+        results = stream.results
+        index = [i for i, r in enumerate(results) if r.outcome is not _CORRECT]
+        redirects = [results[i] for i in index]
+        columns = stream.redirect_columns = RedirectColumns(
+            index=np.array(index, dtype=np.int64),
+            penalty=np.array([r.penalty_slots for r in redirects], dtype=np.int64),
+            # tuple.index finds an enum member by identity, in C.
+            cause=np.array(
+                [_CAUSES.index(r.cause) for r in redirects], dtype=np.int8
+            ),
+        )
+    return columns
 
 
 # -- per-window statistics ---------------------------------------------------
@@ -223,12 +262,11 @@ class VectorEngine:
         self._station_line = -1
         self._station_done = 0
         self._wrong_lines = False
-        self._miss_fills = 0
         self._warm = _Window()
         self._meas = _Window()
         self._win = self._meas
         # Per-policy wrong-path walk behavior (None = outcome-dependent:
-        # Decode fills only on a confirmed mispredict, outcome code 2).
+        # Decode fills only on a confirmed mispredict).
         policy = self._policy
         if policy is FetchPolicy.OPTIMISTIC:
             self._walk_fills, self._walk_blocking = True, True
@@ -265,18 +303,20 @@ class VectorEngine:
         else:
             boundary_rec = 0
         n_events = int(ta.ev_rec.size)
-        if len(self._stream.outcome) < n_events:
+        if self._stream.n_records < n_events:
             # The event loop raises mid-run when its cursor overruns a
             # truncated stream; the batch backend knows the event count
             # up front and fails before simulating anything.
             raise SimulationError(
                 f"prediction stream exhausted after "
-                f"{len(self._stream.outcome)} records (trace/stream "
+                f"{self._stream.n_records} records (trace/stream "
                 f"mismatch for {self._stream.program_name!r})"
             )
-        self._ev_outcome = np.asarray(self._stream.outcome)[:n_events]
-        self._ev_cause = np.asarray(self._stream.cause)[:n_events]
-        self._ev_penalty = np.asarray(self._stream.penalty)[:n_events]
+        columns = _redirect_columns(self._stream)
+        n_redirects = int(np.searchsorted(columns.index, n_events))
+        self._red_index = columns.index[:n_redirects]
+        self._red_penalty = columns.penalty[:n_redirects]
+        self._red_cause = columns.cause[:n_redirects]
         if self.cache is None:
             self._run_perfect(ta, boundary_rec)
         else:
@@ -287,9 +327,9 @@ class VectorEngine:
 
     def _run_perfect(self, ta: TraceArrays, boundary_rec: int) -> None:
         """Perfect-cache timeline: pure clock accumulation + depth gate."""
-        redirect = self._ev_outcome != 0
+        red_rec = ta.ev_rec[self._red_index]
         pen_per_rec = np.zeros(ta.n_records, dtype=np.int64)
-        pen_per_rec[ta.ev_rec[redirect]] = self._ev_penalty[redirect]
+        pen_per_rec[red_rec] = self._red_penalty
         rec_start = accumulate_positions(ta.lengths, pen_per_rec)
         cond_rec = np.flatnonzero(ta.kinds == _COND)
         base = rec_start[cond_rec] + ta.lengths[cond_rec] - 1
@@ -298,8 +338,7 @@ class VectorEngine:
         )
         meas = self._meas
         meas.branch_full = int(stalls[cond_rec >= boundary_rec].sum())
-        measured_ev = ta.ev_rec >= boundary_rec
-        meas.branch = int(self._ev_penalty[redirect & measured_ev].sum())
+        meas.branch = int(self._red_penalty[red_rec >= boundary_rec].sum())
 
     # -- real cache -----------------------------------------------------------
 
@@ -308,14 +347,9 @@ class VectorEngine:
         self._probes = fp.probes
         last_probe = fp.last_probe
         self._walks = recorded_walks(self._stream, self._line_size)
-        red_ev = np.flatnonzero(self._ev_outcome != 0)
+        red_ev = self._red_index
         red_probe = last_probe[ta.ev_rec[red_ev]]
-        # Scalar-access copies of the per-event stream fields (list
-        # indexing is ~3x faster than ndarray scalar indexing here).
-        ev_penalty_l = self.unit._penalty
-        ev_delay_l = self.unit._delay
-        ev_outcome_l = self.unit._outcome
-        ev_wstart_l = self.unit._wstart
+        results = self._stream.results
         boundary_probe = (
             int(last_probe[boundary_rec - 1]) + 1 if boundary_rec > 0 else 0
         )
@@ -351,14 +385,19 @@ class VectorEngine:
                 # per control-transfer event — worth skipping two call
                 # frames on the (common) walk-free redirects.
                 e = red_ev_l[r]
-                penalty = ev_penalty_l[e]
+                result = results[e]
+                penalty = result.penalty_slots
                 t_br = self._t - 1
                 self._win.branch += penalty
-                window_start = t_br + 1 + ev_delay_l[e]
+                window_start = t_br + 1 + result.wrong_path_delay
                 window_end = t_br + 1 + penalty
-                if ev_wstart_l[e] >= 0 and window_start < window_end:
+                if (
+                    result.wrong_path_start is not None
+                    and window_start < window_end
+                ):
                     self._t = self._walk(
-                        e, window_start, window_end, ev_outcome_l[e]
+                        e, window_start, window_end,
+                        result.outcome is _MISPREDICT,
                     )
                 else:
                     self._t = window_end
@@ -459,7 +498,6 @@ class VectorEngine:
         n_misses = n_probes - n_hits
         self._t = t
         self._busy_until = busy
-        self._miss_fills += n_misses
         self.probes_scalar += n_probes
         win = self._win
         win.probes += n_probes
@@ -517,7 +555,6 @@ class VectorEngine:
                     win.bus += start - t
                     t = start
                 win.rt_icache += duration
-                self._miss_fills += 1
                 t = done
                 if self._has_station and self._station_done <= t:
                     self._install_station()
@@ -533,7 +570,9 @@ class VectorEngine:
 
     # -- redirects and wrong paths --------------------------------------------
 
-    def _walk(self, e: int, window_start: int, window_end: int, outcome: int) -> int:
+    def _walk(
+        self, e: int, window_start: int, window_end: int, mispredict: bool
+    ) -> int:
         """Mirror of ``_walk_wrong_path`` over the recorded walk of
         stream event *e*; returns the right-path resume slot.
 
@@ -545,10 +584,10 @@ class VectorEngine:
         fills, station traffic) drops to the full scalar mirror.
         """
         # Decode walks always happen; fills only once the redirect is
-        # known to be a mispredict (outcome code 2).
+        # known to be a mispredict.
         fills = self._walk_fills
         if fills is None:
-            fills = outcome == 2
+            fills = mispredict
         blocking = self._walk_blocking
         win = self._win
         cur = window_start
@@ -614,7 +653,6 @@ class VectorEngine:
             win.bus_requests += 1
             win.bus_wait += start - request_at
             win.wrong_fills += 1
-            self._miss_fills += 1
             if blocking:
                 self._fill(line, _ORG_WRONG)
                 self._wrong_lines = True
@@ -722,7 +760,10 @@ class VectorEngine:
             wrong_instructions=meas.wrong_instructions,
             inflight_merges=meas.inflight_merges,
         )
-        inner.unit.stats = self._branch_stats(ta, boundary_rec)
+        # The first measured control transfer, and redirect.
+        first = int(np.searchsorted(ta.ev_rec, boundary_rec, side="left"))
+        first_red = int(np.searchsorted(self._red_index, first, side="left"))
+        inner.unit.stats = self._branch_stats(ta, first, first_red)
         if inner.cache is not None:
             stats = inner.cache.stats
             stats.probes = meas.probes
@@ -735,28 +776,28 @@ class VectorEngine:
         inner.bus.busy_wait_slots = meas.bus_wait
         inner.station.installed = meas.station_installed
         if inner._miss_durations is not None:
-            # Every fill takes the flat miss penalty (no L2 in eligible
-            # cells); warmup observations are included, as in the event
-            # loop (the histograms survive _reset_measurement).
-            inner._miss_durations = [self._penalty_slots] * self._miss_fills
-            redirect = self._ev_outcome != 0
-            inner._redirect_penalties = [
-                int(p) for p in self._ev_penalty[redirect]
-            ]
+            # Measured-window samples only, as in the event loop (whose
+            # buffers restart at _reset_measurement).  Every fill takes
+            # the flat miss penalty (no L2 in eligible cells).
+            inner._miss_durations = [self._penalty_slots] * (
+                meas.right_fills + meas.wrong_fills
+            )
+            inner._redirect_penalties = self._red_penalty[first_red:].tolist()
         return inner._build_result(trace)
 
-    def _branch_stats(self, ta: TraceArrays, boundary_rec: int) -> BranchStats:
-        """Reconstruct the measured-window BranchStats from the stream."""
-        first = int(np.searchsorted(ta.ev_rec, boundary_rec, side="left"))
+    def _branch_stats(
+        self, ta: TraceArrays, first: int, first_red: int
+    ) -> BranchStats:
+        """The measured-window BranchStats, from control transfer *first*
+        and redirect *first_red* on."""
         kinds = ta.kinds[ta.ev_rec[first:]]
-        outcome = self._ev_outcome[first:]
-        cause = self._ev_cause[first:]
-        penalty = self._ev_penalty[first:]
+        cause = self._red_cause[first_red:]
+        penalty = self._red_penalty[first_red:]
         conditional = int((kinds == _COND).sum())
         return BranchStats(
             conditional=conditional,
             unconditional=int(kinds.size - conditional),
-            correct=int((outcome == 0).sum()),
+            correct=int(kinds.size - cause.size),
             pht_mispredicts=int((cause == 2).sum()),
             btb_misfetches=int((cause == 1).sum()),
             btb_mispredicts=int((cause == 3).sum()),

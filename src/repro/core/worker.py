@@ -47,13 +47,12 @@ def serve_cell(args) -> SimulationResult:
     fault_plan)``; the fault plan is ``None`` in production.
 
     Stream rule, for a replay-eligible config: a stream already in the
-    artifact cache is memory-mapped and replayed; otherwise a
+    artifact cache is loaded and replayed; otherwise a
     perfect-cache cell runs live, which costs less than a recording;
     otherwise (a real-cache architectural cell) the worker records the
     stream, stores it in the artifact cache and replays it, so the next
     request for that stream loads it instead of recording it again.
-    Streams cross process boundaries as cache entries, never as pickled
-    arrays.
+    Streams cross process boundaries as cache entries, never pickled.
     """
     global _held_workload
     name, config, trace_length, warmup, seed, cache_dir, plan = args
@@ -72,7 +71,7 @@ def serve_cell(args) -> SimulationResult:
     stream = None
     if replay_eligible(config):
         stream = artifacts.load_stream(
-            name, trace_length, seed, stream_digest(config), mmap=True
+            name, trace_length, seed, stream_digest(config)
         )
         if stream is None and not config.perfect_cache:
             stream = build_stream(program, trace, config)

@@ -2,12 +2,14 @@
 
 The vectorized batch backend (``repro.core.vector``) works because every
 simulation obtains its engine through ``build_engine``, the one seam
-where backend selection, replay-stream availability, observer
-constraints and the adaptive driver's schedules are all checked.  A
-``FetchEngine(...)``, ``VectorEngine(...)`` or ``AdaptiveEngine(...)``
-constructed directly anywhere else silently bypasses that seam: the
-cell pins one backend regardless of the ``engine_backend`` knob, and
-the cross-backend differential guarantees quietly erode.  The same seam
+where backend selection (``engine_backend="auto"`` picks the vector
+backend exactly for a given stream, a vector-eligible config and no
+enabled event sink), observer constraints and the adaptive driver's
+schedules are all checked.  A ``FetchEngine(...)``,
+``VectorEngine(...)`` or ``AdaptiveEngine(...)`` constructed directly
+anywhere else silently bypasses that seam: the cell pins one backend
+whatever that rule would choose, and the cross-backend differential
+guarantees quietly erode.  The same seam
 discipline covers the lowered state the engines run on: the
 ``FetchProgram`` and its ``FlatProbes`` (``repro.core.lowering``), a
 stream's ``RecordedWalks`` (``repro.branch.stream``) and the vector

@@ -9,7 +9,6 @@ from repro.obs.events import (
     INCIDENT_KINDS,
     SERVICE_INCIDENT_KINDS,
     STALL_CAUSES,
-    EngineFallback,
     Event,
     EventSink,
     FetchStall,
@@ -40,7 +39,6 @@ __all__ = [
     "Counter",
     "DEFAULT_BOUNDS",
     "EVENT_TYPES",
-    "EngineFallback",
     "Event",
     "INCIDENT_KINDS",
     "EventSink",

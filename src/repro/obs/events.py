@@ -150,23 +150,6 @@ class PolicySwitch:
     policy: str  # FetchPolicy value
 
 
-@dataclass(frozen=True, slots=True)
-class EngineFallback:
-    """An explicit ``engine_backend="vector"`` request ran the event loop.
-
-    Sweep-level (``t`` is always 0): backend selection happens before the
-    simulation starts.  ``requested`` is the cell's ``engine_backend``
-    knob; ``reason`` is one of the keys of
-    :data:`repro.core.engine.FALLBACK_COUNTERS` (``missing_stream``,
-    ``ineligible_config``, ``event_sink``).
-    """
-
-    t: int
-    benchmark: str
-    requested: str
-    reason: str
-
-
 #: Service-incident kinds emitted by the sweep service (:mod:`repro.service`).
 SERVICE_INCIDENT_KINDS = (
     "request",
@@ -201,8 +184,7 @@ class ServiceIncident:
 
 Event = (
     FetchStall | MissService | Redirect | PrefetchIssue | FillInstall
-    | SweepIncident | StreamBuild | PolicySwitch | EngineFallback
-    | ServiceIncident
+    | SweepIncident | StreamBuild | PolicySwitch | ServiceIncident
 )
 
 #: Event classes by their serialised ``type`` name.
@@ -210,8 +192,7 @@ EVENT_TYPES: dict[str, type] = {
     cls.__name__: cls
     for cls in (
         FetchStall, MissService, Redirect, PrefetchIssue, FillInstall,
-        SweepIncident, StreamBuild, PolicySwitch, EngineFallback,
-        ServiceIncident,
+        SweepIncident, StreamBuild, PolicySwitch, ServiceIncident,
     )
 }
 

@@ -25,7 +25,12 @@ its stream in the same run set-up.
 
 The pins cannot be regenerated from this code: a change that moves one
 is a change of results.  ``python tests/core/test_arch_pins.py`` prints
-the digests the code computes, to diff against them.
+the digests the code computes, to diff against them.  The one
+deliberate move: the twenty observed cells with a warmup were re-pinned
+when the ``engine.miss_service_slots`` and
+``engine.redirect_penalty_slots`` histograms stopped counting
+warmup-window samples; their results and every other metric were
+checked unchanged against the earlier digests' inputs.
 """
 
 from __future__ import annotations
@@ -100,7 +105,7 @@ PINNED = {
     "variant/classify": "bb6442fb50a8ed9928358faef56d6523766ff0f71f85d3f4a65b3d0ba850c33e",
     "variant/perfect": "b67cb0410def905466967d755018c308676ba223e4f6cad80835f9eb0ccf189a",
     "warmup/0": "598a2848bbea7532678be8c67f8b44bddc381900da2e816ba7f60e754614e5d9",
-    "warmup/2500": "68132056843879471f064ae3d30e27ba3537051ca42cd1d8ab27568ffc25c492",
+    "warmup/2500": "6e7a32a108eac8a6a5ab0704aae2ed423b6875f68163d32c22269f178268a32d",
     "runner/oracle": "722c614dafe5e5eab3dafc0954e57e0ddaa2a9cb36527380f76d7a4a0cf4b175",
     "parallel/oracle": "ca6415ebfaad72e0a0d6b3d5bf070f704e1849f54ceb715debbc186e096df937",
     "runner/optimistic": "4f3e292cfd4d47142f046f2b95885cc723507a728d31e76d3d7a57914c9ef352",
@@ -111,25 +116,25 @@ PINNED = {
     "parallel/pessimistic": "c79f776e035a54de42388688c3659f72c34e292dd5e04e0bb4e23085c05042c8",
     "runner/decode": "bfe7c4fe3ea803af8d5d4d1801f36d21cd3d31bad19199d1fbed90a9f4e7a824",
     "parallel/decode": "ab0cbbfde6905ad2159d3641af59e5267c32c5bf1bf4b1bde1af033f413f4e36",
-    "schedule/oracle": "72d796c302749a0cb79c2381f4fc0ee8427d81c1cba92d434ef1c240374ccda0",
-    "schedule/tournament": "f4dffe0ff5c69c13d5941c41043667e18bfaa4f0abd3f0e5d337c39ed0560c5b",
-    "schedule/script": "8b5d29496e047a87a0d1b6012ed758a74b19d3f724e20f714d1b508414215736",
-    "property/0": "ec074f544055e069f35ab2c9d0b985a89e58d3276b60b9029f2a62f906a768b2",
-    "property/1": "415164611e864080a72cda89c6051b7dc86c6ff4b3b2fe40a43c2164bb70c07d",
-    "property/2": "584d2ca48249e240a36ef6e4ed512ad103bf69b98d87ae79faa2d190bd0f14a5",
-    "property/3": "0b223ad039cf08a0916fca5ef39d7dd21dd58cc7b8a1a91df4a8a318c514d0aa",
-    "property/4": "4a01bb76b8c0ed4e49c0755edc1fe4fd2eada12e1d7b8ea3ae0d28b98be1366b",
-    "property/5": "23cb3b62af49bbe7c71a05b1727084ea7506ad2d81284f031fce5d72f30e23a9",
-    "property/6": "c9482580942a376ec2e9b13f1c07e431e60cd565f1b4491d74f525d42f27fd1c",
-    "property/7": "1df18152fd1d2cb5a0771dc260f79a2bfc9d8098353c1eaf57b27662c22d9965",
-    "property/8": "b6a508615bb1222b84d212b0faf756412c318ac0029a265e00a3e0aff721ca87",
-    "property/9": "37d7929d71d2e5dc662c2aa6239f8d8a6beca8ea927d6665380593f1b96362a8",
-    "property/10": "74ca8f40217b8c4ba1887dbdb2d2ccccd5ad94f08075be9797dbfbdff497406e",
-    "property/11": "c3b871bdfa4cde09129603a79ba1d58aa5244a3d939c1bb3135e384f70a0e396",
-    "property/12": "d939359cd7f088971bc3f0d33a50c6e31d243bf44e707abff1d487203a15b899",
-    "property/13": "21c12c20451e6c35d25f144fdfb0873349abcebdc40e2c1afbd7751ae2cd5eaa",
-    "property/14": "9d93b356ce6430ff17b4cc76898dce9fe5c45b9d7288bd51c5c0f98bef4bf4bf",
-    "property/15": "6a90b9d0ade476160637e3e2c3869b5c79eb075334246a3690858f29fbb6f148",
+    "schedule/oracle": "c3f7b666959605e051f5f31271ed39e868bdd6f74042edb3477ba07bbfb6eb35",
+    "schedule/tournament": "93fa2a04b14c2dff08fbfb7be926ccc689cced666d97a6fd80fd0620e7172e0b",
+    "schedule/script": "85cfbb1bb1196852a4f9c0492978b021e83ba6ddf48eb68ae0f072117ae2a6c5",
+    "property/0": "c8c7a1927231191d68ee69235bf4fd31254389ccb9f18159d2acac003275c80c",
+    "property/1": "949137b4b8d50d8cc8fbab2701a8398eb7088ae9b1f3cd61e7c812c046571095",
+    "property/2": "c23563d7fb4df811647e9ad6e8a241e474a813ecfd67efde7e6b781822e9575c",
+    "property/3": "1b20ddc1ecea0d3ef1e2d2f5ee18684bd59166bc056228c31510b8c626a424b8",
+    "property/4": "bd37c790fdce325fde9fc7d88df48bcdc1216de53c3ae22701f1a219f54c055a",
+    "property/5": "fb0c431b6e0b276f57f2fc12cb9883ff520d337523cf1bbf3e4fead66728bd68",
+    "property/6": "225a6f7d487ed33d5fc4d62efcb0bff3e742ce2d99064ab95725a023dccd8823",
+    "property/7": "25146189290d39f176109c0c8b2c48d55b4b751c5acab3625c11f6e060db2ccd",
+    "property/8": "b0a5d40e06446772395b9c7aea22d9d5b44a532e046b9aacefce5ddf56551a86",
+    "property/9": "75f92ffcab4f198d92ee6b10eed2b8fe1b1cbc48d4d1eef5ea6c3f1fdf69ec52",
+    "property/10": "aef451d94632a68c82a4e5bd631dd28161a2d75fe44014bb07f3aac0b226e054",
+    "property/11": "cf25a94ea84d6fe0f4a2d0caf90a0e4f58e91df9eeaed2c68bf9e78d989568e2",
+    "property/12": "162266f99a41eb5bec9fda04e84b53a345c9861c5a13b3a30e295cd8c041cc08",
+    "property/13": "b4730b7dfd6433b5d9ea6a62a07056ff6bb680a7e7c210885a300fb6fcbf1533",
+    "property/14": "99a7ffea4c8ff6f7dcede9e7aa1057306986606c9e4d0301019315837a7e0329",
+    "property/15": "2c3c08b9c3122962bca2b96e7d70003680671dd0a5efaebd03cd47c830b877ef",
 }
 
 

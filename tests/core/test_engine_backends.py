@@ -1,14 +1,14 @@
 """Cross-backend differential harness: vector backend == event loop.
 
 The tentpole claim of the vectorized batch backend
-(:mod:`repro.core.vector`): for every replay-eligible cell, running
-through ``engine_backend="vector"`` produces **bit-identical**
-:class:`SimulationResult`s, metrics dictionaries, and rendered
-experiment tables to the event loop.  The matrix below covers every
-fetch policy x cache size x associativity x prefetch mode x warmup; the
-prefetch and stream-buffer columns are vector-ineligible by design, so
-those cells assert that ``build_engine`` falls back to the event loop
-instead of skipping silently.
+(:mod:`repro.core.vector`): for every vector-eligible cell, the vector
+backend that ``engine_backend="auto"`` picks given a stream produces
+**bit-identical** :class:`SimulationResult`s, metrics dictionaries, and
+rendered experiment tables to the event loop (``"event"``).  The matrix
+below covers every fetch policy x cache size x associativity x prefetch
+mode x warmup; the prefetch and stream-buffer columns are
+vector-ineligible by design, so those cells assert that ``build_engine``
+picks the event loop instead of skipping silently.
 """
 
 from __future__ import annotations
@@ -35,7 +35,7 @@ SEED = 9
 SIZES = (2 * 1024, 8 * 1024, 32 * 1024)
 ASSOCS = (1, 2, 4)
 #: Prefetch modes: only "none" is vector-eligible; the other two pin the
-#: fallback (timing-coupled prefetchers only exist in the event loop).
+#: event loop (timing-coupled prefetchers only exist there).
 PREFETCH = {
     "none": {},
     "next-line": {"prefetch": True},
@@ -72,14 +72,14 @@ def _run_both(program, trace, config, stream, warmup):
         observer=obs_event,
         stream=stream,
     )
-    vector = simulate(
+    vector_engine = build_engine(
         program,
-        trace,
-        replace(config, engine_backend="vector"),
-        warmup=warmup,
+        replace(config, engine_backend="auto"),
         observer=obs_vector,
         stream=stream,
     )
+    assert vector_engine.backend == "vector"
+    vector = vector_engine.run(trace, warmup_instructions=warmup)
     return event, vector, obs_event.metrics_dict(), obs_vector.metrics_dict()
 
 
@@ -99,17 +99,9 @@ def test_matrix_cell(workload, stream, policy, size, assoc, prefetch_mode, warmu
         **PREFETCH[prefetch_mode],
     )
     if not vector_eligible(config):
-        engine = build_engine(
-            program,
-            replace(config, engine_backend="vector"),
-            stream=stream,
-        )
+        engine = build_engine(program, config, stream=stream)
         assert engine.backend == "event"
-        pytest.skip(f"vector-ineligible ({prefetch_mode}): fallback asserted")
-    engine = build_engine(
-        program, replace(config, engine_backend="vector"), stream=stream
-    )
-    assert engine.backend == "vector"
+        pytest.skip(f"vector-ineligible ({prefetch_mode}): event loop asserted")
     event, vector, metrics_event, metrics_vector = _run_both(
         program, trace, config, stream, warmup
     )
@@ -130,7 +122,7 @@ def test_perfect_cache_cells(workload, stream):
             assert metrics_event == metrics_vector
 
 
-# -- fallback semantics ------------------------------------------------------
+# -- backend selection -------------------------------------------------------
 
 
 def test_auto_picks_vector_when_eligible(workload, stream):
@@ -141,7 +133,7 @@ def test_auto_picks_vector_when_eligible(workload, stream):
 
 def test_no_stream_falls_back(workload):
     program, _ = workload
-    engine = build_engine(program, arch(engine_backend="vector"))
+    engine = build_engine(program, arch())
     assert engine.backend == "event"
 
 
@@ -158,10 +150,7 @@ def test_enabled_sink_falls_back(workload, stream, tmp_path):
     observer = Observer(sink=JsonlSink(str(tmp_path / "events.jsonl")))
     try:
         engine = build_engine(
-            program,
-            arch(engine_backend="vector"),
-            observer=observer,
-            stream=stream,
+            program, arch(), observer=observer, stream=stream
         )
         assert engine.backend == "event"
     finally:
@@ -172,7 +161,7 @@ def test_timing_schedule_falls_back(workload):
     # Timing-coupled cells are not even replay-eligible: no stream ever
     # reaches build_engine, and the event loop runs.
     program, _ = workload
-    engine = build_engine(program, SimConfig(engine_backend="vector"))
+    engine = build_engine(program, SimConfig())
     assert engine.backend == "event"
 
 
@@ -239,7 +228,7 @@ def test_miss_dense_cell(workload, policy, assoc, depth):
 @pytest.mark.slow
 def test_table5_rows_identical():
     renders = []
-    for backend in ("event", "vector"):
+    for backend in ("event", "auto"):
         base = arch(engine_backend=backend)
         runner = SimulationRunner(
             trace_length=TRACE_LENGTH, seed=SEED, warmup=500
@@ -254,7 +243,7 @@ def test_table5_rows_identical():
 @pytest.mark.slow
 def test_table6_rows_identical():
     renders = []
-    for backend in ("event", "vector"):
+    for backend in ("event", "auto"):
         base = arch(engine_backend=backend)
         runner = SimulationRunner(
             trace_length=TRACE_LENGTH, seed=SEED, warmup=500

@@ -1,16 +1,16 @@
 """Lowered-state sharing: one lowering per object, across engines and forks.
 
-Replay, vector and event-loop state lowering (stream record lists and
+Replay, vector and event-loop state (a stream's recorded results and
 their line-split walks, per-record trace arrays, the event loop's fetch
 program and its flat probe list) is pure read-only data, so a policy
 sweep over one trace and the ``AdaptiveEngine`` shadow/oracle forks of
 one engine must pay for each lowering exactly once, and a sweep over
 cache geometries at one line size must pay for no per-geometry state.
-These tests pin that with the module test hooks
-(:func:`repro.branch.stream.stream_lowerings`,
-:data:`repro.core.lowering.LOWERING_COUNTS`) and with ``tracemalloc`` —
-a regression here silently multiplies sweep setup cost and memory by
-the fork/engine/geometry count.
+A replayed stream needs no lowering at all: every engine and fork hands
+out the stream's own result list.  These tests pin that with identity
+checks, the module test hook (:data:`repro.core.lowering.LOWERING_COUNTS`)
+and ``tracemalloc`` — a regression here silently multiplies sweep setup
+cost and memory by the fork/engine/geometry count.
 """
 
 from __future__ import annotations
@@ -22,15 +22,10 @@ from dataclasses import replace
 
 import pytest
 
-from repro.branch.stream import (
-    ReplayBranchUnit,
-    build_stream,
-    recorded_walks,
-    stream_lowerings,
-)
+from repro.branch.stream import ReplayBranchUnit, build_stream, recorded_walks
 from repro.config import ALL_POLICIES, CacheConfig, FetchPolicy, SimConfig
 from repro.core import lowering
-from repro.core.engine import build_engine, simulate
+from repro.core.engine import FetchEngine, build_engine, simulate
 from repro.program.workloads import build_workload
 from repro.trace.generator import generate_trace
 
@@ -65,35 +60,38 @@ def stream(workload):
 
 def test_replay_unit_lowering_shared_across_engines(workload, stream):
     program, trace = workload
-    before = stream_lowerings()
+    units = []
     for policy in (FetchPolicy.RESUME, FetchPolicy.PESSIMISTIC):
-        simulate(
-            program,
-            trace,
-            arch(policy=policy, engine_backend="event"),
-            stream=stream,
+        engine = build_engine(
+            program, arch(policy=policy, engine_backend="event"), stream=stream
         )
-    after = stream_lowerings()
-    # The fixture stream may already be in the memo from an earlier test;
-    # two more engines over the same stream object add at most one lowering.
-    assert after - before <= 1
-    simulate(program, trace, arch(engine_backend="event"), stream=stream)
-    assert stream_lowerings() == after
+        engine.run(trace)
+        units.append(engine.unit)
+    # Every engine replays the stream's own result list: no copy, no
+    # per-engine lowering.
+    assert all(unit._results is stream.results for unit in units)
 
 
-def test_adaptive_forks_share_stream_lowering(workload, stream):
+def test_adaptive_forks_share_stream_lowering(workload, stream, monkeypatch):
     program, trace = workload
     config = arch(
         policy_schedule="oracle",
         adaptive_interval=INTERVAL,
         adaptive_policies=(FetchPolicy.RESUME, FetchPolicy.PESSIMISTIC),
     )
-    simulate(program, trace, config, stream=stream)  # memo warm for stream
-    before = stream_lowerings()
+    forks = []
+    fork = FetchEngine.fork
+
+    def spy(engine):
+        forks.append(fork(engine))
+        return forks[-1]
+
+    monkeypatch.setattr(FetchEngine, "fork", spy)
     result = simulate(program, trace, config, stream=stream)
     assert result.metadata["shadow_runs"] > 0
-    # Every shadow/oracle fork re-lowered the stream before PR 10.
-    assert stream_lowerings() == before
+    assert forks
+    # Every shadow/oracle fork replays the stream's own result list.
+    assert all(f.unit._results is stream.results for f in forks)
 
 
 def test_fork_shares_lowered_lists_copies_stats(workload, stream):
@@ -107,14 +105,16 @@ def test_fork_shares_lowered_lists_copies_stats(workload, stream):
     assert fork.unit is not engine.unit
     assert fork.unit.stats is not engine.unit.stats
     assert fork.unit.stream is engine.unit.stream
-    for name in ("_outcome", "_penalty", "_walks"):
-        assert getattr(fork.unit, name) is getattr(engine.unit, name)
+    assert fork.unit._results is engine.unit._results is stream.results
+    assert fork.unit._walks is engine.unit._walks
 
 
 def test_vector_lowerings_shared_across_policy_sweep(workload, stream):
     program, trace = workload
-    config = arch(engine_backend="vector")
+    config = arch()
     simulate(program, trace, config, stream=stream)  # memos warm
+    columns = stream.redirect_columns
+    assert columns is not None
     before = dict(lowering.LOWERING_COUNTS)
     for policy in (
         FetchPolicy.OPTIMISTIC,
@@ -124,8 +124,10 @@ def test_vector_lowerings_shared_across_policy_sweep(workload, stream):
         simulate(
             program, trace, replace(config, policy=policy), stream=stream
         )
-    # Same trace object, same line size, same geometry: zero re-lowering.
+    # Same trace object, same line size, same geometry: zero re-lowering,
+    # and the stream's redirect columns are derived once.
     assert lowering.LOWERING_COUNTS == before
+    assert stream.redirect_columns is columns
 
 
 def test_distinct_trace_objects_are_not_conflated(workload):
@@ -237,9 +239,7 @@ def _vector_sweep(program, trace, stream, geometries) -> None:
     for cache in geometries:
         for policy in ALL_POLICIES:
             engine = build_engine(
-                program,
-                arch(cache=cache, policy=policy, engine_backend="vector"),
-                stream=stream,
+                program, arch(cache=cache, policy=policy), stream=stream
             )
             assert engine.backend == "vector"
             engine.run(trace)
@@ -260,7 +260,7 @@ def test_geometry_sweep_shares_one_lowering_per_line_size(
     assert counts["walk"] == before["walk"] + 1
 
     # The mirror's probe entries are the fetch program's own tuples.
-    engine = build_engine(program, arch(engine_backend="vector"), stream=stream)
+    engine = build_engine(program, arch(), stream=stream)
     engine.run(trace)
     flat = lowering.flat_probes(trace, program.image, 32)
     assert engine._probes is flat.probes

@@ -9,7 +9,7 @@ result's own counters.
 import pytest
 
 from repro.config import ALL_POLICIES, FetchPolicy, SimConfig
-from repro.core.engine import simulate
+from repro.core.engine import build_engine, simulate
 from repro.core.results import COMPONENTS
 from repro.core.runner import SimulationRunner
 from repro.obs import (
@@ -102,6 +102,52 @@ class TestMetrics:
         hist = observer.registry.get("engine.miss_service_slots")
         assert hist.count == result.counters.right_fills + result.counters.wrong_fills
         assert hist.min >= 1
+
+    @pytest.mark.parametrize("schedule", ["static", "oracle"])
+    def test_histograms_count_the_measured_window(self, schedule):
+        """With a warmup, the sample histograms count exactly the
+        measured fills and redirects, on the event loop and the vector
+        backend alike (the warmup window's samples are dropped at the
+        boundary, like every counter)."""
+        from dataclasses import replace
+
+        from repro.branch.stream import build_stream
+
+        run = SimulationRunner(trace_length=8_000, warmup=0, seed=3).prepared("gcc")
+        program, trace = run.program, run.trace
+        adaptive = {} if schedule == "static" else {
+            "policy_schedule": "oracle", "adaptive_interval": 1_000,
+        }
+        arch = SimConfig(branch_schedule="architectural", **adaptive)
+        stream = build_stream(program, trace, arch)
+        # (config, stream, architectural?): the paper's timing schedule,
+        # then an architectural cell replayed on the event loop,
+        # self-recording and, where eligible, on the vector backend.
+        cells = [
+            (SimConfig(**adaptive), None, False),
+            (replace(arch, engine_backend="event"), stream, True),
+            (arch, None, True),
+        ]
+        if schedule == "static":
+            cells.append((arch, stream, True))
+        backends, arch_metrics = set(), []
+        for config, given, architectural in cells:
+            observer = Observer()
+            engine = build_engine(program, config, observer=observer, stream=given)
+            backends.add(engine.backend)
+            result = engine.run(trace, warmup_instructions=4_000)
+            registry = observer.registry
+            stats = result.branch_stats
+            redirects = (
+                stats.btb_misfetches + stats.pht_mispredicts + stats.btb_mispredicts
+            )
+            fills = result.counters.right_fills + result.counters.wrong_fills
+            assert registry.get("engine.miss_service_slots").count == fills
+            assert registry.get("engine.redirect_penalty_slots").count == redirects
+            if architectural:
+                arch_metrics.append(registry.as_dict())
+        assert backends == ({"event", "vector"} if schedule == "static" else {"adaptive"})
+        assert all(metrics == arch_metrics[0] for metrics in arch_metrics)
 
     def test_prefetch_partition(self, gcc):
         program, trace = gcc

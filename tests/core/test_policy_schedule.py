@@ -280,6 +280,34 @@ class TestOracleAdoption:
         ]
 
 
+    def test_adopted_prefetcher_times_fills_on_the_committed_engine(
+        self, workload, monkeypatch
+    ):
+        from repro.core.engine import FetchEngine
+
+        program, trace = workload
+        config = replace(self.CONFIG, prefetch=True, stream_buffers=2)
+        engine = build_engine(program, config)
+        engine.run(trace)
+        inner = engine.inner
+        # The oracle adopted a fork every interval; the fill timing the
+        # adopted prefetcher and stream buffers call is the committed
+        # engine's, not the last spent fork's.
+        assert inner.prefetcher.fill_duration.__self__ is inner
+        assert inner.streams.fill_duration.__self__ is inner
+        copies = []
+        reduce_ex = FetchEngine.__reduce_ex__
+
+        def counting(self, protocol):
+            copies.append(self)
+            return reduce_ex(self, protocol)
+
+        monkeypatch.setattr(FetchEngine, "__reduce_ex__", counting)
+        fork = inner.fork()
+        assert copies == [inner]
+        assert fork.prefetcher.fill_duration.__self__ is fork
+
+
 def _unit_state(unit):
     btb = unit.btb
     return (

@@ -28,7 +28,7 @@ BACKENDS = {
         AdaptiveEngine,
     ),
     "vector": (
-        SimConfig(perfect_cache=True, engine_backend="vector"),
+        SimConfig(perfect_cache=True),
         VectorEngine,
     ),
 }

@@ -2,9 +2,9 @@
 
 ``build_stream`` records a stream by running the event loop on the
 perfect-cache clock behind a recording branch unit.  Every stream below
-is pinned by a SHA-256 digest over its eleven arrays (name, dtype,
-length and bytes), taken from the earlier hand-written recorder, which
-ran its own copy of that clock.  The streams cover four programs under
+is pinned by a SHA-256 digest over the eleven arrays it saves (name,
+dtype, length and bytes), taken from the earlier hand-written recorder,
+which ran its own copy of that clock.  The streams cover four programs under
 the default architecture, three speculation depths, a crippled
 predictor, a return-address stack and a coupled BTB, plus the
 redirect-dense stress program of ``tests/core/test_engine_backends.py``.
@@ -22,8 +22,15 @@ from dataclasses import replace
 
 import pytest
 
-from repro.branch.stream import _FIELDS, STREAM_FORMAT_VERSION, build_stream
-from repro.config import BranchConfig, SimConfig
+from repro.branch.stream import (
+    _FIELDS,
+    STREAM_FORMAT_VERSION,
+    PredictionStream,
+    ReplayBranchUnit,
+    build_stream,
+)
+from repro.config import BranchConfig, FetchPolicy, SimConfig
+from repro.core.engine import simulate
 from repro.core.runner import SimulationRunner
 from repro.program.workloads import build_workload
 from repro.trace.generator import generate_trace
@@ -82,10 +89,11 @@ PINNED = {
 
 
 def stream_sha256(stream) -> str:
-    """One digest over every array of *stream*, in on-disk order."""
+    """One digest over every saved array of *stream*, in on-disk order."""
     digest = hashlib.sha256()
+    arrays = stream.arrays()
     for name, _ in _FIELDS:
-        array = getattr(stream, name)
+        array = arrays[name]
         digest.update(f"{name}:{array.dtype.str}:{len(array)};".encode())
         digest.update(array.tobytes())
     return digest.hexdigest()
@@ -108,11 +116,17 @@ def _cases():
 
 
 @pytest.fixture(scope="module")
-def digests():
+def recorded():
+    """Case id -> ``(program, trace, config, stream)``."""
     return {
-        case: stream_sha256(build_stream(program, trace, config))
+        case: (program, trace, config, build_stream(program, trace, config))
         for case, program, trace, config in _cases()
     }
+
+
+@pytest.fixture(scope="module")
+def digests(recorded):
+    return {case: stream_sha256(entry[-1]) for case, entry in recorded.items()}
 
 
 def test_every_stream_is_pinned(digests):
@@ -122,6 +136,43 @@ def test_every_stream_is_pinned(digests):
 @pytest.mark.parametrize("case", sorted(PINNED))
 def test_stream_matches_pin(digests, case):
     assert digests[case] == PINNED[case]
+
+
+@pytest.mark.parametrize("case", sorted(PINNED))
+def test_save_load_round_trip(recorded, case, tmp_path):
+    # NumPy only at the disk boundary: what load converts back is the
+    # recording, and saving it again writes the same bytes.
+    stream = recorded[case][-1]
+    stream.save(tmp_path / "stream")
+    loaded = PredictionStream.load(tmp_path / "stream")
+    assert loaded == stream
+    saved, resaved = stream.arrays(), loaded.arrays()
+    for name, dtype in _FIELDS:
+        assert resaved[name].dtype == saved[name].dtype == dtype
+        assert resaved[name].tobytes() == saved[name].tobytes(), name
+
+
+@pytest.mark.parametrize(
+    "case", sorted(case for case in PINNED if "crippled" in case)
+)
+def test_replay_hands_out_the_recorded_results(recorded, case, monkeypatch):
+    """Replay returns the recorder's own result objects, in order: under
+    a crippled predictor, constant redirects and walks."""
+    program, trace, config, stream = recorded[case]
+    handed = []
+    replay = ReplayBranchUnit.predict_conditional
+
+    def spy(unit, *args):
+        handed.append(replay(unit, *args))
+        return handed[-1]
+
+    monkeypatch.setattr(ReplayBranchUnit, "predict_conditional", spy)
+    for policy in (FetchPolicy.OPTIMISTIC, FetchPolicy.PESSIMISTIC):
+        handed.clear()
+        cell = replace(config, policy=policy, engine_backend="event")
+        simulate(program, trace, cell, stream=stream)
+        assert len(handed) == stream.n_records
+        assert all(a is b for a, b in zip(handed, stream.results))
 
 
 def test_format_version_unchanged():

@@ -189,23 +189,10 @@ def test_stream_rejects_wrong_trace(workload, stream):
 
 def test_exhausted_stream_raises(workload, stream):
     program, trace = workload
-    truncated = PredictionStream(
-        program_name=stream.program_name,
-        trace_seed=stream.trace_seed,
-        trace_instructions=stream.trace_instructions,
-        trace_blocks=stream.trace_blocks,
-        digest=stream.digest,
-        outcome=stream.outcome[:4],
-        cause=stream.cause[:4],
-        penalty=stream.penalty[:4],
-        delay=stream.delay[:4],
-        wslots=stream.wslots[:4],
-        wstart=stream.wstart[:4],
-        pht_index=stream.pht_index[:4],
-        pred_taken=stream.pred_taken[:4],
-        wp_off=stream.wp_off[:5],
-        wp_pc=stream.wp_pc,
-        wp_n=stream.wp_n,
+    truncated = replace(
+        stream,
+        results=stream.results[:4],
+        walks={e: walk for e, walk in stream.walks.items() if e < 4},
     )
     with pytest.raises(SimulationError, match="exhausted"):
         simulate(program, trace, arch(), stream=truncated)
@@ -225,12 +212,12 @@ class TestPersistence:
     def test_save_load_round_trip(self, workload, stream, tmp_path):
         directory = tmp_path / "stream"
         stream.save(directory)
-        for mmap in (False, True):
-            loaded = PredictionStream.load(directory, mmap=mmap)
-            program, trace = workload
-            assert simulate(program, trace, arch(), stream=loaded) == simulate(
-                program, trace, arch(), stream=stream
-            )
+        loaded = PredictionStream.load(directory)
+        assert loaded == stream
+        program, trace = workload
+        assert simulate(program, trace, arch(), stream=loaded) == simulate(
+            program, trace, arch(), stream=stream
+        )
 
     def test_artifact_cache_round_trip(self, workload, stream, tmp_path):
         cache = ArtifactCache(tmp_path)
@@ -244,6 +231,17 @@ class TestPersistence:
         cache.store_stream("gcc", TRACE_LENGTH, SEED, stream)
         directory = cache.stream_dir("gcc", TRACE_LENGTH, SEED, stream.digest)
         (directory / "outcome.npy").write_bytes(b"garbage")
+        assert cache.load_stream("gcc", TRACE_LENGTH, SEED, stream.digest) is None
+
+    def test_disordered_walk_offsets_are_a_miss(self, workload, stream, tmp_path):
+        # Well-formed arrays whose offsets would hand walks to the wrong
+        # records: a miss, not a stream with other results.
+        cache = ArtifactCache(tmp_path)
+        cache.store_stream("gcc", TRACE_LENGTH, SEED, stream)
+        directory = cache.stream_dir("gcc", TRACE_LENGTH, SEED, stream.digest)
+        wp_off = np.load(directory / "wp_off.npy")
+        wp_off[1:] = wp_off[1:][::-1].copy()
+        np.save(directory / "wp_off.npy", wp_off)
         assert cache.load_stream("gcc", TRACE_LENGTH, SEED, stream.digest) is None
 
     def test_identity_mismatch_is_a_miss(self, workload, stream, tmp_path):
@@ -427,7 +425,7 @@ class TestParallelWiring:
         assert second.run_jobs(self.JOBS) == baseline
         assert second.observer.registry.value("stream.builds") == 0
         assert second.observer.registry.value("stream.cache_hits") == 1
-        # ...and the service worker memory-maps it.
+        # ...and the service worker loads it.
         builds, streams = self._watch_worker(monkeypatch)
         for (name, config), expected in zip(self.JOBS, baseline):
             assert self._serve(name, config, cache_dir) == expected

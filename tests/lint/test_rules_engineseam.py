@@ -64,7 +64,7 @@ POSITIVE = [
     pytest.param(
         CORE,
         "def lower(stream, line_size):\n"
-        "    return RecordedWalks(_lowered_lists(stream), line_size)\n",
+        "    return RecordedWalks(stream, line_size)\n",
         id="recorded-walks",
     ),
     pytest.param(
@@ -147,8 +147,7 @@ NEGATIVE = [
     pytest.param(
         "def recorded_walks(stream, line_size):\n"
         "    return memo_get(_walk_memo, (stream,), (id(stream), line_size),\n"
-        "                    'walk', lambda: RecordedWalks(\n"
-        "                        _lowered_lists(stream), line_size))\n",
+        "                    'walk', lambda: RecordedWalks(stream, line_size))\n",
         id="split-factory-itself",
     ),
     pytest.param(

@@ -9,7 +9,6 @@ from repro.errors import ObservabilityError
 from repro.obs.events import (
     EVENT_TYPES,
     STALL_CAUSES,
-    EngineFallback,
     EventSink,
     FetchStall,
     FillInstall,
@@ -39,7 +38,6 @@ SAMPLES = (
     ServiceIncident(t=0, client="alice", kind="timeout", benchmark="li", attempt=2),
     StreamBuild(t=0, benchmark="gcc", records=412, source="cache"),
     PolicySwitch(t=4096, interval=3, previous="resume", policy="optimistic"),
-    EngineFallback(t=0, benchmark="li", requested="vector", reason="missing_stream"),
 )
 
 

@@ -191,15 +191,21 @@ class TestPolicyScheduleConfig:
         assert "classif" in str(excinfo.value)
 
     def test_vector_backend_rejects_scheduling(self):
+        # The vector backend cannot be requested at all: "auto" picks it
+        # for eligible cells only, and per-interval schedules never are.
         with pytest.raises(ConfigError) as excinfo:
             SimConfig(
                 engine_backend="vector",
                 policy_schedule="tournament",
                 adaptive_interval=500,
             )
-        assert "vector" in str(excinfo.value)
-        with pytest.raises(ConfigError):
-            SimConfig(engine_backend="vector", adaptive_interval=500)
+        assert "unknown engine_backend 'vector'" in str(excinfo.value)
+        for backend in ("auto", "event"):
+            SimConfig(
+                engine_backend=backend,
+                policy_schedule="tournament",
+                adaptive_interval=500,
+            )
 
     def test_replace_built_configs_are_validated(self):
         from dataclasses import replace
@@ -210,12 +216,7 @@ class TestPolicyScheduleConfig:
         with pytest.raises(ConfigError):
             replace(base, adaptive_interval=-1)
         with pytest.raises(ConfigError):
-            replace(
-                base,
-                engine_backend="vector",
-                policy_schedule="oracle",
-                adaptive_interval=500,
-            )
+            replace(base, engine_backend="vector")
 
     def test_describe_static_unchanged(self):
         assert "policy-sched" not in SimConfig().describe()

@@ -15,6 +15,12 @@ warmup.  One untraced run of every cell comes first, so the lowering
 memos (fetch programs, wrong-path segments) are warm and the count is
 the steady-state per-cell cost that a sweep pays.
 
+Two more gcc cells are printed after the gauge, outside its total and
+the budget: the architectural branch schedule (Resume, same trace and
+warmup) replayed on the event loop from a stream recorded beforehand,
+and the same cell given no stream, which records its own inside the
+run — the path a lone real-cache architectural cell takes.
+
 Usage::
 
     python tools/count_bytecodes.py            # per function + total
@@ -59,6 +65,27 @@ def gauge_cells() -> list[tuple[str, Callable[[], object]]]:
                 ),
             ))
     return cells
+
+
+def stream_cells() -> list[tuple[str, Callable[[], object]]]:
+    """``(label, run)`` per unbudgeted architectural gcc cell."""
+    from dataclasses import replace
+
+    from repro.branch.stream import build_stream
+
+    program = build_workload("gcc")
+    trace = generate_trace(program, n_instructions=TRACE_LENGTH, seed=SEED)
+    config = SimConfig(branch_schedule="architectural")
+    stream = build_stream(program, trace, config)
+    replayed = replace(config, engine_backend="event")
+    return [
+        ("gcc/arch replayed", lambda: simulate(
+            program, trace, replayed, warmup=WARMUP, stream=stream
+        )),
+        ("gcc/arch recording", lambda: simulate(
+            program, trace, config, warmup=WARMUP
+        )),
+    ]
 
 
 def count_total(run: Callable[[], object]) -> int:
@@ -148,6 +175,13 @@ def main(argv: list[str] | None = None) -> int:
         f"{total / instructions:.1f} per simulated instruction "
         f"(Python {sys.version_info.major}.{sys.version_info.minor})"
     )
+    print()
+    print("not budgeted:")
+    print(f"{'cell':<22} {'bytecodes':>12} {'per instr':>10}")
+    for label, run in stream_cells():
+        run()
+        n = count_total(run)
+        print(f"{label:<22} {n:>12,} {n / TRACE_LENGTH:>10.1f}")
     return 0
 
 

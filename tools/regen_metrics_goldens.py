@@ -27,7 +27,7 @@ sys.path.insert(
 )
 
 from repro.config import ALL_POLICIES, FetchPolicy, SimConfig  # noqa: E402
-from repro.core.engine import simulate  # noqa: E402
+from repro.core.engine import build_engine, simulate  # noqa: E402
 from repro.core.runner import SimulationRunner  # noqa: E402
 from repro.obs import Observer  # noqa: E402
 
@@ -103,8 +103,9 @@ def verify_backend_parity() -> None:
     """Assert both engine backends hash-identically on the golden spec.
 
     Runs the replay-eligible variant of every policy's golden config
-    through ``engine_backend="event"`` and ``"vector"`` and compares the
-    sha256 of the canonical metrics JSON — the same serialization the
+    through ``engine_backend="event"`` and ``"auto"`` (which picks the
+    vector backend, given the stream) and compares the sha256 of the
+    canonical metrics JSON — the same serialization the
     goldens use, so there is never a second golden set to keep in sync.
     """
     from dataclasses import replace
@@ -123,18 +124,21 @@ def verify_backend_parity() -> None:
         )
         stream = build_stream(run.program, run.trace, config)
         hashes = {}
-        for backend in ("event", "vector"):
+        for backend in ("event", "auto"):
             observer = Observer()
-            simulate(
+            engine = build_engine(
                 run.program,
-                run.trace,
                 replace(config, engine_backend=backend),
-                warmup=WARMUP,
                 observer=observer,
                 stream=stream,
             )
+            engine.run(run.trace, warmup_instructions=WARMUP)
             snapshot = json.loads(json.dumps(observer.metrics_dict()))
-            hashes[backend] = _metrics_hash(snapshot)
+            hashes[engine.backend] = _metrics_hash(snapshot)
+        if set(hashes) != {"event", "vector"}:
+            raise SystemExit(
+                f"auto did not pick the vector backend for {policy.name}"
+            )
         if hashes["event"] != hashes["vector"]:
             raise SystemExit(
                 f"backend parity violated for {policy.name}: "
